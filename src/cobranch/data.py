@@ -303,6 +303,7 @@ def load_embeddings(path: str) -> list[Sample]:
             raise EmbeddingFormatError(f"{path}:1: expected column f{i}, got {name!r}")
 
     samples = []
+    id_lines: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -317,6 +318,13 @@ def load_embeddings(path: str) -> list[Sample]:
             feats = np.array([float(x) for x in parts[2:]], dtype=float)
         except ValueError as exc:
             raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not np.all(np.isfinite(feats)):
+            raise EmbeddingFormatError(f"{path}:{lineno}: non-finite feature value")
+        if sid in id_lines:
+            raise EmbeddingFormatError(
+                f"{path}:{lineno}: sample id {sid} already used on line {id_lines[sid]}"
+            )
+        id_lines[sid] = lineno
         if label_raw < UNLABELED_MARKER:
             raise EmbeddingFormatError(
                 f"{path}:{lineno}: label index {label_raw} is invalid"

@@ -2,8 +2,12 @@
 
 Four building blocks and two composites:
 
-* contrastive_loss       -- positive-set contrastive loss over unit features
-* soft_contrastive_loss  -- the positiveness-weighted variant
+* contrastive_loss       -- weighted cross-entropy over the off-diagonal softmax
+                            of pairwise similarities: the one kernel behind every
+                            contrastive term (one-hot rows give the unsupervised
+                            term, the same-class indicator the supervised one,
+                            positiveness weights the soft one)
+* hard_indicator_weights -- the same-class indicator weight matrix
 * optimal_soft_logits    -- closed form the soft loss drives logits toward
 * kl_regularizer         -- KL(mean prediction || smoothed target distribution)
 * classification_objective -- supervised CE + cross pseudo supervision + KL
@@ -41,122 +45,61 @@ class LossWeights:
             raise ValueError("loss weights must be nonnegative")
 
 
-@dataclass
-class ContrastiveBatch:
-    """Unit-norm features plus per-anchor positive index sets.
+def contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: float):
+    """Weighted contrastive loss; returns (scalar, grad wrt features, n_excluded).
 
-    positive_sets[i] is a nonempty index sequence (excluding i), or None to
-    drop row i as an anchor while keeping it as a candidate for others.
+    Per anchor i: sum_j w_ij * (-log p_ij) / sum_j w_ij over j != i, where
+    p_i is the softmax of z_i.z_a / temperature over a != i. The diagonal of
+    `weights` is ignored. Anchors whose off-diagonal weight mass is zero are
+    excluded; the scalar is the mean over the included anchors.
     """
-
-    features: np.ndarray
-    positive_sets: list
-    temperature: float
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        n = self.features.shape[0]
-        if n < 2:
-            raise ValueError("a contrastive batch needs at least 2 rows")
-        if len(self.positive_sets) != n:
-            raise ValueError("positive_sets length must match the feature rows")
-        norms = np.linalg.norm(self.features, axis=1)
-        if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
-            raise ValueError("contrastive features must be unit norm")
-        for i, pos in enumerate(self.positive_sets):
-            if pos is None:
-                continue
-            idx = np.asarray(pos, dtype=int)
-            if idx.size == 0:
-                raise ValueError(f"anchor {i} has an empty positive set")
-            if np.any(idx == i) or np.any(idx < 0) or np.any(idx >= n):
-                raise ValueError(f"anchor {i} has invalid positive indices")
-
-
-def _offdiag_log_softmax(features: np.ndarray, temperature: float):
-    """Row-wise log softmax of pairwise similarities, self excluded."""
-    S = features @ features.T / temperature
-    np.fill_diagonal(S, -np.inf)
-    m = S.max(axis=1, keepdims=True)
-    E = np.exp(S - m)
-    denom = E.sum(axis=1, keepdims=True)
-    log_p = (S - m) - np.log(denom)
-    p = E / denom
-    return log_p, p
-
-
-def contrastive_loss(batch: ContrastiveBatch):
-    """Positive-set contrastive loss; returns (scalar, grad wrt features).
-
-    Per anchor i: mean over p in P(i) of -log softmax_{a != i}(z_i.z_a / tau)
-    at entry p; the scalar is the mean over included anchors.
-    """
-    F = batch.features
+    F = np.asarray(features, dtype=float)
+    if temperature <= 0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
     n = F.shape[0]
-    log_p, p = _offdiag_log_softmax(F, batch.temperature)
-
-    included = [i for i, pos in enumerate(batch.positive_sets) if pos is not None]
-    n_inc = len(included)
-    if n_inc == 0:
-        raise ValueError("no anchors included in the batch")
-    G = np.zeros((n, n))
-    total = 0.0
-    for i in included:
-        pos = np.asarray(batch.positive_sets[i], dtype=int)
-        total += -log_p[i, pos].mean()
-        G[i] = p[i]
-        G[i, pos] -= 1.0 / pos.size
-    loss = float(total / n_inc)
-    G /= n_inc
-    grad = (G + G.T) @ F / batch.temperature
-    return loss, grad
-
-
-@dataclass(frozen=True)
-class SoftLossResult:
-    loss: float
-    grad: np.ndarray
-    n_excluded: int
-
-
-def soft_contrastive_loss(batch: ContrastiveBatch, weights: np.ndarray) -> SoftLossResult:
-    """Positiveness-weighted contrastive loss (anchors weight their whole
-    candidate set instead of a hard positive set).
-
-    Per anchor i: sum_j w_ij * (-log p_ij) / sum_j w_ij over j != i. Anchors
-    whose off-diagonal weight mass is zero are excluded from the anchor mean;
-    batch.positive_sets is ignored.
-    """
-    F = batch.features
-    n = F.shape[0]
-    W = np.asarray(weights, dtype=float)
+    if n < 2:
+        raise ValueError("a contrastive batch needs at least 2 rows")
+    norms = np.linalg.norm(F, axis=1)
+    if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
+        raise ValueError("contrastive features must be unit norm")
+    W = np.array(weights, dtype=float)
     if W.shape != (n, n):
         raise ValueError(f"weights must be {n}x{n}, got {W.shape}")
     if np.any(W < 0) or not np.all(np.isfinite(W)):
-        raise ValueError("positiveness weights must be finite and nonnegative")
-    W = W.copy()
+        raise ValueError("contrastive weights must be finite and nonnegative")
     np.fill_diagonal(W, 0.0)
     row_mass = W.sum(axis=1)
     included = row_mass > 0
     n_inc = int(included.sum())
     n_exc = n - n_inc
     if n_inc == 0:
-        raise ValueError("every anchor has zero positiveness mass")
+        raise ValueError("every anchor has zero weight mass")
     if n_exc:
-        logger.debug("soft contrastive loss: %d anchors excluded (zero weight mass)", n_exc)
+        logger.debug("contrastive loss: %d anchors excluded (zero weight mass)", n_exc)
 
-    log_p, p = _offdiag_log_softmax(F, batch.temperature)
-    Wbar = np.zeros_like(W)
-    Wbar[included] = W[included] / row_mass[included, None]
-    neg_log = -log_p
-    np.fill_diagonal(neg_log, 0.0)  # diagonal weight is zero; avoid 0 * inf
-    loss = float((Wbar[included] * neg_log[included]).sum() / n_inc)
-    G = np.zeros((n, n))
-    G[included] = (p[included] - Wbar[included]) / n_inc
-    grad = (G + G.T) @ F / batch.temperature
-    return SoftLossResult(loss=loss, grad=grad, n_excluded=n_exc)
+    S = F @ F.T / temperature
+    np.fill_diagonal(S, -np.inf)  # self is not a candidate
+    S -= S.max(axis=1, keepdims=True)
+    E = np.exp(S)
+    denom = E.sum(axis=1, keepdims=True)
+    p = E / denom
+    neg_log_p = np.log(denom) - S
+    np.fill_diagonal(neg_log_p, 0.0)  # diagonal weight is zero; avoid 0 * inf
+    Wbar = W / np.where(included, row_mass, 1.0)[:, None]
+    loss = float((Wbar * neg_log_p).sum() / n_inc)
+    G = (p - Wbar) / n_inc
+    G[~included] = 0.0
+    grad = (G + G.T) @ F / temperature
+    return loss, grad, n_exc
+
+
+def hard_indicator_weights(classes: np.ndarray) -> np.ndarray:
+    """Same-class indicator weights with a zero diagonal: the supervised
+    term's positives, and the argmax alternative to the soft weights."""
+    c = np.asarray(classes, dtype=int)
+    W = (c[:, None] == c[None, :]).astype(float)
+    np.fill_diagonal(W, 0.0)
+    return W
 
 
 def optimal_soft_logits(w_row: np.ndarray) -> np.ndarray:
@@ -291,25 +234,19 @@ def classification_objective(
     if n_u > 0:
         p1 = softmax(unl_logits_v1)
         p2 = softmax(unl_logits_v2)
-        log_p1 = _log_softmax(unl_logits_v1)
-        log_p2 = _log_softmax(unl_logits_v2)
         norm = 2.0 * n_u
-        for i in range(n_u):
-            # view 2 supervised by view 1's pseudo-label, and vice versa
-            if p1[i].max() >= conf_gate:
-                y = int(np.argmax(p1[i]))
-                l_u += -log_p2[i, y] / norm
-                g = p2[i].copy()
-                g[y] -= 1.0
-                grad_v2[i] += weights.eta1 * g / norm
-                n_gated += 1
-            if p2[i].max() >= conf_gate:
-                y = int(np.argmax(p2[i]))
-                l_u += -log_p1[i, y] / norm
-                g = p1[i].copy()
-                g[y] -= 1.0
-                grad_v1[i] += weights.eta1 * g / norm
-                n_gated += 1
+        # view 2 supervised by view 1's pseudo-label, and vice versa
+        for p_src, p_dst, logits_dst, grad_dst in (
+            (p1, p2, unl_logits_v2, grad_v2),
+            (p2, p1, unl_logits_v1, grad_v1),
+        ):
+            gated = np.flatnonzero(p_src.max(axis=1) >= conf_gate)
+            y = p_src[gated].argmax(axis=1)
+            l_u += (-_log_softmax(logits_dst)[gated, y] / norm).sum()
+            g = p_dst[gated]
+            g[np.arange(gated.size), y] -= 1.0
+            grad_dst[gated] += weights.eta1 * g / norm
+            n_gated += gated.size
 
     rows = [a for a in (labeled_logits, unl_logits_v1, unl_logits_v2) if a.shape[0] > 0]
     if not rows:
@@ -355,14 +292,6 @@ class ContrastiveLossParts:
     n_soft_excluded: int
 
 
-def _class_positive_sets(classes: np.ndarray) -> list:
-    sets = []
-    for i, c in enumerate(classes):
-        idx = np.flatnonzero(classes == c)
-        sets.append(idx[idx != i])
-    return sets
-
-
 def contrastive_objective(
     features: np.ndarray,
     other_view: np.ndarray,
@@ -377,8 +306,9 @@ def contrastive_objective(
     """Composite contrastive objective over one batch of projected views.
 
     features holds every view in the batch (unit rows); other_view[i] is the
-    index of the same sample's second view. The unsupervised term runs over
-    all rows, the supervised term over the labeled subset with same-class
+    index of the same sample's second view. Each term is one contrastive_loss
+    call: the unsupervised term over all rows with the other view as the only
+    positive, the supervised term over the labeled subset with same-class
     positives, and the soft term over `soft_idx` with pairwise weights
     `soft_weights`. During warm-up (include_soft=False) the soft term is
     dropped entirely.
@@ -387,18 +317,16 @@ def contrastive_objective(
     n = features.shape[0]
     grad = np.zeros_like(features)
 
-    unsup_sets = [np.array([other_view[i]]) for i in range(n)]
-    unsup_batch = ContrastiveBatch(features, unsup_sets, temperature)
-    l_unsup, g = contrastive_loss(unsup_batch)
+    W = np.zeros((n, n))
+    W[np.arange(n), other_view] = 1.0
+    l_unsup, g, _ = contrastive_loss(features, W, temperature)
     grad += g
 
     l_sup = 0.0
     labeled_idx = np.asarray(labeled_idx, dtype=int)
     if labeled_idx.size >= 2 and weights.gamma1 > 0:
-        sub = features[labeled_idx]
-        sets = _class_positive_sets(np.asarray(labeled_classes, dtype=int))
-        sup_batch = ContrastiveBatch(sub, sets, temperature)
-        l_sup, g = contrastive_loss(sup_batch)
+        W = hard_indicator_weights(labeled_classes)
+        l_sup, g, _ = contrastive_loss(features[labeled_idx], W, temperature)
         grad[labeled_idx] += weights.gamma1 * g
 
     l_soft = 0.0
@@ -407,13 +335,8 @@ def contrastive_objective(
     if include_soft and soft_idx.size >= 2 and weights.gamma2 > 0:
         if soft_weights is None:
             raise ValueError("soft term requested without a positiveness matrix")
-        sub = features[soft_idx]
-        # positive sets are irrelevant to the soft loss
-        batch = ContrastiveBatch(sub, [None] * soft_idx.size, temperature)
-        res = soft_contrastive_loss(batch, soft_weights)
-        l_soft = res.loss
-        n_excluded = res.n_excluded
-        grad[soft_idx] += weights.gamma2 * res.grad
+        l_soft, g, n_excluded = contrastive_loss(features[soft_idx], soft_weights, temperature)
+        grad[soft_idx] += weights.gamma2 * g
 
     total = float(l_unsup + weights.gamma1 * l_sup + (weights.gamma2 * l_soft if include_soft else 0.0))
     return ContrastiveLossParts(

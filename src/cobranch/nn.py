@@ -379,14 +379,6 @@ def vector_to_params(template: ModelParams, vec: np.ndarray) -> ModelParams:
     return out
 
 
-def accumulate_grads(into: dict[str, np.ndarray], add: dict[str, np.ndarray], weight: float = 1.0) -> None:
-    for name, g in add.items():
-        if name in into:
-            into[name] = into[name] + weight * g
-        else:
-            into[name] = weight * g
-
-
 # --- checkpoints ---------------------------------------------------------------
 
 def config_hash(config: dict) -> str:

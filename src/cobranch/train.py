@@ -299,7 +299,7 @@ def run(
                 v1_idx = np.concatenate([np.arange(n_l), n_l + sel])
                 soft_view_idx = np.concatenate([v1_idx, n_b + v1_idx])
                 if cfg.soft_mode == "hard":
-                    W_views = transfer.hard_indicator_weights(np.concatenate([inst_pred, inst_pred]))
+                    W_views = losses.hard_indicator_weights(np.concatenate([inst_pred, inst_pred]))
                 else:
                     W_views = transfer.build_positiveness_matrix(
                         np.concatenate([inst_probs, inst_probs], axis=0), cfg.metric

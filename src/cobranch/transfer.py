@@ -162,10 +162,3 @@ def one_hot(classes: np.ndarray, num_classes: int) -> np.ndarray:
     out[np.arange(classes.size), classes] = 1.0
     return out
 
-
-def hard_indicator_weights(pred_class: np.ndarray) -> np.ndarray:
-    """Argmax-indicator alternative to the soft weights (ablation)."""
-    c = np.asarray(pred_class, dtype=int)
-    W = (c[:, None] == c[None, :]).astype(float)
-    np.fill_diagonal(W, 0.0)
-    return W

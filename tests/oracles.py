@@ -3,7 +3,9 @@
 Everything here deliberately avoids the library's own computational paths:
 finite differences instead of analytic gradients, exhaustive enumeration
 instead of the assignment solver, projected gradient descent instead of the
-closed-form optimum, nearest-mean classification instead of the encoder.
+closed-form optimum, nearest-mean classification instead of the encoder, a
+per-anchor loop over positive-set lists instead of the weighted contrastive
+kernel.
 """
 
 from __future__ import annotations
@@ -58,6 +60,38 @@ def brute_force_assignment_batch(costs: np.ndarray):
     totals = costs[:, rows, perms].sum(axis=2)  # (B, n!, n) summed over n
     best = totals.argmin(axis=1)  # first minimum = lexicographically smallest
     return perms[best], totals[np.arange(costs.shape[0]), best]
+
+
+def positive_set_contrastive_loss(features: np.ndarray, positive_sets: list, temperature: float):
+    """Positive-set contrastive loss, one anchor at a time; returns (loss, grad).
+
+    positive_sets[i] is a nonempty index sequence (excluding i), or None to
+    drop row i as an anchor while keeping it as a candidate for others. Per
+    anchor: mean over p in P(i) of -log softmax_{a != i}(z_i.z_a / tau) at p;
+    the loss is the mean over the kept anchors.
+    """
+    F = np.asarray(features, dtype=float)
+    n = F.shape[0]
+    anchors = [i for i, pos in enumerate(positive_sets) if pos is not None]
+    if not anchors:
+        raise ValueError("no anchors")
+    G = np.zeros((n, n))
+    total = 0.0
+    for i in anchors:
+        pos = np.asarray(positive_sets[i], dtype=int)
+        if pos.size == 0 or np.any(pos == i):
+            raise ValueError(f"anchor {i} has an invalid positive set")
+        others = np.delete(np.arange(n), i)
+        s = F[others] @ F[i] / temperature
+        s_max = s.max()
+        log_z = s_max + np.log(np.exp(s - s_max).sum())
+        log_p = np.zeros(n)
+        log_p[others] = s - log_z
+        total += -log_p[pos].mean()
+        G[i, others] = np.exp(s - log_z)
+        G[i, pos] -= 1.0 / pos.size
+    G /= len(anchors)
+    return total / len(anchors), (G + G.T) @ F / temperature
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

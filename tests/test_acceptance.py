@@ -18,14 +18,13 @@ from cobranch.data import ImbalanceProfile, gen_synthetic, make_longtail_counts,
 from cobranch.estimate import AlignmentMap, aligned_distribution, estimate_round, hungarian
 from cobranch.evaluation import evaluate
 from cobranch.losses import (
-    ContrastiveBatch,
     LossWeights,
     classification_objective,
     contrastive_loss,
     contrastive_objective,
+    hard_indicator_weights,
     kl_regularizer,
     optimal_soft_logits,
-    soft_contrastive_loss,
     softmax,
 )
 from cobranch.transfer import PseudoLabelBatch, debias, sample_pseudolabels, sampling_rates
@@ -35,6 +34,7 @@ from oracles import (
     central_fd,
     max_rel_err,
     pgd_anchor_minimizer,
+    positive_set_contrastive_loss,
 )
 
 
@@ -92,10 +92,11 @@ def _check_eq1(rng):
     sets = class_positive_sets(classes)
     tau = float(rng.uniform(0.4, 1.6))
 
+    # the kernel's gradient against differences of the per-anchor reference
     def f(flat):
-        return contrastive_loss(ContrastiveBatch(flat.reshape(n, d), sets, tau))[0]
+        return positive_set_contrastive_loss(flat.reshape(n, d), sets, tau)[0]
 
-    _, grad = contrastive_loss(ContrastiveBatch(F, sets, tau))
+    _, grad, _ = contrastive_loss(F, hard_indicator_weights(classes), tau)
     return max_rel_err(grad.ravel(), central_fd(f, F.ravel()))
 
 
@@ -157,11 +158,10 @@ def _check_eq6(rng):
     tau = float(rng.uniform(0.4, 1.6))
 
     def f(flat):
-        batch = ContrastiveBatch(flat.reshape(n, d), [None] * n, tau)
-        return soft_contrastive_loss(batch, W).loss
+        return contrastive_loss(flat.reshape(n, d), W, tau)[0]
 
-    res = soft_contrastive_loss(ContrastiveBatch(F, [None] * n, tau), W)
-    return max_rel_err(res.grad.ravel(), central_fd(f, F.ravel()))
+    _, grad, _ = contrastive_loss(F, W, tau)
+    return max_rel_err(grad.ravel(), central_fd(f, F.ravel()))
 
 
 def _check_eq7(rng):
@@ -240,15 +240,15 @@ def test_criterion_04_reduction_identities():
 
         W = (classes[:, None] == classes[None, :]).astype(float)
         np.fill_diagonal(W, 0.0)
-        soft = soft_contrastive_loss(ContrastiveBatch(F, [None] * n, tau), W)
-        hard, _ = contrastive_loss(ContrastiveBatch(F, class_positive_sets(classes), tau))
-        worst_binary = max(worst_binary, abs(soft.loss - hard))
+        soft, _, _ = contrastive_loss(F, W, tau)
+        hard, _ = positive_set_contrastive_loss(F, class_positive_sets(classes), tau)
+        worst_binary = max(worst_binary, abs(soft - hard))
 
         const = float(rng.uniform(0.1, 5.0))
-        soft_c = soft_contrastive_loss(ContrastiveBatch(F, [None] * n, tau), np.full((n, n), const))
+        soft_c, _, _ = contrastive_loss(F, np.full((n, n), const), tau)
         full_sets = [np.delete(np.arange(n), i) for i in range(n)]
-        full, _ = contrastive_loss(ContrastiveBatch(F, full_sets, tau))
-        worst_const = max(worst_const, abs(soft_c.loss - full))
+        full, _ = positive_set_contrastive_loss(F, full_sets, tau)
+        worst_const = max(worst_const, abs(soft_c - full))
 
         C = int(rng.integers(2, 7))
         logits = rng.standard_normal(C) * 3

@@ -151,6 +151,37 @@ class TestTrainEval:
         assert rc == 2
         assert "definitely_missing" in capsys.readouterr().err
 
+    def train_on_edited_csv(self, tmp_path, edit):
+        data = tmp_path / "data"
+        assert main(["gen-data", "--seed", "5", "--out", str(data), *SMALL]) == 0
+        lines = (data / "train.csv").read_text().splitlines()
+        edit(lines)
+        (data / "train.csv").write_text("\n".join(lines) + "\n")
+        return main([
+            "train", "--seed", "0", "--out", str(tmp_path / "run"), *SMALL,
+            "--set", "dataset.kind=embeddings",
+            "--set", f"dataset.path={data / 'train.csv'}",
+            "--set", f"dataset.meta_path={data / 'meta.json'}",
+            "--set", f"dataset.test_path={data / 'test.csv'}",
+        ])
+
+    def test_nonfinite_feature_exit_2(self, tmp_path, capsys):
+        def edit(lines):
+            parts = lines[3].split(",")
+            parts[2] = "nan"
+            lines[3] = ",".join(parts)
+
+        assert self.train_on_edited_csv(tmp_path, edit) == 2
+        assert "train.csv:4: non-finite" in capsys.readouterr().err
+
+    def test_repeated_sample_id_exit_2(self, tmp_path, capsys):
+        def edit(lines):
+            sid = lines[3].split(",")[0]
+            lines[4] = ",".join([sid, *lines[4].split(",")[1:]])
+
+        assert self.train_on_edited_csv(tmp_path, edit) == 2
+        assert "train.csv:5: sample id" in capsys.readouterr().err
+
     def test_aggregate_is_mean_of_seeds(self, tmp_path):
         main(["train", "--seed", "9", "--out", str(tmp_path / "run"), *SMALL])
         rc = main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),

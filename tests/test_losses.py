@@ -2,21 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cobranch import losses
 from cobranch.losses import (
-    ContrastiveBatch,
     LossWeights,
     classification_objective,
     contrastive_loss,
     contrastive_objective,
+    hard_indicator_weights,
     kl_regularizer,
     optimal_soft_logits,
     smooth_target,
-    soft_contrastive_loss,
     softmax,
 )
-from oracles import central_fd, max_rel_err, pgd_anchor_minimizer
+from oracles import central_fd, max_rel_err, pgd_anchor_minimizer, positive_set_contrastive_loss
 
 
 def unit_rows(rng, n, d):
@@ -32,18 +32,25 @@ def class_positive_sets(classes):
     return sets
 
 
+def set_weights(positive_sets, n):
+    """The 0/1 weight matrix of a list of positive sets (None: no positives)."""
+    W = np.zeros((n, n))
+    for i, pos in enumerate(positive_sets):
+        if pos is not None:
+            W[i, pos] = 1.0
+    return W
+
+
 class TestContrastiveLoss:
     def test_two_identical_vectors_zero_loss(self):
         v = np.array([1.0, 0.0, 0.0])
-        batch = ContrastiveBatch(np.stack([v, v]), [[1], [0]], 1.0)
-        loss, _ = contrastive_loss(batch)
+        loss, _, _ = contrastive_loss(np.stack([v, v]), set_weights([[1], [0]], 2), 1.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_three_orthogonal_anchor_term(self):
-        F = np.eye(3)
-        batch = ContrastiveBatch(F, [[1], None, None], 1.0)
-        loss, _ = contrastive_loss(batch)
+        loss, _, n_excluded = contrastive_loss(np.eye(3), set_weights([[1], None, None], 3), 1.0)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        assert n_excluded == 2
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -53,48 +60,45 @@ class TestContrastiveLoss:
             classes = rng.integers(0, 2, size=n)
             while np.any(np.bincount(classes, minlength=2) < 2):
                 classes = rng.integers(0, 2, size=n)
-            sets = class_positive_sets(classes)
+            W = hard_indicator_weights(classes)
             tau = float(rng.uniform(0.3, 2.0))
 
             def f(flat):
-                batch = ContrastiveBatch(flat.reshape(n, d), sets, tau)
-                return contrastive_loss(batch)[0]
+                return contrastive_loss(flat.reshape(n, d), W, tau)[0]
 
-            batch = ContrastiveBatch(F, sets, tau)
-            _, grad = contrastive_loss(batch)
+            _, grad, _ = contrastive_loss(F, W, tau)
             assert max_rel_err(grad.ravel(), central_fd(f, F.ravel())) < 1e-4
 
-    def test_empty_positive_set_rejected(self):
-        F = np.eye(3)
-        with pytest.raises(ValueError):
-            ContrastiveBatch(F, [[1], [], None], 1.0)
-
     def test_nonpositive_temperature_rejected(self):
-        F = np.eye(2)
         with pytest.raises(ValueError):
-            ContrastiveBatch(F, [[1], [0]], 0.0)
+            contrastive_loss(np.eye(2), set_weights([[1], [0]], 2), 0.0)
+
+    def test_single_row_rejected(self):
+        with pytest.raises(ValueError):
+            contrastive_loss(np.eye(1), np.ones((1, 1)), 1.0)
 
     def test_all_excluded_rejected(self):
-        batch = ContrastiveBatch(np.eye(3), [None, None, None], 1.0)
         with pytest.raises(ValueError):
-            contrastive_loss(batch)
+            contrastive_loss(np.eye(3), np.eye(3), 1.0)  # only diagonal mass
 
     def test_non_unit_rows_rejected(self):
         with pytest.raises(ValueError):
-            ContrastiveBatch(2.0 * np.eye(3), [[1], [0], [0]], 1.0)
+            contrastive_loss(2.0 * np.eye(3), np.ones((3, 3)), 1.0)
+
+    def test_weight_shape_rejected(self):
+        with pytest.raises(ValueError):
+            contrastive_loss(np.eye(3), np.ones((3, 2)), 1.0)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(4)
         n, d = 6, 4
         F = unit_rows(rng, n, d)
         classes = np.array([0, 0, 1, 1, 2, 2])
-        sets = class_positive_sets(classes)
-        loss, grad = contrastive_loss(ContrastiveBatch(F, sets, 0.7))
+        loss, grad, _ = contrastive_loss(F, hard_indicator_weights(classes), 0.7)
         perm = rng.permutation(n)
         inv = np.empty(n, dtype=int)
         inv[perm] = np.arange(n)
-        sets_p = class_positive_sets(classes[perm])
-        loss_p, grad_p = contrastive_loss(ContrastiveBatch(F[perm], sets_p, 0.7))
+        loss_p, grad_p, _ = contrastive_loss(F[perm], hard_indicator_weights(classes[perm]), 0.7)
         assert abs(loss - loss_p) < 1e-10
         assert np.abs(grad_p[inv] - grad).max() < 1e-10
 
@@ -111,24 +115,21 @@ class TestSoftContrastiveLoss:
             W = (classes[:, None] == classes[None, :]).astype(float)
             np.fill_diagonal(W, 0.0)
             tau = float(rng.uniform(0.4, 1.5))
-            res = soft_contrastive_loss(ContrastiveBatch(F, [None] * n, tau), W)
-            hard, hard_grad = contrastive_loss(
-                ContrastiveBatch(F, class_positive_sets(classes), tau)
-            )
-            assert abs(res.loss - hard) < 1e-10
-            assert np.abs(res.grad - hard_grad).max() < 1e-10
+            loss, grad, _ = contrastive_loss(F, W, tau)
+            ref, ref_grad = positive_set_contrastive_loss(F, class_positive_sets(classes), tau)
+            assert abs(loss - ref) < 1e-10
+            assert np.abs(grad - ref_grad).max() < 1e-10
 
     def test_constant_weights_reduce_to_full_positive_set(self):
         rng = np.random.default_rng(2)
         n, d = 5, 4
         F = unit_rows(rng, n, d)
         full_sets = [np.delete(np.arange(n), i) for i in range(n)]
-        ref, ref_grad = contrastive_loss(ContrastiveBatch(F, full_sets, 1.0))
+        ref, ref_grad = positive_set_contrastive_loss(F, full_sets, 1.0)
         for const in (0.2, 1.0, 7.5):
-            W = np.full((n, n), const)
-            res = soft_contrastive_loss(ContrastiveBatch(F, [None] * n, 1.0), W)
-            assert abs(res.loss - ref) < 1e-10
-            assert np.abs(res.grad - ref_grad).max() < 1e-10
+            loss, grad, _ = contrastive_loss(F, np.full((n, n), const), 1.0)
+            assert abs(loss - ref) < 1e-10
+            assert np.abs(grad - ref_grad).max() < 1e-10
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
@@ -139,32 +140,78 @@ class TestSoftContrastiveLoss:
             tau = float(rng.uniform(0.4, 1.5))
 
             def f(flat):
-                batch = ContrastiveBatch(flat.reshape(n, d), [None] * n, tau)
-                return soft_contrastive_loss(batch, W).loss
+                return contrastive_loss(flat.reshape(n, d), W, tau)[0]
 
-            res = soft_contrastive_loss(ContrastiveBatch(F, [None] * n, tau), W)
-            assert max_rel_err(res.grad.ravel(), central_fd(f, F.ravel())) < 1e-4
+            _, grad, _ = contrastive_loss(F, W, tau)
+            assert max_rel_err(grad.ravel(), central_fd(f, F.ravel())) < 1e-4
 
     def test_zero_mass_anchor_excluded(self):
         rng = np.random.default_rng(5)
         F = unit_rows(rng, 4, 3)
         W = np.ones((4, 4))
         W[2, :] = 0.0
-        res = soft_contrastive_loss(ContrastiveBatch(F, [None] * 4, 1.0), W)
-        assert res.n_excluded == 1
-        assert np.isfinite(res.loss)
+        loss, _, n_excluded = contrastive_loss(F, W, 1.0)
+        assert n_excluded == 1
+        assert np.isfinite(loss)
 
     def test_all_zero_weights_rejected(self):
-        F = np.eye(3)
         with pytest.raises(ValueError):
-            soft_contrastive_loss(ContrastiveBatch(F, [None] * 3, 1.0), np.zeros((3, 3)))
+            contrastive_loss(np.eye(3), np.zeros((3, 3)), 1.0)
 
     def test_negative_weights_rejected(self):
-        F = np.eye(3)
         W = np.ones((3, 3))
         W[0, 1] = -0.1
         with pytest.raises(ValueError):
-            soft_contrastive_loss(ContrastiveBatch(F, [None] * 3, 1.0), W)
+            contrastive_loss(np.eye(3), W, 1.0)
+
+    def test_nonfinite_weights_rejected(self):
+        W = np.ones((3, 3))
+        W[0, 1] = np.inf
+        with pytest.raises(ValueError):
+            contrastive_loss(np.eye(3), W, 1.0)
+
+
+@st.composite
+def unit_features(draw, min_rows=2, max_rows=8):
+    n = draw(st.integers(min_rows, max_rows))
+    d = draw(st.integers(2, 5))
+    F = unit_rows(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), n, d)
+    return F, draw(st.floats(0.2, 2.0))
+
+
+class TestKernelProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), batch=unit_features())
+    def test_hard_positive_sets_match_oracle(self, data, batch):
+        F, tau = batch
+        n = F.shape[0]
+        member = data.draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                                    min_size=n, max_size=n))
+        sets = []
+        for i, row in enumerate(member):
+            pos = [j for j in range(n) if row[j] and j != i]
+            sets.append(pos or None)
+        assume(any(pos is not None for pos in sets))
+        loss, grad, n_excluded = contrastive_loss(F, set_weights(sets, n), tau)
+        ref, ref_grad = positive_set_contrastive_loss(F, sets, tau)
+        assert n_excluded == sets.count(None)
+        assert abs(loss - ref) < 1e-10
+        assert np.abs(grad - ref_grad).max() < 1e-10
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), batch=unit_features())
+    def test_soft_weights_permutation_equivariance(self, data, batch):
+        F, tau = batch
+        n = F.shape[0]
+        W = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=n * n, max_size=n * n)))
+        W = W.reshape(n, n)
+        assume(np.any(W[~np.eye(n, dtype=bool)] > 0))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        loss, grad, n_excluded = contrastive_loss(F, W, tau)
+        loss_p, grad_p, n_excluded_p = contrastive_loss(F[perm], W[np.ix_(perm, perm)], tau)
+        assert n_excluded_p == n_excluded
+        assert abs(loss_p - loss) < 1e-10
+        assert np.abs(grad_p - grad[perm]).max() < 1e-10
 
 
 class TestOptimalSoftLogits:
@@ -345,7 +392,7 @@ class TestContrastiveObjective:
         w = LossWeights(gamma1=0.0, gamma2=0.0)
         res = contrastive_objective(F, other, lab_idx, lab_cls, np.zeros(0, int), None, 1.0, w, False)
         sets = [[other[i]] for i in range(F.shape[0])]
-        ref, ref_grad = contrastive_loss(ContrastiveBatch(F, sets, 1.0))
+        ref, ref_grad = positive_set_contrastive_loss(F, sets, 1.0)
         assert res.total == pytest.approx(ref, abs=1e-12)
         assert np.abs(res.grad - ref_grad).max() < 1e-12
 

@@ -4,6 +4,7 @@ import pytest
 from cobranch import losses, nn, train as train_mod
 from cobranch.data import gen_synthetic, split_known_novel
 from cobranch.train import ModelConfig, TrainConfig, TrainingAborted, make_batches, make_views, run
+from oracles import positive_set_contrastive_loss
 
 
 def toy_split(seed=0, C=5, counts=(30, 20, 12, 8, 5), num_known=3, d=6):
@@ -186,7 +187,9 @@ class TestGradientIsolation:
         before_enc = [getattr(params, n).copy() for n in params.ENCODER_FIELDS]
         U, cache = nn.contrastive_branch_forward(params, X)
         sets = [[(i + 4) % 8] for i in range(8)]
-        loss, grad = losses.contrastive_loss(losses.ContrastiveBatch(U, sets, 1.0))
+        W = np.eye(8)[(np.arange(8) + 4) % 8]  # row i has its one positive at (i + 4) % 8
+        loss, grad, _ = losses.contrastive_loss(U, W, 1.0)
+        assert np.abs(grad - positive_set_contrastive_loss(U, sets, 1.0)[1]).max() < 1e-12
         nn.sgd_step(params, nn.contrastive_branch_backward(params, cache, grad), 0.1)
         assert np.array_equal(params.cls_w, before_cls)
         assert any(

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from cobranch.losses import softmax
+from cobranch.losses import hard_indicator_weights, softmax
 from cobranch.transfer import (
     PseudoLabelBatch,
     SamplingConfig,
     build_positiveness_matrix,
     debias,
-    hard_indicator_weights,
     one_hot,
     positiveness,
     sample_pseudolabels,
