@@ -20,18 +20,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, train as train_mod
-from ._rng import SPLIT, TEST, rng_for
+from ._rng import TEST
 from .config import ConfigError, load_config, to_train_objects
 from .data import (
+    UNLABELED_MARKER,
     DatasetSplit,
     EmbeddingFormatError,
     ImbalanceProfile,
-    Sample,
     load_embeddings,
     make_class_means,
     make_longtail_counts,
     sample_from_means,
     save_embeddings,
+    split_from_mask,
+    split_independent_pools,
     split_known_novel,
 )
 from .estimate import EstimationError, estimate_round
@@ -76,115 +78,75 @@ class BuiltDataset:
     test_labels: np.ndarray
 
 
-def _independent_pool_split(ds: dict, data_seed: int) -> DatasetSplit:
-    """Unequal imbalance ratios: the labeled pool follows its own long-tail
-    profile on the known classes while the unlabeled pool follows another
-    over all classes; both share class means."""
-    C = ds["num_classes"]
-    num_known = ds["num_known"]
-    profile = ds["profile"]
-    counts_u = make_longtail_counts(C, ImbalanceProfile(profile, ds["rho_u"], ds["n_max"]))
+def _labeled_counts_ranked(ds: dict) -> np.ndarray:
+    """Unequal imbalance ratios: labeled counts of the known classes, largest
+    first, on their own long-tail profile (rho_l)."""
     n_max_l = max(int(math.ceil(ds["rho_l"])), int(round(ds["labeled_ratio"] * ds["n_max"])))
-    if num_known >= 2:
-        counts_l_ranked = make_longtail_counts(
-            num_known, ImbalanceProfile(profile, ds["rho_l"], n_max_l)
-        )
-    else:
-        counts_l_ranked = np.array([n_max_l], dtype=int)
-
-    rng = rng_for(data_seed, SPLIT)
-    perm = rng.permutation(C)
-    # novel split ids in descending size order, as in split_known_novel
-    novel = sorted(perm[num_known:].tolist(), key=lambda orig: (-counts_u[orig], orig))
-    perm = np.concatenate([perm[:num_known], np.array(novel, dtype=int)])
-    remap = {int(orig): new for new, orig in enumerate(perm)}
-    known_orig = [int(orig) for orig, new in remap.items() if new < num_known]
-    known_orig.sort(key=lambda orig: (-counts_u[orig], orig))
-    counts_l = np.zeros(C, dtype=int)
-    for rank, orig in enumerate(known_orig):
-        counts_l[orig] = counts_l_ranked[rank]
-
-    totals = counts_u + counts_l
-    means = make_class_means(C, ds["d_in"], ds["class_separation"], data_seed)
-    pool = sample_from_means(means, totals, ds["noise_scale"], data_seed)
-
-    labeled: list[Sample] = []
-    unlabeled: list[Sample] = []
-    hidden: list[int] = []
-    true_counts = np.zeros(C, dtype=int)
-    taken = {c: 0 for c in range(C)}
-    for s in pool:
-        new = remap[s.label]
-        true_counts[new] += 1
-        if taken[s.label] < counts_l[s.label]:
-            taken[s.label] += 1
-            labeled.append(Sample(id=s.id, features=s.features, label=new))
-        else:
-            unlabeled.append(Sample(id=s.id, features=s.features, label=None))
-            hidden.append(new)
-    split = DatasetSplit(
-        labeled=labeled,
-        unlabeled=unlabeled,
-        num_known=num_known,
-        num_classes=C,
-        true_counts=true_counts,
-        unlabeled_true_labels=np.array(hidden, dtype=int),
-        class_remap=remap,
-    )
-    split.validate()
-    return split
+    if ds["num_known"] < 2:
+        return np.array([n_max_l], dtype=int)
+    return make_longtail_counts(ds["num_known"], ImbalanceProfile(ds["profile"], ds["rho_l"], n_max_l))
 
 
 def build_synthetic_dataset(ds: dict, run_seed: int) -> BuiltDataset:
     data_seed = ds["seed"] if ds["seed"] is not None else run_seed
-    C, d_in = ds["num_classes"], ds["d_in"]
+    C = ds["num_classes"]
+    counts = make_longtail_counts(C, ImbalanceProfile(ds["profile"], ds["rho_u"], ds["n_max"]))
+    means = make_class_means(C, ds["d_in"], ds["class_separation"], data_seed)
     if ds["rho_l"] == ds["rho_u"]:
-        counts = make_longtail_counts(C, ImbalanceProfile(ds["profile"], ds["rho_u"], ds["n_max"]))
-        means = make_class_means(C, d_in, ds["class_separation"], data_seed)
-        pool = sample_from_means(means, counts, ds["noise_scale"], data_seed)
-        split = split_known_novel(pool, ds["num_known"], ds["labeled_ratio"], data_seed)
+        X, y = sample_from_means(means, counts, ds["noise_scale"], data_seed)
+        split = split_known_novel(X, y, ds["num_known"], ds["labeled_ratio"], data_seed)
     else:
-        split = _independent_pool_split(ds, data_seed)
-        means = make_class_means(C, d_in, ds["class_separation"], data_seed)
+        split = split_independent_pools(
+            means, counts, _labeled_counts_ranked(ds), ds["num_known"], ds["noise_scale"], data_seed
+        )
 
     # balanced disjoint test set over the same means, in split-space labels
     test_counts = np.full(C, ds["test_per_class"], dtype=int)
-    test_pool = sample_from_means(means, test_counts, ds["noise_scale"], data_seed, stream=TEST)
-    remap = split.class_remap
-    feats = np.stack([s.features for s in test_pool])
-    labels = np.array([remap[s.label] for s in test_pool], dtype=int)
-    return BuiltDataset(split=split, test_features=feats, test_labels=labels)
+    test_X, test_y = sample_from_means(means, test_counts, ds["noise_scale"], data_seed, stream=TEST)
+    to_split = np.array([split.class_remap[c] for c in range(C)])
+    return BuiltDataset(split=split, test_features=test_X, test_labels=to_split[test_y])
 
 
-def _split_from_files(train_path: str, meta: dict) -> DatasetSplit:
-    pool = load_embeddings(train_path)
-    num_known = meta["num_known"]
-    num_classes = meta["num_classes"]
-    labeled = [s for s in pool if s.label is not None]
-    unlabeled = [s for s in pool if s.label is None]
-    split = DatasetSplit(
-        labeled=labeled,
-        unlabeled=unlabeled,
-        num_known=num_known,
-        num_classes=num_classes,
-        true_counts=np.asarray(meta["true_counts"], dtype=int) if meta.get("true_counts") else None,
-        unlabeled_true_labels=None,
-        class_remap={int(k): v for k, v in meta.get("class_remap", {}).items()},
-    )
-    split.validate()
-    return split
+def _check_meta(ds: dict, meta: dict) -> None:
+    """The config's class counts and width must be the ones the files were made with."""
+    for key in ("num_classes", "num_known", "d_in"):
+        if key not in meta:
+            raise ConfigError(f"{ds['meta_path']}: missing key {key!r}")
+        if meta[key] != ds[key]:
+            raise ConfigError(
+                f"dataset.{key}={ds[key]!r} disagrees with {key}={meta[key]!r} in {ds['meta_path']}"
+            )
+
+
+def _check_width(path: str, X: np.ndarray, d_in: int) -> None:
+    if X.shape[1] != d_in:
+        raise EmbeddingFormatError(f"{path}: {X.shape[1]} feature columns, expected d_in={d_in}")
 
 
 def build_file_dataset(ds: dict) -> BuiltDataset:
     with open(ds["meta_path"], "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    split = _split_from_files(ds["path"], meta)
-    test_pool = load_embeddings(ds["test_path"])
-    if any(s.label is None for s in test_pool):
+    _check_meta(ds, meta)
+    ids, labels, X = load_embeddings(ds["path"])
+    _check_width(ds["path"], X, ds["d_in"])
+    try:
+        split = split_from_mask(
+            X,
+            labels,
+            ids,
+            labels != UNLABELED_MARKER,
+            meta["num_known"],
+            meta["num_classes"],
+            np.asarray(meta["true_counts"], dtype=int) if meta.get("true_counts") else None,
+            {int(k): v for k, v in meta.get("class_remap", {}).items()},
+        )
+    except ValueError as exc:  # a label outside the known classes, counts that do not add up
+        raise EmbeddingFormatError(f"{ds['path']}: {exc}") from exc
+    _, test_labels, test_X = load_embeddings(ds["test_path"])
+    _check_width(ds["test_path"], test_X, ds["d_in"])
+    if np.any(test_labels == UNLABELED_MARKER):
         raise EmbeddingFormatError(f"{ds['test_path']}: test rows must all be labeled")
-    feats = np.stack([s.features for s in test_pool])
-    labels = np.array([s.label for s in test_pool], dtype=int)
-    return BuiltDataset(split=split, test_features=feats, test_labels=labels)
+    return BuiltDataset(split=split, test_features=test_X, test_labels=test_labels)
 
 
 def build_dataset(cfg: dict, run_seed: int) -> BuiltDataset:
@@ -291,13 +253,15 @@ def cmd_gen_data(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     split = built.split
-    train_rows = split.labeled + split.unlabeled
-    save_embeddings(train_rows, os.path.join(args.out, "train.csv"))
-    test_rows = [
-        Sample(id=i, features=built.test_features[i], label=int(built.test_labels[i]))
-        for i in range(built.test_labels.size)
-    ]
-    save_embeddings(test_rows, os.path.join(args.out, "test.csv"))
+    train_labels = np.full(len(split.X), UNLABELED_MARKER)
+    train_labels[: split.y_lab.size] = split.y_lab
+    save_embeddings(split.ids, train_labels, split.X, os.path.join(args.out, "train.csv"))
+    save_embeddings(
+        np.arange(built.test_labels.size),
+        built.test_labels,
+        built.test_features,
+        os.path.join(args.out, "test.csv"),
+    )
     meta = {
         "config": cfg,
         "seed": seed,
@@ -309,7 +273,7 @@ def cmd_gen_data(args) -> int:
     }
     write_json_atomic(os.path.join(args.out, "meta.json"), meta)
 
-    labeled_counts = np.bincount(split.labeled_classes(), minlength=split.num_classes)
+    labeled_counts = np.bincount(split.y_lab, minlength=split.num_classes)
     print("class  total  labeled  unlabeled  status")
     for c in range(split.num_classes):
         status = "known" if c < split.num_known else "novel"
@@ -431,14 +395,14 @@ def cmd_estimate(args) -> int:
         if data_seed is None:
             raise ConfigError("estimate needs --seed when no checkpoint is given")
     built = build_dataset(cfg, data_seed)
-    feats = built.split.feature_matrix()
+    feats = built.split.X
     if params is not None:
         feats = nn.encode(params, feats)
     result, amap, pi_e = estimate_round(
         feats,
         built.split.num_classes,
-        np.arange(len(built.split.labeled)),
-        built.split.labeled_classes(),
+        np.arange(built.split.y_lab.size),
+        built.split.y_lab,
         built.split.num_known,
         seed=args.seed if args.seed is not None else 0,
     )

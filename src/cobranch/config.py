@@ -74,7 +74,6 @@ DEFAULTS: dict = {
         "aux_encoder_weight": 1.0,   # damp the classifier branch's encoder imprint
     },
     "eval": {
-        "seeds": [0],
         "kmeans_max_iter": 100,
         "kmeans_tol": 1e-6,
         "kmeans_n_init": 10,
@@ -125,9 +124,6 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"train.soft_mode must be soft/hard/off, got {tr['soft_mode']!r}")
     if tr["metric"] not in transfer.SIMILARITY_METRICS:
         raise ConfigError(f"train.metric must be one of {transfer.SIMILARITY_METRICS}")
-    ev = cfg["eval"]
-    if not isinstance(ev["seeds"], list) or not ev["seeds"]:
-        raise ConfigError("eval.seeds must be a nonempty list")
 
 
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:

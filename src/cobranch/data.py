@@ -29,15 +29,6 @@ class EmbeddingFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One training instance: an id, a feature vector, an optional label."""
-
-    id: int
-    features: np.ndarray
-    label: int | None
-
-
-@dataclass(frozen=True)
 class ImbalanceProfile:
     """Shape of a long-tailed class-count curve.
 
@@ -64,12 +55,15 @@ class ImbalanceProfile:
 class DatasetSplit:
     """Labeled + unlabeled pools with known/novel bookkeeping.
 
-    `unlabeled_true_labels` and `true_counts` are evaluation-only ground
-    truth; training code paths must not read them.
+    `X` holds one feature row per sample, the labeled rows first; `y_lab`
+    gives the classes of those first `y_lab.size` rows, and `ids` the sample
+    id of every row. `unlabeled_true_labels` and `true_counts` are
+    evaluation-only ground truth; training code paths must not read them.
     """
 
-    labeled: list[Sample]
-    unlabeled: list[Sample]
+    X: np.ndarray
+    y_lab: np.ndarray
+    ids: np.ndarray
     num_known: int
     num_classes: int
     true_counts: np.ndarray | None = None
@@ -79,20 +73,16 @@ class DatasetSplit:
     def validate(self) -> None:
         if not 0 < self.num_known <= self.num_classes:
             raise ValueError("need 0 < num_known <= num_classes")
-        for s in self.labeled:
-            if s.label is None or not 0 <= s.label < self.num_known:
-                raise ValueError(f"labeled sample {s.id} has label {s.label} outside known set")
-        if self.true_counts is not None:
-            total = int(np.sum(self.true_counts))
-            if total != len(self.labeled) + len(self.unlabeled):
-                raise ValueError("true_counts do not sum to the pool size")
-
-    def feature_matrix(self) -> np.ndarray:
-        """All features, labeled rows first then unlabeled rows."""
-        return np.stack([s.features for s in self.labeled + self.unlabeled])
-
-    def labeled_classes(self) -> np.ndarray:
-        return np.array([s.label for s in self.labeled], dtype=int)
+        if self.X.ndim != 2 or self.ids.shape != self.X.shape[:1] or self.y_lab.size > len(self.X):
+            raise ValueError(
+                f"X {self.X.shape}, ids {self.ids.shape} and y_lab {self.y_lab.shape} disagree"
+            )
+        bad = np.flatnonzero((self.y_lab < 0) | (self.y_lab >= self.num_known))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"labeled sample {self.ids[i]} has label {self.y_lab[i]} outside known set")
+        if self.true_counts is not None and int(np.sum(self.true_counts)) != len(self.X):
+            raise ValueError("true_counts do not sum to the pool size")
 
 
 def _round_half_away(x: float) -> int:
@@ -142,25 +132,21 @@ def sample_from_means(
     noise_scale: float,
     seed: int,
     stream: int = DATA,
-    id_offset: int = 0,
-) -> list[Sample]:
-    """Isotropic Gaussian samples around fixed class means."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic Gaussian samples around fixed class means.
+
+    Returns `(X, y)`: counts[c] rows of class c, class by class.
+    """
     counts = np.asarray(counts, dtype=int)
     if len(counts) != means.shape[0]:
         raise ValueError("counts length must equal the number of class means")
     if np.any(counts < 0):
         raise ValueError("counts must be nonnegative")
-    rng = rng_for(seed, stream)
-    samples = []
-    next_id = id_offset
-    for c in range(means.shape[0]):
-        block = np.repeat(means[c][None, :], counts[c], axis=0)
-        if noise_scale > 0:
-            block = block + noise_scale * rng.standard_normal((counts[c], means.shape[1]))
-        for row in block:
-            samples.append(Sample(id=next_id, features=row.astype(float), label=c))
-            next_id += 1
-    return samples
+    y = np.repeat(np.arange(len(counts)), counts)
+    X = means[y].astype(float)
+    if noise_scale > 0:
+        X = X + noise_scale * rng_for(seed, stream).standard_normal(X.shape)
+    return X, y
 
 
 def gen_synthetic(
@@ -170,8 +156,8 @@ def gen_synthetic(
     class_separation: float,
     noise_scale: float,
     seed: int,
-) -> list[Sample]:
-    """Gaussian-blob pool: one mean per class, isotropic noise around it.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-blob pool `(X, y)`: one mean per class, isotropic noise around it.
 
     Deterministic in `seed`; see make_class_means/sample_from_means to build
     several pools (e.g. a disjoint test set) over the same means.
@@ -185,111 +171,156 @@ def gen_synthetic(
     return sample_from_means(means, counts, noise_scale, seed)
 
 
+def remap_known_novel(class_sizes: np.ndarray, num_known: int, rng: np.random.Generator) -> np.ndarray:
+    """Original class id -> split class id.
+
+    One seeded permutation decides which original classes are known, so
+    known classes are not systematically the head of the long tail; they
+    become [0, num_known) in permutation order. Novel ids [num_known, C) are
+    ordered by descending class size (ties by original id): novel identities
+    are unobservable during training, and this canonical order is the one a
+    size-sorted cluster assignment reproduces.
+    """
+    class_sizes = np.asarray(class_sizes)
+    perm = rng.permutation(class_sizes.size)
+    novel = perm[num_known:]
+    novel = novel[np.lexsort((novel, -class_sizes[novel]))]
+    remap = np.empty(class_sizes.size, dtype=int)
+    remap[np.concatenate([perm[:num_known], novel])] = np.arange(class_sizes.size)
+    return remap
+
+
+def split_from_mask(
+    X: np.ndarray,
+    y: np.ndarray,
+    ids: np.ndarray,
+    labeled: np.ndarray,
+    num_known: int,
+    num_classes: int,
+    true_counts: np.ndarray | None,
+    class_remap: dict[int, int],
+) -> DatasetSplit:
+    """The split with the `labeled` rows first, each part in input order.
+
+    `y` holds every row's split-space class, UNLABELED_MARKER where it is
+    unknown. When every unlabeled row's class is known (a synthetic pool),
+    those classes are kept as evaluation-only ground truth.
+    """
+    order = np.concatenate([np.flatnonzero(labeled), np.flatnonzero(~labeled)])
+    hidden = y[~labeled]
+    split = DatasetSplit(
+        X=X[order],
+        y_lab=y[labeled],
+        ids=ids[order],
+        num_known=num_known,
+        num_classes=num_classes,
+        true_counts=true_counts,
+        unlabeled_true_labels=None if np.any(hidden == UNLABELED_MARKER) else hidden,
+        class_remap=class_remap,
+    )
+    split.validate()
+    return split
+
+
+def _synthetic_split(X, y, labeled, num_known, remap) -> DatasetSplit:
+    """Split a generated pool whose row i has id i and original class y[i]."""
+    y_split = remap[y]
+    return split_from_mask(
+        X,
+        y_split,
+        np.arange(y.size),
+        labeled,
+        num_known,
+        remap.size,
+        np.bincount(y_split, minlength=remap.size),
+        {orig: int(new) for orig, new in enumerate(remap)},
+    )
+
+
 def split_known_novel(
-    samples: list[Sample],
+    X: np.ndarray,
+    y: np.ndarray,
     num_known: int,
     labeled_ratio: float,
     seed: int,
 ) -> DatasetSplit:
     """Split a fully labeled pool into labeled/unlabeled with hidden novels.
 
-    A seeded permutation decides which original classes are known, so known
-    classes are not systematically the head of the long tail. Class ids are
-    remapped: known classes become [0, num_known), novel [num_known, C).
-    Novel ids are ordered by descending class size: novel identities are
-    unobservable during training, and this canonical order is the one a
-    size-sorted cluster assignment reproduces. Per known class,
-    floor(labeled_ratio * n_c) seeded-shuffled samples go to the labeled
-    pool; everything else (and all novel samples) is unlabeled.
+    Row i of `X` is sample id i, of original class y[i]. Classes are
+    remapped by `remap_known_novel`: known classes become [0, num_known),
+    novel [num_known, C). Per known class, floor(labeled_ratio * n_c)
+    seeded-shuffled samples go to the labeled pool; everything else (and all
+    novel samples) is unlabeled.
     """
     if not 0 < labeled_ratio <= 1:
         raise ValueError(f"labeled_ratio must be in (0, 1], got {labeled_ratio}")
-    if any(s.label is None for s in samples):
+    y = np.asarray(y, dtype=int)
+    if np.any(y == UNLABELED_MARKER):
         raise ValueError("split_known_novel needs a fully labeled pool")
-    orig_classes = sorted({s.label for s in samples})
-    num_classes = len(orig_classes)
-    if num_known > num_classes:
-        raise ValueError(f"num_known={num_known} > {num_classes} classes")
-    if orig_classes != list(range(num_classes)):
+    classes = np.unique(y)
+    if num_known > classes.size:
+        raise ValueError(f"num_known={num_known} > {classes.size} classes")
+    if not np.array_equal(classes, np.arange(classes.size)):
         raise ValueError("class labels must be contiguous from 0")
 
-    class_sizes = np.zeros(num_classes, dtype=int)
-    for s in samples:
-        class_sizes[s.label] += 1
-
     rng = rng_for(seed, SPLIT)
-    perm = rng.permutation(num_classes)
-    # perm[k] is the original id that becomes split id k; first num_known are
-    # known, the rest reordered novel-largest-first
-    novel = sorted(perm[num_known:].tolist(), key=lambda orig: (-class_sizes[orig], orig))
-    perm = np.concatenate([perm[:num_known], np.array(novel, dtype=int)])
-    remap = {int(orig): new for new, orig in enumerate(perm)}
-
-    by_class: dict[int, list[Sample]] = {c: [] for c in range(num_classes)}
-    for s in samples:
-        by_class[s.label].append(s)
-    for c, group in by_class.items():
-        if not group:
-            raise ValueError(f"class {c} is empty")
-
-    labeled: list[Sample] = []
-    unlabeled: list[Sample] = []
-    hidden: list[int] = []
-    true_counts = np.zeros(num_classes, dtype=int)
-    for orig in range(num_classes):
-        new = remap[orig]
-        group = sorted(by_class[orig], key=lambda s: s.id)
-        true_counts[new] = len(group)
-        order = rng.permutation(len(group))
-        if new < num_known:
-            n_lab = int(labeled_ratio * len(group))
-            take = set(order[:n_lab].tolist())
-        else:
-            take = set()
-        for pos, s in enumerate(group):
-            if pos in take:
-                labeled.append(Sample(id=s.id, features=s.features, label=new))
-            else:
-                unlabeled.append(Sample(id=s.id, features=s.features, label=None))
-                hidden.append(new)
-
-    split = DatasetSplit(
-        labeled=labeled,
-        unlabeled=unlabeled,
-        num_known=num_known,
-        num_classes=num_classes,
-        true_counts=true_counts,
-        unlabeled_true_labels=np.array(hidden, dtype=int),
-        class_remap=remap,
-    )
-    split.validate()
-    return split
+    remap = remap_known_novel(np.bincount(y), num_known, rng)
+    labeled = np.zeros(y.size, dtype=bool)
+    for orig in range(classes.size):
+        rows = np.flatnonzero(y == orig)
+        order = rng.permutation(rows.size)
+        if remap[orig] < num_known:
+            labeled[rows[order[: int(labeled_ratio * rows.size)]]] = True
+    return _synthetic_split(X, y, labeled, num_known, remap)
 
 
-def feature_std(samples: list[Sample]) -> float:
-    """Global scalar std of a pool's features (used to scale view noise)."""
-    mat = np.stack([s.features for s in samples])
-    return float(mat.std())
+def split_independent_pools(
+    means: np.ndarray,
+    counts_u: np.ndarray,
+    counts_l_ranked: np.ndarray,
+    num_known: int,
+    noise_scale: float,
+    seed: int,
+) -> DatasetSplit:
+    """Labeled and unlabeled pools with their own long-tail profiles.
+
+    The unlabeled pool has counts_u[c] samples of original class c; the
+    known classes, ranked by that count (ties by original id), get
+    counts_l_ranked labeled samples in rank order. Both pools share `means`:
+    each class draws one block of both counts, and its first counts_l rows
+    are the labeled ones.
+    """
+    counts_u = np.asarray(counts_u, dtype=int)
+    remap = remap_known_novel(counts_u, num_known, rng_for(seed, SPLIT))
+    known = np.flatnonzero(remap < num_known)
+    known = known[np.lexsort((known, -counts_u[known]))]
+    counts_l = np.zeros_like(counts_u)
+    counts_l[known] = counts_l_ranked
+    totals = counts_u + counts_l
+    X, y = sample_from_means(means, totals, noise_scale, seed)
+    rank_in_class = np.arange(y.size) - np.repeat(np.cumsum(totals) - totals, totals)
+    return _synthetic_split(X, y, rank_in_class < counts_l[y], num_known, remap)
 
 
-def save_embeddings(samples: list[Sample], path: str) -> None:
-    """Write the embedding CSV format; floats via repr for exact round-trip."""
-    if not samples:
+def save_embeddings(ids: np.ndarray, labels: np.ndarray, X: np.ndarray, path: str) -> None:
+    """Write the embedding CSV format; floats via repr for exact round-trip.
+
+    `labels` holds UNLABELED_MARKER for a sample whose label is withheld.
+    """
+    if len(X) == 0:
         raise ValueError("refusing to write an empty pool")
-    d = len(samples[0].features)
-    header = "id,label," + ",".join(f"f{i}" for i in range(d))
-    lines = [header]
-    for s in samples:
-        if len(s.features) != d:
-            raise ValueError(f"sample {s.id} has dimension {len(s.features)} != {d}")
-        label = UNLABELED_MARKER if s.label is None else s.label
-        lines.append(f"{s.id},{label}," + ",".join(repr(float(x)) for x in s.features))
+    if X.ndim != 2 or len(ids) != len(X) or len(labels) != len(X):
+        raise ValueError(f"ids {len(ids)}, labels {len(labels)} and X {X.shape} disagree")
+    lines = ["id,label," + ",".join(f"f{i}" for i in range(X.shape[1]))]
+    for sid, label, row in zip(ids.tolist(), labels.tolist(), X):
+        lines.append(f"{sid},{label}," + ",".join(map(repr, row.tolist())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_embeddings(path: str) -> list[Sample]:
-    """Read the embedding CSV format, label -1 meaning withheld from training."""
+def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the embedding CSV format as `(ids, labels, X)` in file order,
+    label -1 meaning withheld from training."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -302,7 +333,10 @@ def load_embeddings(path: str) -> list[Sample]:
         if name != f"f{i}":
             raise EmbeddingFormatError(f"{path}:1: expected column f{i}, got {name!r}")
 
-    samples = []
+    ids = np.empty(len(lines) - 1, dtype=int)
+    labels = np.empty(len(lines) - 1, dtype=int)
+    X = np.empty((len(lines) - 1, d))
+    n = 0
     id_lines: dict[int, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -313,24 +347,23 @@ def load_embeddings(path: str) -> list[Sample]:
                 f"{path}:{lineno}: expected {d + 2} fields, got {len(parts)}"
             )
         try:
-            sid = int(parts[0])
-            label_raw = int(parts[1])
-            feats = np.array([float(x) for x in parts[2:]], dtype=float)
-        except ValueError as exc:
+            sid = ids[n] = int(parts[0])
+            label = labels[n] = int(parts[1])
+            X[n] = [float(x) for x in parts[2:]]
+        except (ValueError, OverflowError) as exc:
             raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from exc
-        if not np.all(np.isfinite(feats)):
+        if not np.isfinite(X[n]).all():
             raise EmbeddingFormatError(f"{path}:{lineno}: non-finite feature value")
         if sid in id_lines:
             raise EmbeddingFormatError(
                 f"{path}:{lineno}: sample id {sid} already used on line {id_lines[sid]}"
             )
         id_lines[sid] = lineno
-        if label_raw < UNLABELED_MARKER:
+        if label < UNLABELED_MARKER:
             raise EmbeddingFormatError(
-                f"{path}:{lineno}: label index {label_raw} is invalid"
+                f"{path}:{lineno}: label index {label} is invalid"
             )
-        label = None if label_raw == UNLABELED_MARKER else label_raw
-        samples.append(Sample(id=sid, features=feats, label=label))
-    if not samples:
+        n += 1
+    if n == 0:
         raise EmbeddingFormatError(f"{path}: no data rows")
-    return samples
+    return ids[:n], labels[:n], X[:n]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import losses, nn, transfer
 from ._rng import BATCH, VIEWS, rng_for
-from .data import DatasetSplit, feature_std
+from .data import DatasetSplit
 from .estimate import AlignmentMap, EstimationError, estimate_round, floor_distribution
 
 SOFT_MODES = ("soft", "hard", "off")
@@ -97,11 +97,11 @@ def make_batches(split: DatasetSplit, batch_size: int, seed: int, epoch: int):
     """
     if batch_size < 2:
         raise ValueError("batch_size must be >= 2")
-    n_l, n_u = len(split.labeled), len(split.unlabeled)
+    n_l, n = split.y_lab.size, len(split.X)
     rng = rng_for(seed, BATCH, epoch)
-    order = rng.permutation(n_l + n_u)
+    order = rng.permutation(n)
     batches = []
-    for start in range(0, n_l + n_u, batch_size):
+    for start in range(0, n, batch_size):
         chunk = order[start : start + batch_size]
         lab = chunk[chunk < n_l]
         unl = chunk[chunk >= n_l] - n_l
@@ -123,14 +123,11 @@ def make_views(X: np.ndarray, rng: np.random.Generator, noise_std: float, dropou
 
 
 def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epoch: int):
-    feats = nn.encode(params, split.feature_matrix())
-    labeled_idx = np.arange(len(split.labeled))
-    labeled_cls = split.labeled_classes()
     result, amap, pi_e = estimate_round(
-        feats,
+        nn.encode(params, split.X),
         split.num_classes,
-        labeled_idx,
-        labeled_cls,
+        np.arange(split.y_lab.size),
+        split.y_lab,
         split.num_known,
         seed=cfg.seed * 1000003 + epoch,
         max_iter=cfg.kmeans_max_iter,
@@ -191,20 +188,13 @@ def run(
     producing a genuine resume point.
     """
     split.validate()
-    d_in = split.labeled[0].features.size if split.labeled else split.unlabeled[0].features.size
     sched = cfg.schedule
-    n_total = len(split.labeled) + len(split.unlabeled)
+    n_total, d_in = split.X.shape
     if n_total == 0:
         raise ValueError("empty split")
-
-    feats_lab = (
-        np.stack([s.features for s in split.labeled]) if split.labeled else np.zeros((0, d_in))
-    )
-    labels_lab = split.labeled_classes()
-    feats_unl = (
-        np.stack([s.features for s in split.unlabeled]) if split.unlabeled else np.zeros((0, d_in))
-    )
-    noise_std = cfg.view_noise * feature_std(split.labeled + split.unlabeled)
+    n_lab = split.y_lab.size
+    # view noise scales with the global scalar std of the pool's features
+    noise_std = cfg.view_noise * float(split.X.std())
 
     if resume is None:
         params = nn.init_params(
@@ -251,8 +241,8 @@ def run(
         batches = make_batches(split, sched.batch_size, cfg.seed, epoch)
         for batch_id, (lab_idx, unl_idx) in enumerate(batches):
             rng_views = rng_for(cfg.seed, VIEWS, epoch, batch_id)
-            X_lab, y = feats_lab[lab_idx], labels_lab[lab_idx]
-            X_unl = feats_unl[unl_idx]
+            X_lab, y = split.X[lab_idx], split.y_lab[lab_idx]
+            X_unl = split.X[n_lab + unl_idx]
             n_l, n_u = lab_idx.size, unl_idx.size
             lab_v1, lab_v2 = make_views(X_lab, rng_views, noise_std, cfg.view_dropout)
             unl_v1, unl_v2 = make_views(X_unl, rng_views, noise_std, cfg.view_dropout)

@@ -271,11 +271,10 @@ def test_criterion_05_distribution_estimation_fidelity():
     hits = 0
     errs = []
     for seed in range(20):
-        pool = gen_synthetic(10, 8, counts, 10.0, 1.0, seed=seed)
-        split = split_known_novel(pool, 6, 0.5, seed=seed)
-        X = split.feature_matrix()
+        X, y = gen_synthetic(10, 8, counts, 10.0, 1.0, seed=seed)
+        split = split_known_novel(X, y, 6, 0.5, seed=seed)
         _, _, pi_e = estimate_round(
-            X, 10, np.arange(len(split.labeled)), split.labeled_classes(), 6, seed=seed
+            split.X, 10, np.arange(split.y_lab.size), split.y_lab, 6, seed=seed
         )
         true_pi = split.true_counts / split.true_counts.sum()
         err = float(np.abs(pi_e - true_pi).sum())
@@ -340,19 +339,16 @@ def test_criterion_06_directional_reproduction():
 def test_criterion_07_footnote1_invariance():
     """Permuting the novel portion of the alignment cannot change evaluation."""
     counts = make_longtail_counts(8, ImbalanceProfile("exponential", 8, 80))
-    pool = gen_synthetic(8, 6, counts, 8.0, 1.0, seed=77)
-    split = split_known_novel(pool, 5, 0.5, seed=77)
-    X = split.feature_matrix()
+    split = split_known_novel(*gen_synthetic(8, 6, counts, 8.0, 1.0, seed=77), 5, 0.5, seed=77)
     result, amap, pi_e = estimate_round(
-        X, 8, np.arange(len(split.labeled)), split.labeled_classes(), 5, seed=0
+        split.X, 8, np.arange(split.y_lab.size), split.y_lab, 5, seed=0
     )
 
     from cobranch.data import make_class_means, sample_from_means
 
     means = make_class_means(8, 6, 8.0, seed=77)
-    test_pool = sample_from_means(means, np.full(8, 25), 1.0, seed=77, stream=7)
-    test_X = np.stack([s.features for s in test_pool])
-    test_y = np.array([split.class_remap[s.label] for s in test_pool])
+    test_X, test_orig = sample_from_means(means, np.full(8, 25), 1.0, seed=77, stream=7)
+    test_y = np.array([split.class_remap[c] for c in test_orig])
 
     def eval_bytes():
         report = evaluate(test_X, test_y, 5, 8, split.true_counts, seed=0)

@@ -112,9 +112,8 @@ class TestGenData:
         meta = json.loads((tmp_path / "meta.json").read_text())
         from cobranch.data import load_embeddings
 
-        pool = load_embeddings(str(tmp_path / "train.csv"))
-        labeled = [s for s in pool if s.label is not None]
-        counts = np.bincount([s.label for s in labeled], minlength=6)
+        _, labels, _ = load_embeddings(str(tmp_path / "train.csv"))
+        counts = np.bincount(labels[labels >= 0], minlength=6)
         nz = counts[counts > 0]
         assert nz.max() / nz.min() <= 3.0  # labeled pool follows rho_l=2, not 10
 
@@ -151,14 +150,14 @@ class TestTrainEval:
         assert rc == 2
         assert "definitely_missing" in capsys.readouterr().err
 
-    def train_on_edited_csv(self, tmp_path, edit):
+    def train_on_edited_csv(self, tmp_path, edit, name="train.csv", extra=()):
         data = tmp_path / "data"
         assert main(["gen-data", "--seed", "5", "--out", str(data), *SMALL]) == 0
-        lines = (data / "train.csv").read_text().splitlines()
+        lines = (data / name).read_text().splitlines()
         edit(lines)
-        (data / "train.csv").write_text("\n".join(lines) + "\n")
+        (data / name).write_text("\n".join(lines) + "\n")
         return main([
-            "train", "--seed", "0", "--out", str(tmp_path / "run"), *SMALL,
+            "train", "--seed", "0", "--out", str(tmp_path / "run"), *SMALL, *extra,
             "--set", "dataset.kind=embeddings",
             "--set", f"dataset.path={data / 'train.csv'}",
             "--set", f"dataset.meta_path={data / 'meta.json'}",
@@ -181,6 +180,33 @@ class TestTrainEval:
 
         assert self.train_on_edited_csv(tmp_path, edit) == 2
         assert "train.csv:5: sample id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["train.csv", "test.csv"])
+    def test_feature_width_mismatch_exit_2(self, tmp_path, capsys, name):
+        def drop_last_column(lines):
+            lines[:] = [line.rsplit(",", 1)[0] for line in lines]
+
+        assert self.train_on_edited_csv(tmp_path, drop_last_column, name) == 2
+        err = capsys.readouterr().err
+        assert f"{name}: 5 feature columns, expected d_in=6" in err
+
+    def test_labeled_novel_class_exit_2(self, tmp_path, capsys):
+        def label_novel(lines):
+            parts = lines[1].split(",")
+            parts[1] = "4"  # num_known=3: class 4 is novel, so never labeled
+            lines[1] = ",".join(parts)
+
+        assert self.train_on_edited_csv(tmp_path, label_novel) == 2
+        assert "train.csv: labeled sample" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("num_classes", 7), ("num_known", 2), ("d_in", 7)])
+    def test_config_disagreeing_with_meta_exit_2(self, tmp_path, capsys, key, value):
+        rc = self.train_on_edited_csv(
+            tmp_path, lambda lines: None, extra=["--set", f"dataset.{key}={value}"]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"dataset.{key}={value} disagrees" in err and "meta.json" in err
 
     def test_aggregate_is_mean_of_seeds(self, tmp_path):
         main(["train", "--seed", "9", "--out", str(tmp_path / "run"), *SMALL])

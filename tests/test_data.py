@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobranch.data import (
     EmbeddingFormatError,
     ImbalanceProfile,
-    Sample,
-    feature_std,
     gen_synthetic,
     load_embeddings,
     make_class_means,
     make_longtail_counts,
     sample_from_means,
     save_embeddings,
+    split_independent_pools,
     split_known_novel,
 )
 from oracles import nearest_mean_accuracy
@@ -70,78 +71,147 @@ def toy_pool(counts, d=4, seed=0):
     return gen_synthetic(len(counts), d, np.asarray(counts), 8.0, 0.5, seed)
 
 
+def n_unlabeled(split):
+    return len(split.X) - split.y_lab.size
+
+
 class TestSplitKnownNovel:
     def test_count_arithmetic(self):
-        pool = toy_pool([10, 10])
-        split = split_known_novel(pool, num_known=1, labeled_ratio=0.5, seed=0)
-        assert len(split.labeled) == 5
-        assert len(split.unlabeled) == 15
+        split = split_known_novel(*toy_pool([10, 10]), num_known=1, labeled_ratio=0.5, seed=0)
+        assert split.y_lab.size == 5
+        assert n_unlabeled(split) == 15
 
     def test_fully_supervised_degenerate(self):
-        pool = toy_pool([6, 6, 6])
-        split = split_known_novel(pool, num_known=3, labeled_ratio=1.0, seed=1)
-        assert split.unlabeled == []
-        assert len(split.labeled) == 18
+        split = split_known_novel(*toy_pool([6, 6, 6]), num_known=3, labeled_ratio=1.0, seed=1)
+        assert n_unlabeled(split) == 0
+        assert split.y_lab.size == 18
 
     def test_conservation_and_no_labeled_novels(self):
         rng = np.random.default_rng(3)
         for trial in range(10):
             counts = rng.integers(3, 30, size=6)
-            pool = toy_pool(counts.tolist(), seed=trial)
-            split = split_known_novel(pool, num_known=4, labeled_ratio=0.5, seed=trial)
-            assert len(split.labeled) + len(split.unlabeled) == counts.sum()
-            assert all(s.label < 4 for s in split.labeled)
+            X, y = toy_pool(counts.tolist(), seed=trial)
+            split = split_known_novel(X, y, num_known=4, labeled_ratio=0.5, seed=trial)
+            assert len(split.X) == counts.sum()
+            assert np.all(split.y_lab < 4)
             assert int(split.true_counts.sum()) == counts.sum()
 
     def test_remap_recorded_and_consistent(self):
-        pool = toy_pool([12, 9, 6, 3])
-        split = split_known_novel(pool, num_known=2, labeled_ratio=0.5, seed=9)
+        X, y = toy_pool([12, 9, 6, 3])
+        split = split_known_novel(X, y, num_known=2, labeled_ratio=0.5, seed=9)
         assert sorted(split.class_remap.keys()) == [0, 1, 2, 3]
         assert sorted(split.class_remap.values()) == [0, 1, 2, 3]
         # hidden labels of unlabeled known-class samples follow the remap
-        by_id = {s.id: s.label for s in pool}
-        for s, hidden in zip(split.unlabeled, split.unlabeled_true_labels):
-            assert split.class_remap[by_id[s.id]] == hidden
+        unl_ids = split.ids[split.y_lab.size :]
+        for sid, hidden in zip(unl_ids, split.unlabeled_true_labels):
+            assert split.class_remap[int(y[sid])] == hidden
 
     def test_deterministic_per_seed(self):
         pool = toy_pool([10, 8, 5])
-        a = split_known_novel(pool, 2, 0.5, seed=5)
-        b = split_known_novel(pool, 2, 0.5, seed=5)
-        c = split_known_novel(pool, 2, 0.5, seed=6)
-        assert [s.id for s in a.labeled] == [s.id for s in b.labeled]
+        a = split_known_novel(*pool, 2, 0.5, seed=5)
+        b = split_known_novel(*pool, 2, 0.5, seed=5)
+        c = split_known_novel(*pool, 2, 0.5, seed=6)
+        assert np.array_equal(a.ids, b.ids) and np.array_equal(a.X, b.X)
         assert a.class_remap == b.class_remap
-        assert ([s.id for s in a.labeled] != [s.id for s in c.labeled]
-                or a.class_remap != c.class_remap)
+        assert not np.array_equal(a.ids, c.ids) or a.class_remap != c.class_remap
 
     def test_rejects_bad_ratio_and_known_count(self):
         pool = toy_pool([5, 5])
         with pytest.raises(ValueError):
-            split_known_novel(pool, 1, 0.0, seed=0)
+            split_known_novel(*pool, 1, 0.0, seed=0)
         with pytest.raises(ValueError):
-            split_known_novel(pool, 1, 1.5, seed=0)
+            split_known_novel(*pool, 1, 1.5, seed=0)
         with pytest.raises(ValueError):
-            split_known_novel(pool, 3, 0.5, seed=0)
+            split_known_novel(*pool, 3, 0.5, seed=0)
+
+
+def check_split(split, pool_X, pool_y, num_known):
+    """Invariants every split shares; returns the remap as an array."""
+    n, C = len(pool_X), split.num_classes
+    n_lab = split.y_lab.size
+    # every input (id, row) appears exactly once, labeled rows first
+    assert len(split.X) == int(split.true_counts.sum()) == n
+    assert np.array_equal(np.sort(split.ids), np.arange(n))
+    assert np.array_equal(split.X, pool_X[split.ids])
+    assert np.all((split.y_lab >= 0) & (split.y_lab < num_known))
+    remap = np.array([split.class_remap[orig] for orig in range(C)])
+    assert np.array_equal(np.sort(remap), np.arange(C))
+    remapped = remap[pool_y[split.ids]]
+    assert np.array_equal(remapped[:n_lab], split.y_lab)
+    assert np.array_equal(remapped[n_lab:], split.unlabeled_true_labels)
+    assert np.array_equal(split.true_counts, np.bincount(remapped, minlength=C))
+    # novel split ids run from the largest novel class down
+    assert np.all(np.diff(split.true_counts[num_known:]) <= 0)
+    return remap
+
+
+def same_split(a, b):
+    return (np.array_equal(a.X, b.X) and np.array_equal(a.ids, b.ids)
+            and np.array_equal(a.y_lab, b.y_lab) and a.class_remap == b.class_remap)
+
+
+@st.composite
+def class_setup(draw):
+    C = draw(st.integers(2, 8))
+    counts = np.array(draw(st.lists(st.integers(1, 30), min_size=C, max_size=C)))
+    return counts, draw(st.integers(1, C)), draw(st.integers(0, 2**16))
+
+
+class TestSplitProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(setup=class_setup(), ratio=st.floats(0.01, 1.0))
+    def test_equal_ratio_path(self, setup, ratio):
+        counts, num_known, seed = setup
+        X, y = gen_synthetic(counts.size, 3, counts, 5.0, 1.0, seed)
+        split = split_known_novel(X, y, num_known, ratio, seed)
+        remap = check_split(split, X, y, num_known)
+        labeled = np.bincount(split.y_lab, minlength=num_known)
+        known = np.flatnonzero(remap < num_known)
+        assert np.array_equal(labeled[remap[known]], np.floor(ratio * counts[known]))
+        assert same_split(split, split_known_novel(X, y, num_known, ratio, seed))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(setup=class_setup(), rho_l=st.floats(1.0, 10.0), n_max_l=st.integers(10, 40))
+    def test_unequal_ratio_path(self, setup, rho_l, n_max_l):
+        counts_u, num_known, seed = setup
+        C = counts_u.size
+        if num_known >= 2:
+            counts_l = make_longtail_counts(num_known, exp_profile(rho_l, n_max_l))
+        else:
+            counts_l = np.array([n_max_l])
+        means = make_class_means(C, 3, 5.0, seed)
+        split = split_independent_pools(means, counts_u, counts_l, num_known, 1.0, seed)
+        # the known classes, ranked by unlabeled count, get the profile's counts
+        known = sorted((o for o, k in split.class_remap.items() if k < num_known),
+                       key=lambda o: (-counts_u[o], o))
+        totals = counts_u.copy()
+        totals[known] += counts_l
+        pool_X, pool_y = sample_from_means(means, totals, 1.0, seed)
+        check_split(split, pool_X, pool_y, num_known)
+        labeled = np.bincount(split.y_lab, minlength=num_known)
+        for rank, orig in enumerate(known):
+            assert labeled[split.class_remap[orig]] == counts_l[rank]
+        again = split_independent_pools(means, counts_u, counts_l, num_known, 1.0, seed)
+        assert same_split(split, again)
 
 
 class TestGenSynthetic:
     def test_well_separated_nearest_mean(self):
-        pool = gen_synthetic(3, 6, np.array([100, 10, 1]), 10.0, 1.0, seed=2)
-        assert len(pool) == 111
-        X = np.stack([s.features for s in pool])
-        y = np.array([s.label for s in pool])
+        X, y = gen_synthetic(3, 6, np.array([100, 10, 1]), 10.0, 1.0, seed=2)
+        assert X.shape == (111, 6)
         assert nearest_mean_accuracy(X, y) > 0.99
 
     def test_zero_noise_collapses_to_means(self):
-        pool = gen_synthetic(3, 5, np.array([4, 4, 4]), 5.0, 0.0, seed=3)
+        X, y = gen_synthetic(3, 5, np.array([4, 4, 4]), 5.0, 0.0, seed=3)
         for c in range(3):
-            rows = np.stack([s.features for s in pool if s.label == c])
+            rows = X[y == c]
             assert np.all(rows == rows[0])
 
     def test_seed_repeat_bit_identical(self):
         a = gen_synthetic(4, 7, np.array([9, 7, 5, 3]), 6.0, 1.0, seed=11)
         b = gen_synthetic(4, 7, np.array([9, 7, 5, 3]), 6.0, 1.0, seed=11)
-        assert all(np.array_equal(x.features, y.features) for x, y in zip(a, b))
-        assert [s.label for s in a] == [s.label for s in b]
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_separation_honored(self):
         means = make_class_means(5, 4, 3.5, seed=1)
@@ -151,9 +221,9 @@ class TestGenSynthetic:
 
     def test_test_pool_disjoint_from_train_stream(self):
         means = make_class_means(3, 4, 5.0, seed=4)
-        train = sample_from_means(means, np.array([5, 5, 5]), 1.0, seed=4)
-        test = sample_from_means(means, np.array([5, 5, 5]), 1.0, seed=4, stream=7)
-        assert not np.allclose(train[0].features, test[0].features)
+        train, _ = sample_from_means(means, np.array([5, 5, 5]), 1.0, seed=4)
+        test, _ = sample_from_means(means, np.array([5, 5, 5]), 1.0, seed=4, stream=7)
+        assert not np.allclose(train[0], test[0])
 
     def test_rejects_low_dim(self):
         with pytest.raises(ValueError):
@@ -169,21 +239,21 @@ class TestEmbeddingFiles:
             "1,-1,0.0,0.0,1.0,2.0\n"
             "2,0,9.0,8.0,7.0,6.0\n"
         )
-        pool = load_embeddings(str(path))
-        assert len(pool) == 3
-        assert pool[0].label == 1
-        assert pool[1].label is None
-        assert pool[2].features.tolist() == [9.0, 8.0, 7.0, 6.0]
+        ids, labels, X = load_embeddings(str(path))
+        assert ids.tolist() == [0, 1, 2]
+        assert labels.tolist() == [1, -1, 0]
+        assert X[2].tolist() == [9.0, 8.0, 7.0, 6.0]
 
     def test_round_trip_exact(self, tmp_path):
-        pool = toy_pool([6, 4], d=5, seed=8)
-        pool[2] = Sample(id=pool[2].id, features=pool[2].features, label=None)
+        X, labels = toy_pool([6, 4], d=5, seed=8)
+        labels[2] = -1
+        ids = np.arange(len(X))[::-1] * 3
         path = tmp_path / "rt.csv"
-        save_embeddings(pool, str(path))
-        loaded = load_embeddings(str(path))
-        for a, b in zip(pool, loaded):
-            assert a.id == b.id and a.label == b.label
-            assert np.abs(a.features - b.features).max() < 1e-6
+        save_embeddings(ids, labels, X, str(path))
+        got_ids, got_labels, got_X = load_embeddings(str(path))
+        assert np.array_equal(got_ids, ids)
+        assert np.array_equal(got_labels, labels)
+        assert np.array_equal(got_X, X)
 
     def test_dimension_mismatch_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -195,6 +265,9 @@ class TestEmbeddingFiles:
         path = tmp_path / "bad.csv"
         path.write_text("id,label,f0,f1\n0,0,1.0,oops\n")
         with pytest.raises(EmbeddingFormatError, match=":2"):
+            load_embeddings(str(path))
+        path.write_text(f"id,label,f0,f1\n0,0,1.0,2.0\n{2**64},0,1.0,2.0\n")
+        with pytest.raises(EmbeddingFormatError, match=":3"):
             load_embeddings(str(path))
 
     def test_unknown_label_index_rejected(self, tmp_path):
@@ -210,14 +283,8 @@ class TestEmbeddingFiles:
             load_embeddings(str(path))
 
 
-def test_feature_std_positive():
-    pool = toy_pool([5, 5])
-    assert feature_std(pool) > 0
-
-
 def test_split_validate_catches_count_mismatch():
-    pool = toy_pool([4, 4])
-    split = split_known_novel(pool, 1, 0.5, seed=0)
+    split = split_known_novel(*toy_pool([4, 4]), 1, 0.5, seed=0)
     split.true_counts = np.array([1, 1])
     with pytest.raises(ValueError):
         split.validate()

@@ -143,11 +143,9 @@ class _FakeResult:
 class TestAlignClusters:
     def test_pure_clusters_recover_identity(self):
         counts = np.array([40, 30, 20, 10])
-        pool = gen_synthetic(4, 4, counts, 12.0, 0.5, seed=7)
-        split = split_known_novel(pool, 2, 0.5, seed=7)
-        X = split.feature_matrix()
+        split = split_known_novel(*gen_synthetic(4, 4, counts, 12.0, 0.5, seed=7), 2, 0.5, seed=7)
         res, amap, pi = estimate_round(
-            X, 4, np.arange(len(split.labeled)), split.labeled_classes(), 2, seed=0
+            split.X, 4, np.arange(split.y_lab.size), split.y_lab, 2, seed=0
         )
         true_pi = split.true_counts / split.true_counts.sum()
         assert np.abs(pi - true_pi).sum() < 0.05
@@ -229,10 +227,8 @@ def test_floor_distribution():
 
 def test_estimate_round_deterministic():
     counts = make_longtail_counts(6, ImbalanceProfile("exponential", 10, 60))
-    pool = gen_synthetic(6, 5, counts, 10.0, 1.0, seed=10)
-    split = split_known_novel(pool, 4, 0.5, seed=10)
-    X = split.feature_matrix()
-    args = (X, 6, np.arange(len(split.labeled)), split.labeled_classes(), 4)
+    split = split_known_novel(*gen_synthetic(6, 5, counts, 10.0, 1.0, seed=10), 4, 0.5, seed=10)
+    args = (split.X, 6, np.arange(split.y_lab.size), split.y_lab, 4)
     _, amap_a, pi_a = estimate_round(*args, seed=5)
     _, amap_b, pi_b = estimate_round(*args, seed=5)
     assert np.array_equal(pi_a, pi_b)

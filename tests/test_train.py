@@ -8,8 +8,8 @@ from oracles import positive_set_contrastive_loss
 
 
 def toy_split(seed=0, C=5, counts=(30, 20, 12, 8, 5), num_known=3, d=6):
-    pool = gen_synthetic(C, d, np.array(counts), 7.0, 1.0, seed=seed)
-    return split_known_novel(pool, num_known, 0.5, seed=seed)
+    X, y = gen_synthetic(C, d, np.array(counts), 7.0, 1.0, seed=seed)
+    return split_known_novel(X, y, num_known, 0.5, seed=seed)
 
 
 def toy_config(total_epochs=6, warmup=2, r=3, seed=0, **kw):
@@ -25,8 +25,9 @@ def toy_model():
 class TestMakeBatches:
     def test_chunk_sizes(self):
         split = toy_split()
-        split.labeled = split.labeled[:4]
-        split.unlabeled = split.unlabeled[:6]
+        n_lab = split.y_lab.size
+        keep = np.r_[0:4, n_lab : n_lab + 6]
+        split.X, split.ids, split.y_lab = split.X[keep], split.ids[keep], split.y_lab[:4]
         batches = make_batches(split, 4, seed=0, epoch=0)
         sizes = [lab.size + unl.size for lab, unl in batches]
         assert sizes == [4, 4, 2]
@@ -42,8 +43,7 @@ class TestMakeBatches:
 
     def test_labeled_fraction_matches_pool_proportion(self):
         split = toy_split()
-        n_l, n_u = len(split.labeled), len(split.unlabeled)
-        frac = n_l / (n_l + n_u)
+        frac = split.y_lab.size / len(split.X)
         counts = []
         for epoch in range(100):
             for lab, unl in make_batches(split, 16, seed=1, epoch=epoch):
@@ -158,11 +158,11 @@ class TestGradientIsolation:
         cfg = toy_config(total_epochs=1, warmup=0, r=1)
         model_cfg = toy_model()
         # one classifier-branch step must not move projector params, and vice versa
-        d_in = split.labeled[0].features.size
+        d_in = split.X.shape[1]
         params = nn.init_params(d_in, model_cfg.d_hidden, model_cfg.d_feat,
                                 model_cfg.d_proj_hidden, model_cfg.d_proj,
                                 split.num_classes, seed=0)
-        X = split.feature_matrix()[:8]
+        X = split.X[:8]
         y = np.zeros(8, dtype=int)
 
         before_proj = [getattr(params, n).copy() for n in params.PROJECTOR_FIELDS]
@@ -200,8 +200,7 @@ class TestGradientIsolation:
 
 def test_run_rejects_empty_split():
     split = toy_split()
-    split.labeled = []
-    split.unlabeled = []
+    split.X, split.ids, split.y_lab = split.X[:0], split.ids[:0], split.y_lab[:0]
     with pytest.raises(ValueError):
         run(split, toy_model(), toy_config())
 
