@@ -119,6 +119,18 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("dataset.labeled_ratio must be in (0, 1]")
     if not 1 <= ds["num_known"] <= ds["num_classes"]:
         raise ConfigError("dataset.num_known must be in [1, num_classes]")
+    if ds["kind"] == "synthetic":  # what the generator would reject later
+        lows = (("num_classes", 2), ("d_in", 2), ("test_per_class", 1), ("rho_u", 1), ("rho_l", 1))
+        for key, low in lows:
+            if ds[key] < low:
+                raise ConfigError(f"dataset.{key} must be >= {low}, got {ds[key]!r}")
+        if ds["class_separation"] <= 0:
+            raise ConfigError(f"dataset.class_separation must be positive, got {ds['class_separation']!r}")
+        if ds["n_max"] < ds["rho_u"]:
+            raise ConfigError(
+                f"dataset.n_max={ds['n_max']!r} < dataset.rho_u={ds['rho_u']!r}: "
+                "the smallest class would round to 0"
+            )
     tr = cfg["train"]
     if tr["soft_mode"] not in ("soft", "hard", "off"):
         raise ConfigError(f"train.soft_mode must be soft/hard/off, got {tr['soft_mode']!r}")

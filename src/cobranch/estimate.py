@@ -177,45 +177,38 @@ def kmeans(
 
 # --- minimum-cost assignment ----------------------------------------------------
 
-def _solve_assignment(cost) -> tuple[list, float]:
-    """O(n^3) shortest-augmenting-path solver (potentials form).
+def _solve_assignment(C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """O(n^3) shortest-augmenting-path solver in potentials form (Jonker &
+    Volgenant, Computing 1987): rows enter one at a time, each by a
+    Dijkstra-like scan over the columns not yet on its search tree.
 
-    cost is a square list-of-lists / array; returns (col_for_row, total).
+    Returns (col_of_row, u, v): an optimal column per row and dual
+    potentials with C[i, j] - u[i] - v[j] >= 0, zero on the matched edges.
     """
-    n = len(cost)
-    INF = float("inf")
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j] = 1-based row matched to column j
-    way = [0] * (n + 1)
+    n = C.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=int)  # p[j] = 1-based row matched to column j; column 0 is the root
+    way = np.zeros(n + 1, dtype=int)
+    Cp = np.zeros((n + 1, n + 1))
+    Cp[1:, 1:] = C
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
         while True:
             used[j0] = True
             i0 = p[j0]
-            delta = INF
-            j1 = 0
-            row = cost[i0 - 1]
-            ui0 = u[i0]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - ui0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            cur = Cp[i0] - u[i0] - v
+            better = (cur < minv) & ~used
+            minv[better] = cur[better]
+            way[better] = j0
+            j1 = int(np.where(used, np.inf, minv).argmin())  # first minimum among unused columns
+            delta = minv[j1]
+            u[p[used]] += delta
+            v[used] -= delta
+            minv -= delta  # only the unused entries are read again
             j0 = j1
             if p[j0] == 0:
                 break
@@ -223,21 +216,21 @@ def _solve_assignment(cost) -> tuple[list, float]:
             j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-    perm = [0] * n
-    total = 0.0
-    for j in range(1, n + 1):
-        if p[j]:
-            perm[p[j] - 1] = j - 1
-            total += cost[p[j] - 1][j - 1]
-    return perm, total
+    col_of_row = np.empty(n, dtype=int)
+    col_of_row[p[1:] - 1] = np.arange(n)
+    return col_of_row, u[1:], v[1:]
 
 
 def hungarian(cost: np.ndarray) -> np.ndarray:
-    """Permutation sigma minimizing sum_i cost[i][sigma(i)].
+    """Permutation sigma minimizing sum_i cost[i][sigma(i)]; among optimal
+    permutations, the lexicographically smallest.
 
-    Ties are broken toward the lexicographically smallest permutation, which
-    costs O(n^2) extra solver calls; fine at the class counts this library
-    targets.
+    One solve gives an optimal matching and dual potentials. A permutation
+    is optimal iff it uses only tight edges, those whose reduced cost is
+    zero within 1e-9 * (1 + |optimum|). Rows are then fixed in order: row i
+    moves to the smallest tight column j < col[i] whose row reaches col[i]
+    by an alternating path of tight edges through later rows, and the
+    matching shifts along that cycle. No sub-problem is re-solved.
     """
     C = np.asarray(cost, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
@@ -245,37 +238,30 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(C)):
         raise ValueError("cost matrix must be finite")
     n = C.shape[0]
-    if n == 1:
-        return np.array([0], dtype=int)
-
-    rows = C.tolist()
-    base_perm, best = _solve_assignment(rows)
-    tol = 1e-9 * (1.0 + abs(best))
-
-    avail = list(range(n))
-    result = [0] * n
-    fixed_cost = 0.0
-    # completion[r] = a known-optimal column for every unfixed row r
-    completion = dict(enumerate(base_perm))
+    col, u, v = _solve_assignment(C)
+    best = float(C[np.arange(n), col].sum())
+    tight = C - u[:, None] - v[None, :] <= 1e-9 * (1.0 + abs(best))
+    row_of = np.empty(n, dtype=int)
+    row_of[col] = np.arange(n)
     for i in range(n):
-        target = completion[i]
-        chosen = target
-        for j in avail:
-            if j == target:
-                break
-            # j < target: accept it iff some optimal solution goes through (i, j)
-            sub_rows = list(range(i + 1, n))
-            sub_cols = [c for c in avail if c != j]
-            sub = [[rows[r][c] for c in sub_cols] for r in sub_rows]
-            sub_perm, sub_total = _solve_assignment(sub)
-            if fixed_cost + C[i, j] + sub_total <= best + tol:
-                chosen = j
-                completion = {sub_rows[r]: sub_cols[sub_perm[r]] for r in range(len(sub_rows))}
-                break
-        result[i] = chosen
-        fixed_cost += C[i, chosen]
-        avail.remove(chosen)
-    return np.array(result, dtype=int)
+        # breadth-first, backwards from col[i]: step[r] is the column that
+        # row r > i moves to on its alternating path to col[i]
+        step = np.full(n, -1)
+        frontier = col[[i]]
+        while frontier.size:
+            hit = tight[:, frontier]
+            hit[: i + 1] = False
+            new = np.flatnonzero(hit.any(axis=1) & (step < 0))
+            step[new] = frontier[hit[new].argmax(axis=1)]
+            frontier = col[new]
+        j = np.flatnonzero(tight[i, : col[i]] & (step[row_of[: col[i]]] >= 0))
+        if j.size:
+            r, col[i] = row_of[j[0]], j[0]
+            while r != i:
+                col[r] = step[r]
+                r = row_of[col[r]]
+            row_of[col] = np.arange(n)
+    return col
 
 
 # --- distribution + alignment ------------------------------------------------------
@@ -317,9 +303,7 @@ def align_clusters(
         raise ValueError("labeled classes must lie in the known set")
 
     agreement = np.zeros((num_known, n_clusters))
-    clusters_of_labeled = result.assignments[labeled_indices]
-    for cls, clu in zip(labeled_classes, clusters_of_labeled):
-        agreement[cls, clu] += 1.0
+    np.add.at(agreement, (labeled_classes, result.assignments[labeled_indices]), 1.0)
     if agreement.sum() == 0:
         raise EstimationError("labeled samples never hit any cluster")
 

@@ -141,8 +141,13 @@ def score_clustering(
 ) -> EvalReport:
     """Metrics for a fixed clustering: find the agreement-maximizing
     cluster-to-class bijection (minimum-cost assignment on negated
-    contingency counts) and score with that map fixed. Invariant to any
-    permutation of the cluster ids."""
+    contingency counts) and score with that map fixed.
+
+    acc_all is invariant to any permutation of the cluster ids. The other
+    metrics are too when one bijection is the unique maximum. When several
+    tie, the lexicographically smallest is used; which one that is depends
+    on the cluster ids, so a relabeling can move acc_old, acc_new and the
+    per-class accuracies."""
     y = np.asarray(labels, dtype=int)
     present = np.unique(y)
     if present.size != num_classes or present.min() != 0 or present.max() != num_classes - 1:
@@ -154,22 +159,20 @@ def score_clustering(
     if train_counts.size != num_classes:
         raise ValueError("train_counts must have one entry per class")
 
+    clusters = np.asarray(cluster_assignments, dtype=int)
     contingency = np.zeros((num_classes, num_classes))
-    for clu, cls in zip(cluster_assignments, y):
-        contingency[clu, cls] += 1.0
+    np.add.at(contingency, (clusters, y), 1.0)
     assignment = hungarian(-contingency)
 
-    pred = assignment[np.asarray(cluster_assignments, dtype=int)]
+    pred = assignment[clusters]
     correct = pred == y
     acc_all = float(correct.mean())
     known_mask = y < num_known
     acc_old = float(correct[known_mask].mean()) if known_mask.any() else float("nan")
     acc_new = float(correct[~known_mask].mean()) if (~known_mask).any() else float("nan")
 
-    per_class = np.zeros(num_classes)
-    for c in range(num_classes):
-        sel = y == c
-        per_class[c] = float(correct[sel].mean())
+    class_sizes = np.bincount(y, minlength=num_classes)
+    per_class = np.bincount(y, weights=correct, minlength=num_classes) / class_sizes
 
     known_ids = np.arange(num_known)
     novel_ids = np.arange(num_known, num_classes)

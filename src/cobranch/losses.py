@@ -1,6 +1,6 @@
 """Training objectives of both branches, with analytic gradients.
 
-Four building blocks and two composites:
+Three building blocks and two composites:
 
 * contrastive_loss       -- weighted cross-entropy over the off-diagonal softmax
                             of pairwise similarities: the one kernel behind every
@@ -8,7 +8,6 @@ Four building blocks and two composites:
                             term, the same-class indicator the supervised one,
                             positiveness weights the soft one)
 * hard_indicator_weights -- the same-class indicator weight matrix
-* optimal_soft_logits    -- closed form the soft loss drives logits toward
 * kl_regularizer         -- KL(mean prediction || smoothed target distribution)
 * classification_objective -- supervised CE + cross pseudo supervision + KL
 * contrastive_objective    -- unsupervised + supervised + soft contrastive
@@ -100,17 +99,6 @@ def hard_indicator_weights(classes: np.ndarray) -> np.ndarray:
     W = (c[:, None] == c[None, :]).astype(float)
     np.fill_diagonal(W, 0.0)
     return W
-
-
-def optimal_soft_logits(w_row: np.ndarray) -> np.ndarray:
-    """The contrastive logits minimizing one anchor's soft term: w / sum(w)."""
-    w = np.asarray(w_row, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    s = w.sum()
-    if s <= 0:
-        raise ValueError("weight row sums to zero")
-    return w / s
 
 
 # --- distribution regularizer -------------------------------------------------

@@ -1,5 +1,5 @@
 """Minimal differentiable core: encoder MLP, unit-norm projector, cosine
-classifier, SGD with momentum, cosine LR schedule, gradient checking.
+classifier, SGD with momentum, cosine LR schedule, checkpoint (de)serialization.
 
 Everything is float64 numpy with hand-written backward passes. Forward
 functions return caches consumed by the matching backward functions;
@@ -326,57 +326,6 @@ def sgd_step(
         else:
             p -= lr * np.asarray(g)
     return params
-
-
-# --- gradient verification -----------------------------------------------------
-
-@dataclass(frozen=True)
-class GradCheckReport:
-    max_rel_err: float
-    worst_index: int
-    passed: bool
-
-
-def grad_check(loss_fn, x0: np.ndarray, tol: float = 1e-4, step: float = 1e-5) -> GradCheckReport:
-    """Compare loss_fn's analytic gradient against central finite differences.
-
-    loss_fn maps a flat float64 vector to (scalar, gradient). Relative error
-    per component uses a 1e-6 floor so near-zero gradients are judged on an
-    absolute scale.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    _, analytic = loss_fn(x0)
-    analytic = np.asarray(analytic, dtype=float)
-    numeric = np.empty_like(x0)
-    for i in range(x0.size):
-        xp = x0.copy()
-        xp[i] += step
-        fp, _ = loss_fn(xp)
-        xm = x0.copy()
-        xm[i] -= step
-        fm, _ = loss_fn(xm)
-        numeric[i] = (fp - fm) / (2.0 * step)
-    denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
-    rel = np.abs(analytic - numeric) / denom
-    worst = int(np.argmax(rel))
-    return GradCheckReport(max_rel_err=float(rel[worst]), worst_index=worst, passed=bool(rel[worst] < tol))
-
-
-def params_to_vector(params: ModelParams) -> np.ndarray:
-    return np.concatenate([getattr(params, n).ravel() for n in params.array_fields()])
-
-
-def vector_to_params(template: ModelParams, vec: np.ndarray) -> ModelParams:
-    out = template.copy()
-    i = 0
-    for name in template.array_fields():
-        shape = getattr(template, name).shape
-        size = int(np.prod(shape))
-        setattr(out, name, vec[i : i + size].reshape(shape).copy())
-        i += size
-    if i != vec.size:
-        raise ValueError("vector length does not match parameter count")
-    return out
 
 
 # --- checkpoints ---------------------------------------------------------------

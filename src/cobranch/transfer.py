@@ -118,12 +118,6 @@ def sample_pseudolabels(batch: PseudoLabelBatch, rates: np.ndarray) -> PseudoLab
     return replace(batch, mask=mask)
 
 
-def positiveness(p: np.ndarray, q: np.ndarray, metric: str = "dot") -> float:
-    """Similarity of two class-probability vectors, clamped to [0, 1]."""
-    W = build_positiveness_matrix(np.stack([np.asarray(p, float), np.asarray(q, float)]), metric)
-    return float(W[0, 1])
-
-
 def build_positiveness_matrix(probs: np.ndarray, metric: str = "dot") -> np.ndarray:
     """Pairwise positiveness over a batch of simplex vectors.
 

@@ -2,17 +2,23 @@
 
 Everything here deliberately avoids the library's own computational paths:
 finite differences instead of analytic gradients, exhaustive enumeration
-instead of the assignment solver, projected gradient descent instead of the
-closed-form optimum, nearest-mean classification instead of the encoder, a
-per-anchor loop over positive-set lists instead of the weighted contrastive
-kernel.
+and a re-solving tie-break instead of the assignment solver, projected
+gradient descent instead of the closed-form optimum, nearest-mean
+classification instead of the encoder, a per-anchor loop over positive-set
+lists instead of the weighted contrastive kernel. The parameter-vector and
+two-vector positiveness helpers at the end only reshape what the library
+computes; the package itself has no use for them.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
+
+from cobranch.nn import ModelParams
+from cobranch.transfer import build_positiveness_matrix
 
 
 def central_fd(fn, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -33,6 +39,29 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-6) 
     n = np.asarray(numeric, float).ravel()
     denom = np.maximum(floor, np.maximum(np.abs(a), np.abs(n)))
     return float((np.abs(a - n) / denom).max())
+
+
+@dataclass(frozen=True)
+class GradCheckReport:
+    max_rel_err: float
+    worst_index: int
+    passed: bool
+
+
+def grad_check(loss_fn, x0: np.ndarray, tol: float = 1e-4, step: float = 1e-5) -> GradCheckReport:
+    """Compare loss_fn's analytic gradient against central finite differences.
+
+    loss_fn maps a flat float64 vector to (scalar, gradient). Relative error
+    per component uses a 1e-6 floor so near-zero gradients are judged on an
+    absolute scale.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    analytic = np.asarray(loss_fn(x0)[1], dtype=float)
+    numeric = central_fd(lambda x: loss_fn(x)[0], x0, step)
+    denom = np.maximum(1e-6, np.maximum(np.abs(analytic), np.abs(numeric)))
+    rel = np.abs(analytic - numeric) / denom
+    worst = int(np.argmax(rel))
+    return GradCheckReport(max_rel_err=float(rel[worst]), worst_index=worst, passed=bool(rel[worst] < tol))
 
 
 def brute_force_assignment(cost: np.ndarray):
@@ -60,6 +89,87 @@ def brute_force_assignment_batch(costs: np.ndarray):
     totals = costs[:, rows, perms].sum(axis=2)  # (B, n!, n) summed over n
     best = totals.argmin(axis=1)  # first minimum = lexicographically smallest
     return perms[best], totals[np.arange(costs.shape[0]), best]
+
+
+def _list_assignment(cost: list) -> tuple[list, float]:
+    """Shortest-augmenting-path solver in potentials form, in plain Python
+    lists; returns (col_for_row, total)."""
+    n = len(cost)
+    INF = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)  # p[j] = 1-based row matched to column j
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [INF] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = INF
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    perm = [0] * n
+    total = 0.0
+    for j in range(1, n + 1):
+        perm[p[j] - 1] = j - 1
+        total += cost[p[j] - 1][j - 1]
+    return perm, total
+
+
+def resolving_assignment(cost: np.ndarray) -> np.ndarray:
+    """Lexicographically smallest minimum-cost permutation by re-solving:
+    row by row, each smaller free column is tried and kept iff the best
+    completion of the remaining rows still reaches the optimum (within
+    1e-9 * (1 + |optimum|)). O(n^2) solves; usable where brute force is not."""
+    rows = np.asarray(cost, dtype=float).tolist()
+    n = len(rows)
+    base, best = _list_assignment(rows)
+    tol = 1e-9 * (1.0 + abs(best))
+    avail = list(range(n))
+    result = []
+    fixed = 0.0
+    completion = dict(enumerate(base))  # a known-optimal column for every unfixed row
+    for i in range(n):
+        chosen = completion[i]
+        for j in avail:
+            if j >= completion[i]:
+                break
+            sub_rows = range(i + 1, n)
+            sub_cols = [c for c in avail if c != j]
+            sub_perm, sub_total = _list_assignment([[rows[r][c] for c in sub_cols] for r in sub_rows])
+            if fixed + rows[i][j] + sub_total <= best + tol:
+                chosen = j
+                completion = {r: sub_cols[c] for r, c in zip(sub_rows, sub_perm)}
+                break
+        result.append(chosen)
+        fixed += rows[i][chosen]
+        avail.remove(chosen)
+    return np.array(result, dtype=int)
 
 
 def positive_set_contrastive_loss(features: np.ndarray, positive_sets: list, temperature: float):
@@ -159,3 +269,38 @@ def recount_accuracy(cluster_assignments, labels, assignment) -> float:
         if assignment[clu] == lab:
             hits += 1
     return hits / len(labels)
+
+
+def optimal_soft_logits(w_row: np.ndarray) -> np.ndarray:
+    """The contrastive logits minimizing one anchor's soft term: w / sum(w)."""
+    w = np.asarray(w_row, dtype=float)
+    if np.any(w < 0):
+        raise ValueError("weights must be nonnegative")
+    s = w.sum()
+    if s <= 0:
+        raise ValueError("weight row sums to zero")
+    return w / s
+
+
+def params_to_vector(params: ModelParams) -> np.ndarray:
+    return np.concatenate([getattr(params, n).ravel() for n in params.array_fields()])
+
+
+def vector_to_params(template: ModelParams, vec: np.ndarray) -> ModelParams:
+    out = template.copy()
+    i = 0
+    for name in template.array_fields():
+        shape = getattr(template, name).shape
+        size = int(np.prod(shape))
+        setattr(out, name, vec[i : i + size].reshape(shape).copy())
+        i += size
+    if i != vec.size:
+        raise ValueError("vector length does not match parameter count")
+    return out
+
+
+def positiveness(p: np.ndarray, q: np.ndarray, metric: str = "dot") -> float:
+    """Positiveness of one pair of class-probability vectors: the off-diagonal
+    entry of the library's matrix over the two."""
+    W = build_positiveness_matrix(np.stack([np.asarray(p, float), np.asarray(q, float)]), metric)
+    return float(W[0, 1])

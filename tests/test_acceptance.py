@@ -24,7 +24,6 @@ from cobranch.losses import (
     contrastive_objective,
     hard_indicator_weights,
     kl_regularizer,
-    optimal_soft_logits,
     softmax,
 )
 from cobranch.transfer import PseudoLabelBatch, debias, sample_pseudolabels, sampling_rates
@@ -33,6 +32,7 @@ from oracles import (
     brute_force_assignment_batch,
     central_fd,
     max_rel_err,
+    optimal_soft_logits,
     pgd_anchor_minimizer,
     positive_set_contrastive_loss,
 )

@@ -117,6 +117,20 @@ class TestGenData:
         nz = counts[counts > 0]
         assert nz.max() / nz.min() <= 3.0  # labeled pool follows rho_l=2, not 10
 
+    @pytest.mark.parametrize("overrides,key", [
+        (["n_max=5", "rho_u=20", "rho_l=20"], "dataset.n_max"),
+        (["d_in=1"], "dataset.d_in"),
+        (["num_classes=1", "num_known=1"], "dataset.num_classes"),
+        (["class_separation=0"], "dataset.class_separation"),
+        (["test_per_class=0"], "dataset.test_per_class"),
+        (["rho_u=0.5", "rho_l=0.5"], "dataset.rho_u"),
+        (["rho_l=0.5"], "dataset.rho_l"),
+    ])
+    def test_generator_config_error_exit_2(self, tmp_path, capsys, overrides, key):
+        sets = [arg for kv in overrides for arg in ("--set", f"dataset.{kv}")]
+        assert main(["gen-data", "--seed", "1", "--out", str(tmp_path), *sets]) == 2
+        assert key in capsys.readouterr().err
+
     def test_gen_data_needs_seed(self, capsys):
         rc = main(["gen-data", "--out", "/tmp/nowhere_gen"])
         assert rc == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobranch.data import ImbalanceProfile, gen_synthetic, make_longtail_counts, split_known_novel
 from cobranch.estimate import (
@@ -13,7 +15,7 @@ from cobranch.estimate import (
     hungarian,
     kmeans,
 )
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, resolving_assignment
 
 
 class TestKMeans:
@@ -104,6 +106,25 @@ class TestHungarian:
             perm = hungarian(cost)
             ref, _ = brute_force_assignment(cost)
             assert np.array_equal(perm, ref)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 7))
+    def test_tie_heavy_matches_brute_force(self, data, n):
+        entries = data.draw(st.lists(st.integers(0, 2), min_size=n * n, max_size=n * n))
+        cost = np.array(entries, dtype=float).reshape(n, n)
+        ref, _ = brute_force_assignment(cost)
+        assert np.array_equal(hungarian(cost), ref)
+
+    @pytest.mark.parametrize("n", [20, 30, 40])
+    def test_tie_heavy_matches_resolving_oracle(self, n):
+        # brute force is out of reach here; the re-solving tie-break is not
+        rng = np.random.default_rng(n)
+        contingency = np.zeros((n, n))  # a random clustering of 20n rows
+        np.add.at(contingency, (rng.integers(0, n, 20 * n), rng.integers(0, n, 20 * n)), 1.0)
+        agreement = np.zeros((n, n))  # 60% known classes; the other rows stay zero
+        np.add.at(agreement, (rng.integers(0, 3 * n // 5, 10 * n), rng.integers(0, n, 10 * n)), 1.0)
+        for cost in (-contingency, -agreement):
+            assert np.array_equal(hungarian(cost), resolving_assignment(cost))
 
     def test_all_equal_costs_give_identity(self):
         perm = hungarian(np.ones((5, 5)))

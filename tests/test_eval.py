@@ -84,6 +84,16 @@ class TestEvaluate:
             assert other.std_known == base.std_known
             assert other.std_novel == base.std_novel
 
+        # tie-heavy C=50 (random clustering of 2,000 rows): many bijections
+        # tie, and only acc_all is independent of which one is chosen
+        labels = np.repeat(np.arange(50), 40)
+        assignments = rng.integers(0, 50, size=labels.size)
+        counts = np.arange(100, 50, -1)
+        base = score_clustering(assignments, labels, 30, 50, counts)
+        for _ in range(3):
+            perm = rng.permutation(50)
+            assert score_clustering(perm[assignments], labels, 30, 50, counts).acc_all == base.acc_all
+
     def test_missing_class_rejected(self):
         X = np.zeros((10, 2))
         labels = np.zeros(10, dtype=int)

@@ -12,11 +12,16 @@ from cobranch.losses import (
     contrastive_objective,
     hard_indicator_weights,
     kl_regularizer,
-    optimal_soft_logits,
     smooth_target,
     softmax,
 )
-from oracles import central_fd, max_rel_err, pgd_anchor_minimizer, positive_set_contrastive_loss
+from oracles import (
+    central_fd,
+    max_rel_err,
+    optimal_soft_logits,
+    pgd_anchor_minimizer,
+    positive_set_contrastive_loss,
+)
 
 
 def unit_rows(rng, n, d):

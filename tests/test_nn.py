@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cobranch import nn
-from oracles import central_fd, max_rel_err
+from oracles import central_fd, grad_check, max_rel_err, params_to_vector, vector_to_params
 
 
 def small_params(seed=0, d_in=4, d_hidden=5, d_feat=3, d_ph=4, d_proj=3, C=4, scale=10.0):
@@ -56,12 +56,12 @@ class TestEncode:
         u = rng.standard_normal((3, 3))
 
         def loss_at(vec):
-            q = nn.vector_to_params(p, vec)
+            q = vector_to_params(p, vec)
             return float((u * nn.encode(q, X)).sum())
 
         z, cache = nn.encode_forward(p, X)
         grads, _ = nn.encode_backward(p, cache, u)
-        vec = nn.params_to_vector(p)
+        vec = params_to_vector(p)
         numeric = central_fd(loss_at, vec)
         analytic = np.zeros_like(vec)
         i = 0
@@ -164,13 +164,13 @@ class TestClassify:
         u = rng.standard_normal((4, 4))
 
         def loss_at(vec):
-            q = nn.vector_to_params(p, vec)
+            q = vector_to_params(p, vec)
             return float((u * nn.classify(q, Z)).sum())
 
         _, cache = nn.classify_forward(p, Z)
         grads, dZ = nn.classify_backward(p, cache, u)
 
-        vec = nn.params_to_vector(p)
+        vec = params_to_vector(p)
         numeric = central_fd(loss_at, vec)
         analytic = np.zeros_like(vec)
         i = 0
@@ -209,10 +209,10 @@ class TestCosineLr:
 class TestSgd:
     def test_zero_lr_keeps_params(self):
         p = small_params(seed=10)
-        before = nn.params_to_vector(p).copy()
+        before = params_to_vector(p).copy()
         grads = {"enc_w1": np.ones_like(p.enc_w1)}
         nn.sgd_step(p, grads, lr=0.0, state=nn.SgdState(0.0))
-        assert np.array_equal(nn.params_to_vector(p), before)
+        assert np.array_equal(params_to_vector(p), before)
 
     def test_scalar_update_no_momentum(self):
         p = small_params()
@@ -249,7 +249,7 @@ class TestGradCheckUtility:
         def f(x):
             return float(x @ x), 2.0 * x
 
-        report = nn.grad_check(f, np.array([0.3, -0.7, 1.1]))
+        report = grad_check(f, np.array([0.3, -0.7, 1.1]))
         assert report.passed
         assert report.max_rel_err < 1e-6
 
@@ -257,7 +257,7 @@ class TestGradCheckUtility:
         def f(x):
             return float(x @ x), 3.0 * x
 
-        report = nn.grad_check(f, np.array([0.3, -0.7, 1.1]), tol=1e-4)
+        report = grad_check(f, np.array([0.3, -0.7, 1.1]), tol=1e-4)
         assert not report.passed
 
 
@@ -265,7 +265,7 @@ class TestCheckpointRoundTrip:
     def test_round_trip_exact(self):
         p = small_params(seed=12)
         q = nn.params_from_dict(nn.params_to_dict(p))
-        assert np.array_equal(nn.params_to_vector(p), nn.params_to_vector(q))
+        assert np.array_equal(params_to_vector(p), params_to_vector(q))
         assert q.scale == p.scale
 
     def test_shape_check_rejects_mismatch(self):
@@ -289,7 +289,7 @@ class TestBranchComposites:
         labels = np.array([0, 2, 1])
 
         def loss_at(vec):
-            q = nn.vector_to_params(p, vec)
+            q = vector_to_params(p, vec)
             logits = nn.classify(q, nn.encode(q, X))
             m = logits.max(axis=1, keepdims=True)
             log_p = (logits - m) - np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
@@ -304,7 +304,7 @@ class TestBranchComposites:
         dlogits /= 3
         grads = nn.classifier_branch_backward(p, cache, dlogits)
 
-        vec = nn.params_to_vector(p)
+        vec = params_to_vector(p)
         numeric = central_fd(loss_at, vec)
         analytic = np.zeros_like(vec)
         i = 0
@@ -323,13 +323,13 @@ class TestBranchComposites:
         v = rng.standard_normal((3, 3))
 
         def loss_at(vec):
-            q = nn.vector_to_params(p, vec)
+            q = vector_to_params(p, vec)
             return float((v * nn.project(q, nn.encode(q, X))).sum())
 
         U, cache = nn.contrastive_branch_forward(p, X)
         grads = nn.contrastive_branch_backward(p, cache, v)
 
-        vec = nn.params_to_vector(p)
+        vec = params_to_vector(p)
         numeric = central_fd(loss_at, vec)
         analytic = np.zeros_like(vec)
         i = 0

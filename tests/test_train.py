@@ -4,7 +4,7 @@ import pytest
 from cobranch import losses, nn, train as train_mod
 from cobranch.data import gen_synthetic, split_known_novel
 from cobranch.train import ModelConfig, TrainConfig, TrainingAborted, make_batches, make_views, run
-from oracles import positive_set_contrastive_loss
+from oracles import params_to_vector, positive_set_contrastive_loss
 
 
 def toy_split(seed=0, C=5, counts=(30, 20, 12, 8, 5), num_known=3, d=6):
@@ -94,9 +94,9 @@ class TestRun:
         a = run(toy_split(), toy_model(), toy_config(seed=3))
         b = run(toy_split(), toy_model(), toy_config(seed=3))
         c = run(toy_split(), toy_model(), toy_config(seed=4))
-        assert np.array_equal(nn.params_to_vector(a.params), nn.params_to_vector(b.params))
+        assert np.array_equal(params_to_vector(a.params), params_to_vector(b.params))
         assert a.telemetry == b.telemetry
-        assert not np.array_equal(nn.params_to_vector(a.params), nn.params_to_vector(c.params))
+        assert not np.array_equal(params_to_vector(a.params), params_to_vector(c.params))
 
     def test_telemetry_composites_match_parts(self):
         split = toy_split()
@@ -118,7 +118,7 @@ class TestRun:
         assert all(rec["l_cl_soft"] == 0.0 for rec in base.telemetry)
         assert any(rec["l_cl_soft"] != 0.0 for rec in soft.telemetry[2:])
         assert not np.array_equal(
-            nn.params_to_vector(base.params), nn.params_to_vector(soft.params)
+            params_to_vector(base.params), params_to_vector(soft.params)
         )
 
     def test_stop_and_resume_matches_uninterrupted(self):
@@ -134,7 +134,7 @@ class TestRun:
             "cluster_to_class": half.alignment.cluster_to_class,
         }
         rest = run(toy_split(), toy_model(), cfg, resume=state)
-        assert np.array_equal(nn.params_to_vector(full.params), nn.params_to_vector(rest.params))
+        assert np.array_equal(params_to_vector(full.params), params_to_vector(rest.params))
         assert full.telemetry[3:] == rest.telemetry
 
     def test_abort_on_nonfinite_loss(self, monkeypatch):

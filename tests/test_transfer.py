@@ -10,10 +10,10 @@ from cobranch.transfer import (
     build_positiveness_matrix,
     debias,
     one_hot,
-    positiveness,
     sample_pseudolabels,
     sampling_rates,
 )
+from oracles import positiveness
 
 
 class TestDebias:
