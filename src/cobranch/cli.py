@@ -36,7 +36,7 @@ from .data import (
     split_independent_pools,
     split_known_novel,
 )
-from .estimate import EstimationError, estimate_round
+from .estimate import AlignmentMap, EstimationError, estimate_round
 from .evaluation import EvalReport, evaluate
 from .train import TrainingAborted
 
@@ -158,11 +158,11 @@ def build_dataset(cfg: dict, run_seed: int) -> BuiltDataset:
 
 # --- experiment runner ------------------------------------------------------------
 
-def run_experiment(cfg: dict, seed: int, resume: dict | None = None):
+def run_experiment(cfg: dict, seed: int):
     """gen -> train -> encode test -> evaluate, all in memory."""
     built = build_dataset(cfg, seed)
     model_cfg, train_cfg = to_train_objects(cfg, seed)
-    result = train_mod.run(built.split, model_cfg, train_cfg, resume=resume)
+    result = train_mod.run(built.split, model_cfg, train_cfg)
     report = evaluate_trained(cfg, built, result.params, seed)
     return report, result, built
 
@@ -229,15 +229,16 @@ def checkpoint_params(blob: dict) -> nn.ModelParams:
     return params
 
 
-def resume_state(blob: dict) -> dict:
-    return {
-        "params": checkpoint_params(blob),
-        "opt_cls": nn.SgdState.from_dict(blob["opt_cls"]),
-        "opt_con": nn.SgdState.from_dict(blob["opt_con"]),
-        "epochs_done": blob["epochs_done"],
-        "pi_e": blob["pi_e"],
-        "cluster_to_class": blob["cluster_to_class"],
-    }
+def resume_state(blob: dict) -> train_mod.TrainResult:
+    """The inverse of `checkpoint_dict`: the training state a run resumes from."""
+    return train_mod.TrainResult(
+        params=checkpoint_params(blob),
+        pi_e=np.asarray(blob["pi_e"], dtype=float),
+        alignment=AlignmentMap(np.asarray(blob["cluster_to_class"], dtype=int)),
+        opt_cls=nn.SgdState.from_dict(blob["opt_cls"]),
+        opt_con=nn.SgdState.from_dict(blob["opt_con"]),
+        epochs_done=blob["epochs_done"],
+    )
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -284,13 +285,6 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _telemetry_lines(cfg: dict, records: list) -> str:
-    lines = [json.dumps({"config": cfg}, sort_keys=True)]
-    for rec in records:
-        lines.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     os.makedirs(args.out, exist_ok=True)
@@ -310,33 +304,24 @@ def cmd_train(args) -> int:
 
     every = cfg["train"]["checkpoint_every"]
     total = cfg["train"]["total_epochs"]
-    start = resume["epochs_done"] if resume else 0
-    if every:
-        # run in stages so intermediate checkpoints are genuine resume points
-        stops = sorted({min(s, total) for s in range(start + every, total + every, every)} | {total})
-        records = []
-        state = resume
-        for stop in stops:
-            result = train_mod.run(built.split, model_cfg, train_cfg, resume=state, stop_epoch=stop)
-            records.extend(result.telemetry)
-            state = {
-                "params": result.params,
-                "opt_cls": result.opt_cls,
-                "opt_con": result.opt_con,
-                "epochs_done": result.epochs_done,
-                "pi_e": result.pi_e,
-                "cluster_to_class": result.alignment.cluster_to_class,
-            }
-            write_json_atomic(
-                os.path.join(args.out, f"checkpoint_epoch{stop:04d}.json"),
-                checkpoint_dict(result, cfg, args.seed),
-            )
-        result.telemetry = records
-    else:
-        result = train_mod.run(built.split, model_cfg, train_cfg, resume=resume)
+    start = resume.epochs_done if resume else 0
+    with open(os.path.join(args.out, "telemetry.jsonl"), "w", encoding="utf-8") as tel:
+        tel.write(json.dumps({"config": cfg}, sort_keys=True) + "\n")
+
+        def on_epoch(result: train_mod.TrainResult) -> None:
+            # one flushed record per epoch, so an aborted run keeps the epochs it finished
+            tel.write(json.dumps(result.telemetry[-1], sort_keys=True) + "\n")
+            tel.flush()
+            n = result.epochs_done
+            if every and ((n - start) % every == 0 or n == total):
+                write_json_atomic(
+                    os.path.join(args.out, f"checkpoint_epoch{n:04d}.json"),
+                    checkpoint_dict(result, cfg, args.seed),
+                )
+
+        result = train_mod.run(built.split, model_cfg, train_cfg, resume=resume, on_epoch=on_epoch)
 
     write_json_atomic(os.path.join(args.out, "checkpoint.json"), checkpoint_dict(result, cfg, args.seed))
-    write_text_atomic(os.path.join(args.out, "telemetry.jsonl"), _telemetry_lines(cfg, result.telemetry))
     print(f"trained {result.epochs_done} epochs; wrote checkpoint.json and telemetry.jsonl to {args.out}")
     return EXIT_OK
 
@@ -405,6 +390,9 @@ def cmd_estimate(args) -> int:
         built.split.y_lab,
         built.split.num_known,
         seed=args.seed if args.seed is not None else 0,
+        max_iter=cfg["train"]["kmeans_max_iter"],
+        tol=cfg["train"]["kmeans_tol"],
+        n_init=cfg["train"]["kmeans_n_init"],
     )
     record = {
         "config": cfg,

@@ -99,13 +99,29 @@ def _merge(defaults: dict, override: dict, path: str) -> dict:
 def effective_config(raw: dict | None) -> dict:
     """Defaults overlaid with `raw`; unknown keys rejected."""
     cfg = _merge(DEFAULTS, raw or {}, "")
+    _validate(cfg)
     if cfg["train"]["warmup_epochs"] is None:
         cfg["train"]["warmup_epochs"] = int(0.1 * cfg["train"]["total_epochs"])
-    _validate(cfg)
     return cfg
 
 
+def _check_types(cfg: dict) -> None:
+    """Each value has its default's type: an int also serves a float key, and a
+    bool is never a number. Where the default is null, null is allowed, and
+    otherwise a string for the paths and an int for the rest."""
+    for block, defaults in DEFAULTS.items():
+        for key, default in defaults.items():
+            value, nullable = cfg[block][key], default is None
+            if nullable and value is None:
+                continue
+            want = (str if key.endswith("path") else int) if nullable else type(default)
+            if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+                null = " or null" if nullable else ""
+                raise ConfigError(f"{block}.{key} must be {want.__name__}{null}, got {value!r}")
+
+
 def _validate(cfg: dict) -> None:
+    _check_types(cfg)
     ds = cfg["dataset"]
     if ds["kind"] not in ("synthetic", "embeddings"):
         raise ConfigError(f"dataset.kind must be synthetic or embeddings, got {ds['kind']!r}")
@@ -132,6 +148,11 @@ def _validate(cfg: dict) -> None:
                 "the smallest class would round to 0"
             )
     tr = cfg["train"]
+    lows = [("train", "total_epochs", 1), ("train", "checkpoint_every", 0)]
+    lows += [(block, "kmeans_n_init", 1) for block in ("train", "eval")]
+    for block, key, low in lows:
+        if cfg[block][key] < low:
+            raise ConfigError(f"{block}.{key} must be >= {low}, got {cfg[block][key]!r}")
     if tr["soft_mode"] not in ("soft", "hard", "off"):
         raise ConfigError(f"train.soft_mode must be soft/hard/off, got {tr['soft_mode']!r}")
     if tr["metric"] not in transfer.SIMILARITY_METRICS:

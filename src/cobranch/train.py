@@ -14,7 +14,8 @@ contrastive step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -76,13 +77,15 @@ class TrainConfig:
 
 @dataclass
 class TrainResult:
+    """A run's state: what `run` returns and resumes from; a checkpoint stores all but telemetry."""
+
     params: nn.ModelParams
-    telemetry: list
-    pi_e: np.ndarray
-    alignment: AlignmentMap
     opt_cls: nn.SgdState
     opt_con: nn.SgdState
-    epochs_done: int
+    telemetry: list = field(default_factory=list)
+    pi_e: np.ndarray | None = None  # None until the first estimation round
+    alignment: AlignmentMap | None = None
+    epochs_done: int = 0
 
 
 class TrainingAborted(RuntimeError):
@@ -177,15 +180,17 @@ def run(
     split: DatasetSplit,
     model_cfg: ModelConfig,
     cfg: TrainConfig,
-    resume: dict | None = None,
-    stop_epoch: int | None = None,
+    resume: TrainResult | None = None,
+    on_epoch: Callable[[TrainResult], None] | None = None,
 ) -> TrainResult:
-    """Train both branches over the split; deterministic given cfg.seed.
+    """Train both branches over the split up to `cfg.schedule.total_epochs`;
+    deterministic given cfg.seed.
 
-    `resume` is the state dict a checkpoint stores (see cli); streams are
-    derived per (seed, epoch) so a resumed run replays the original exactly.
-    `stop_epoch` pauses the run early without altering the LR schedule,
-    producing a genuine resume point.
+    `resume` is a result to continue (its parameters and optimizer states train
+    in place); streams are derived per (seed, epoch), so a resumed run replays
+    the original exactly. The returned telemetry covers the epochs this call
+    trained. `on_epoch(result)` is called after each epoch, once its record is
+    appended and `pi_e`, `alignment` and `epochs_done` are current.
     """
     split.validate()
     sched = cfg.schedule
@@ -207,28 +212,17 @@ def run(
             seed=cfg.seed,
             scale=model_cfg.scale,
         )
-        opt_cls = nn.SgdState(cfg.momentum)
-        opt_con = nn.SgdState(cfg.momentum)
-        start_epoch = 0
-        pi_e = None
-        amap = None
+        result = TrainResult(params, opt_cls=nn.SgdState(cfg.momentum), opt_con=nn.SgdState(cfg.momentum))
     else:
-        params = resume["params"]
-        opt_cls = resume["opt_cls"]
-        opt_con = resume["opt_con"]
-        start_epoch = resume["epochs_done"]
-        pi_e = np.asarray(resume["pi_e"], dtype=float)
-        amap = AlignmentMap(np.asarray(resume["cluster_to_class"], dtype=int))
+        result = replace(resume, telemetry=[])
+    if result.epochs_done >= sched.total_epochs:
+        raise ValueError(f"start epoch {result.epochs_done} is not below total_epochs={sched.total_epochs}")
+    params, opt_cls, opt_con = result.params, result.opt_cls, result.opt_con
 
-    stop = sched.total_epochs if stop_epoch is None else min(stop_epoch, sched.total_epochs)
-    if stop <= start_epoch:
-        raise ValueError(f"stop epoch {stop} does not advance past {start_epoch}")
-
-    telemetry = []
-    for epoch in range(start_epoch, stop):
-        if epoch % cfg.reestimate_interval == 0 or pi_e is None:
+    for epoch in range(result.epochs_done, sched.total_epochs):
+        if epoch % cfg.reestimate_interval == 0 or result.pi_e is None:
             try:
-                _, amap, pi_e = _estimate(split, params, cfg, epoch)
+                _, result.alignment, result.pi_e = _estimate(split, params, cfg, epoch)
             except EstimationError as exc:
                 raise TrainingAborted(f"estimation failed at epoch {epoch}: {exc}") from exc
         lr = nn.cosine_lr(epoch, sched)
@@ -255,7 +249,7 @@ def run(
                 y,
                 logits[n_l : n_l + n_u],
                 logits[n_l + n_u :],
-                pi_e,
+                result.pi_e,
                 cfg.weights,
                 cfg.smoothing_p,
                 cfg.conf_gate,
@@ -284,7 +278,7 @@ def run(
             W_views = None
             if include_soft:
                 sel, inst_probs, inst_pred = _soft_batch(
-                    params, cfg, X_unl, unl_idx, y, pi_e, n_total
+                    params, cfg, X_unl, unl_idx, y, result.pi_e, n_total
                 )
                 v1_idx = np.concatenate([np.arange(n_l), n_l + sel])
                 soft_view_idx = np.concatenate([v1_idx, n_b + v1_idx])
@@ -327,15 +321,10 @@ def run(
         record = {"epoch": epoch, "lr": lr}
         record.update({k: float(v) / n_batches for k, v in sums.items()})
         record["soft_anchors_excluded"] = n_soft_excluded
-        record["pi_e"] = pi_e.tolist()
-        telemetry.append(record)
+        record["pi_e"] = result.pi_e.tolist()
+        result.telemetry.append(record)
+        result.epochs_done = epoch + 1
+        if on_epoch is not None:
+            on_epoch(result)
 
-    return TrainResult(
-        params=params,
-        telemetry=telemetry,
-        pi_e=pi_e,
-        alignment=amap,
-        opt_cls=opt_cls,
-        opt_con=opt_con,
-        epochs_done=stop,
-    )
+    return result

@@ -76,6 +76,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(str(path), [])
 
+    @pytest.mark.parametrize("override", [
+        "dataset.d_in=abc",
+        "dataset.d_in=true",
+        "dataset.seed=1.5",
+        "dataset.path=3",
+        "model.scale=\"big\"",
+        "train.total_epochs=2.5",
+        "train.total_epochs=0",
+        "train.warmup_epochs=false",
+        "train.checkpoint_every=-1",
+        "train.kmeans_n_init=0",
+        "eval.kmeans_n_init=0",
+    ])
+    def test_bad_value_exit_2(self, tmp_path, capsys, override):
+        rc = main(["train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", override])
+        assert rc == 2
+        assert f"error: {override.partition('=')[0]} must be" in capsys.readouterr().err
+        assert not (tmp_path / "telemetry.jsonl").exists()
+
 
 class TestGenData:
     def test_deterministic_bytes(self, tmp_path):
@@ -254,34 +273,66 @@ class TestTrainEval:
         assert report["report"]["acc_all"] == 1.0
 
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
-        full_args = ["train", "--seed", "4", "--out", str(tmp_path / "full"), *SMALL]
-        main(full_args)
-        staged = [
-            "train", "--seed", "4", "--out", str(tmp_path / "staged"),
-            *SMALL, "--set", "train.checkpoint_every=2",
-        ]
-        main(staged)
-        full_tel = (tmp_path / "full" / "telemetry.jsonl").read_text()
-        staged_tel = (tmp_path / "staged" / "telemetry.jsonl").read_text()
-        # staged run embeds a different config (checkpoint_every); compare records
-        full_records = [json.loads(l) for l in full_tel.splitlines()[1:]]
-        staged_records = [json.loads(l) for l in staged_tel.splitlines()[1:]]
-        assert full_records == staged_records
-        assert (tmp_path / "staged" / "checkpoint_epoch0002.json").exists()
+        # (checkpoint_every, total_epochs, resume epoch, checkpoints the resumed run writes)
+        for every, total, resume_at, resumed_stops in [(2, 4, 2, [4]), (3, 7, 3, [6, 7])]:
+            base = tmp_path / f"every{every}"
+            epochs = ["--set", f"train.total_epochs={total}"]
+            main(["train", "--seed", "4", "--out", str(base / "full"), *SMALL, *epochs])
+            staged_cfg = [*SMALL, *epochs, "--set", f"train.checkpoint_every={every}"]
+            main(["train", "--seed", "4", "--out", str(base / "staged"), *staged_cfg])
+            full_tel = (base / "full" / "telemetry.jsonl").read_text()
+            staged_tel = (base / "staged" / "telemetry.jsonl").read_text()
+            # staged run embeds a different config (checkpoint_every); compare records
+            full_records = [json.loads(l) for l in full_tel.splitlines()[1:]]
+            staged_records = [json.loads(l) for l in staged_tel.splitlines()[1:]]
+            assert full_records == staged_records
+            mid = base / "staged" / f"checkpoint_epoch{resume_at:04d}.json"
+            assert mid.exists()
 
-        # resuming the mid checkpoint reproduces the remaining epochs
-        rc = main([
-            "train", "--seed", "4", "--out", str(tmp_path / "resumed"),
-            *SMALL, "--set", "train.checkpoint_every=2",
-            "--resume", str(tmp_path / "staged" / "checkpoint_epoch0002.json"),
-        ])
-        assert rc == 0
-        resumed_records = [
-            json.loads(l)
-            for l in (tmp_path / "resumed" / "telemetry.jsonl").read_text().splitlines()[1:]
-        ]
-        assert resumed_records == full_records[2:]
-        assert sha(tmp_path / "resumed" / "checkpoint.json") == sha(tmp_path / "staged" / "checkpoint.json")
+            # resuming the mid checkpoint reproduces the remaining epochs
+            rc = main(["train", "--seed", "4", "--out", str(base / "resumed"), *staged_cfg,
+                       "--resume", str(mid)])
+            assert rc == 0
+            resumed_records = [
+                json.loads(l)
+                for l in (base / "resumed" / "telemetry.jsonl").read_text().splitlines()[1:]
+            ]
+            assert resumed_records == full_records[resume_at:]
+            assert sha(base / "resumed" / "checkpoint.json") == sha(base / "staged" / "checkpoint.json")
+            # a checkpoint every `every` epochs counted from the resume epoch, plus the last
+            written = sorted(p.name for p in (base / "resumed").glob("checkpoint_epoch*.json"))
+            assert written == [f"checkpoint_epoch{n:04d}.json" for n in resumed_stops]
+
+    def test_numerical_abort_keeps_finished_epochs(self, tmp_path, capsys, monkeypatch):
+        from cobranch import train as train_mod
+
+        abort_epoch = 2
+        epoch_now = []
+        real_batches = train_mod.make_batches
+        real_loss = train_mod.losses.classification_objective
+
+        def batches(split, batch_size, seed, epoch):
+            epoch_now.append(epoch)
+            return real_batches(split, batch_size, seed, epoch)
+
+        def poisoned(*args, **kw):
+            res = real_loss(*args, **kw)
+            if epoch_now[-1] == abort_epoch:
+                res.total = float("nan")
+            return res
+
+        monkeypatch.setattr(train_mod, "make_batches", batches)
+        monkeypatch.setattr(train_mod.losses, "classification_objective", poisoned)
+        out = tmp_path / "run"
+        rc = main(["train", "--seed", "3", "--out", str(out), *SMALL,
+                   "--set", "train.checkpoint_every=1"])
+        assert rc == 1
+        assert f"epoch {abort_epoch} batch 0" in capsys.readouterr().err
+        lines = (out / "telemetry.jsonl").read_text().splitlines()
+        assert "config" in json.loads(lines[0])
+        assert [json.loads(l)["epoch"] for l in lines[1:]] == list(range(abort_epoch))
+        written = sorted(p.name for p in out.glob("checkpoint*.json"))
+        assert written == [f"checkpoint_epoch{n:04d}.json" for n in range(1, abort_epoch + 1)]
 
     def test_resume_config_mismatch_rejected(self, tmp_path, capsys):
         main(["train", "--seed", "4", "--out", str(tmp_path / "run"), *SMALL])
@@ -310,6 +361,13 @@ class TestEstimateCommand:
         assert len(rec["pi_e"]) == 5
         assert sorted(rec["cluster_to_class"]) == list(range(5))
         assert sum(rec["cluster_sizes"]) == len(rec["assignments"])
+
+    def test_config_kmeans_keys_used(self, tmp_path):
+        rc = main(["estimate", "--seed", "2", "--out", str(tmp_path), *SMALL,
+                   "--set", "dataset.class_separation=1",  # overlapping classes: Lloyd needs several steps
+                   "--set", "train.kmeans_max_iter=1", "--set", "train.kmeans_n_init=1"])
+        assert rc == 0
+        assert json.loads((tmp_path / "estimate.json").read_text())["iterations"] <= 1
 
     def test_checkpoint_estimate(self, tmp_path):
         main(["train", "--seed", "6", "--out", str(tmp_path / "run"), *SMALL])

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -123,19 +125,23 @@ class TestRun:
 
     def test_stop_and_resume_matches_uninterrupted(self):
         cfg = toy_config(total_epochs=6, warmup=1, r=3, seed=7)
-        full = run(toy_split(), toy_model(), cfg)
-        half = run(toy_split(), toy_model(), cfg, stop_epoch=3)
-        state = {
-            "params": half.params,
-            "opt_cls": half.opt_cls,
-            "opt_con": half.opt_con,
-            "epochs_done": half.epochs_done,
-            "pi_e": half.pi_e,
-            "cluster_to_class": half.alignment.cluster_to_class,
-        }
-        rest = run(toy_split(), toy_model(), cfg, resume=state)
+        snapshots = {}
+
+        def on_epoch(result):
+            snapshots[result.epochs_done] = copy.deepcopy(result)
+
+        full = run(toy_split(), toy_model(), cfg, on_epoch=on_epoch)
+        assert sorted(snapshots) == [1, 2, 3, 4, 5, 6]
+        assert snapshots[6].telemetry == full.telemetry
+        rest = run(toy_split(), toy_model(), cfg, resume=snapshots[3])
         assert np.array_equal(params_to_vector(full.params), params_to_vector(rest.params))
         assert full.telemetry[3:] == rest.telemetry
+
+    def test_resume_at_total_epochs_rejected(self):
+        cfg = toy_config(total_epochs=2, warmup=1, r=3)
+        done = run(toy_split(), toy_model(), cfg)
+        with pytest.raises(ValueError, match="is not below total_epochs"):
+            run(toy_split(), toy_model(), cfg, resume=done)
 
     def test_abort_on_nonfinite_loss(self, monkeypatch):
         split = toy_split()
