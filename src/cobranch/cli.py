@@ -331,11 +331,10 @@ def cmd_eval(args) -> int:
     cfg = blob["config"]
     params = checkpoint_params(blob)
     built = build_dataset(cfg, blob["train_seed"])
-    seeds = [int(s) for s in args.seeds.split(",")]
     os.makedirs(args.out, exist_ok=True)
 
     rows = []
-    for seed in seeds:
+    for seed in args.seeds:
         report = evaluate_trained(cfg, built, params, seed)
         payload = {"config": cfg, "seed": seed, "report": report.to_dict()}
         write_json_atomic(os.path.join(args.out, f"report_seed{seed}.json"), payload)
@@ -354,7 +353,7 @@ def cmd_eval(args) -> int:
         metrics[name] = {"mean": float(np.mean(col)), "std": float(np.std(col))}
     write_json_atomic(
         os.path.join(args.out, "aggregate.json"),
-        {"config": cfg, "seeds": seeds, "metrics": metrics},
+        {"config": cfg, "seeds": args.seeds, "metrics": metrics},
     )
     write_csv_atomic(
         os.path.join(args.out, "aggregate.csv"),
@@ -447,14 +446,13 @@ def ablation_grid(cfg: dict, axis: str) -> list[tuple[str, dict]]:
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.set)
-    seeds = [int(s) for s in args.seeds.split(",")]
     grid = ablation_grid(cfg, args.axis)
     os.makedirs(args.out, exist_ok=True)
 
     header = ["label", "old", "new", "all", "std_known", "std_novel"]
     rows = []
     for label, variant_cfg in grid:
-        reports = [run_experiment(variant_cfg, seed)[0] for seed in seeds]
+        reports = [run_experiment(variant_cfg, seed)[0] for seed in args.seeds]
         row = [
             label,
             float(np.mean([r.acc_old for r in reports])),
@@ -469,7 +467,7 @@ def cmd_ablate(args) -> int:
     write_csv_atomic(out_path, header, rows)
     write_json_atomic(
         os.path.join(args.out, f"ablate_{args.axis}.json"),
-        {"config": cfg, "axis": args.axis, "seeds": seeds,
+        {"config": cfg, "axis": args.axis, "seeds": args.seeds,
          "rows": [dict(zip(header, row)) for row in rows]},
     )
     print(f"wrote {out_path}")
@@ -477,6 +475,18 @@ def cmd_ablate(args) -> int:
 
 
 # --- entry point --------------------------------------------------------------------
+
+def parse_seeds(text: str, option: str) -> list[int]:
+    """Comma-separated seeds; ConfigError naming `option` unless they are
+    non-negative integers with no repeats."""
+    try:
+        seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        seeds = []
+    if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
+        raise ConfigError(f"{option} must be distinct non-negative integers separated by commas, got {text!r}")
+    return seeds
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -528,6 +538,10 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seeds", None) is not None:
+            args.seeds = parse_seeds(args.seeds, "--seeds")
+        if getattr(args, "seed", None) is not None:
+            parse_seeds(str(args.seed), "--seed")  # argparse made it an int; this rejects a negative one
         return COMMANDS[args.command](args)
     except (ConfigError, EmbeddingFormatError, FileNotFoundError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

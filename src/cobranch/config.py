@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 
 from . import losses, nn, transfer
 from .train import ModelConfig, TrainConfig
@@ -106,9 +107,10 @@ def effective_config(raw: dict | None) -> dict:
 
 
 def _check_types(cfg: dict) -> None:
-    """Each value has its default's type: an int also serves a float key, and a
-    bool is never a number. Where the default is null, null is allowed, and
-    otherwise a string for the paths and an int for the rest."""
+    """Each value has its default's type: an int also serves a float key, a
+    bool is never a number, and NaN and infinities are never allowed. Where the
+    default is null, null is allowed, and otherwise a string for the paths and
+    an int for the rest."""
     for block, defaults in DEFAULTS.items():
         for key, default in defaults.items():
             value, nullable = cfg[block][key], default is None
@@ -118,6 +120,8 @@ def _check_types(cfg: dict) -> None:
             if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
                 null = " or null" if nullable else ""
                 raise ConfigError(f"{block}.{key} must be {want.__name__}{null}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{block}.{key} must be finite, got {value!r}")
 
 
 def _validate(cfg: dict) -> None:
@@ -148,10 +152,11 @@ def _validate(cfg: dict) -> None:
                 "the smallest class would round to 0"
             )
     tr = cfg["train"]
-    lows = [("train", "total_epochs", 1), ("train", "checkpoint_every", 0)]
-    lows += [(block, "kmeans_n_init", 1) for block in ("train", "eval")]
+    lows = [("dataset", "seed", 0), ("train", "total_epochs", 1), ("train", "checkpoint_every", 0)]
+    lows += [("model", key, 1) for key in ("d_hidden", "d_feat", "d_proj_hidden", "d_proj")]
+    lows += [(block, key, 1) for block in ("train", "eval") for key in ("kmeans_n_init", "kmeans_max_iter")]
     for block, key, low in lows:
-        if cfg[block][key] < low:
+        if cfg[block][key] is not None and cfg[block][key] < low:
             raise ConfigError(f"{block}.{key} must be >= {low}, got {cfg[block][key]!r}")
     if tr["soft_mode"] not in ("soft", "hard", "off"):
         raise ConfigError(f"train.soft_mode must be soft/hard/off, got {tr['soft_mode']!r}")

@@ -94,7 +94,8 @@ def contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: flo
 
 def hard_indicator_weights(classes: np.ndarray) -> np.ndarray:
     """Same-class indicator weights with a zero diagonal: the supervised
-    term's positives, and the argmax alternative to the soft weights."""
+    term's positives. soft_mode="hard" needs no call here: the positiveness
+    matrix of one-hot rows is this same indicator under every metric."""
     c = np.asarray(classes, dtype=int)
     W = (c[:, None] == c[None, :]).astype(float)
     np.fill_diagonal(W, 0.0)
@@ -219,39 +220,34 @@ def classification_objective(
 
     l_u = 0.0
     n_gated = 0
-    if n_u > 0:
-        p1 = softmax(unl_logits_v1)
-        p2 = softmax(unl_logits_v2)
-        norm = 2.0 * n_u
-        # view 2 supervised by view 1's pseudo-label, and vice versa
-        for p_src, p_dst, logits_dst, grad_dst in (
-            (p1, p2, unl_logits_v2, grad_v2),
-            (p2, p1, unl_logits_v1, grad_v1),
-        ):
-            gated = np.flatnonzero(p_src.max(axis=1) >= conf_gate)
-            y = p_src[gated].argmax(axis=1)
-            l_u += (-_log_softmax(logits_dst)[gated, y] / norm).sum()
-            g = p_dst[gated]
-            g[np.arange(gated.size), y] -= 1.0
-            grad_dst[gated] += weights.eta1 * g / norm
-            n_gated += gated.size
+    p1 = softmax(unl_logits_v1)
+    p2 = softmax(unl_logits_v2)
+    norm = 2.0 * n_u
+    # view 2 supervised by view 1's pseudo-label, and vice versa
+    for p_src, p_dst, logits_dst, grad_dst in (
+        (p1, p2, unl_logits_v2, grad_v2),
+        (p2, p1, unl_logits_v1, grad_v1),
+    ):
+        gated = np.flatnonzero(p_src.max(axis=1) >= conf_gate)
+        y = p_src[gated].argmax(axis=1)
+        l_u += (-_log_softmax(logits_dst)[gated, y] / norm).sum()
+        g = p_dst[gated]
+        g[np.arange(gated.size), y] -= 1.0
+        grad_dst[gated] += weights.eta1 * g / norm
+        n_gated += gated.size
 
-    rows = [a for a in (labeled_logits, unl_logits_v1, unl_logits_v2) if a.shape[0] > 0]
-    if not rows:
+    all_logits = np.concatenate([labeled_logits, unl_logits_v1, unl_logits_v2], axis=0)
+    if all_logits.shape[0] == 0:
         raise ValueError("classification objective needs at least one logit row")
-    all_logits = np.concatenate(rows, axis=0)
     P = softmax(all_logits)
     mean_pred = P.mean(axis=0)
     l_reg, g_mean = kl_regularizer(mean_pred, target_dist, smoothing_p)
     # chain through softmax and the row mean
     g_rows = (P * (g_mean[None, :] - (P @ g_mean)[:, None])) / all_logits.shape[0]
     g_rows *= weights.eta2
-    ofs = 0
-    for arr, grad in ((labeled_logits, grad_lab), (unl_logits_v1, grad_v1), (unl_logits_v2, grad_v2)):
-        k = arr.shape[0]
-        if k:
-            grad += g_rows[ofs : ofs + k]
-            ofs += k
+    grad_lab += g_rows[:n_l]
+    grad_v1 += g_rows[n_l : n_l + n_u]
+    grad_v2 += g_rows[n_l + n_u :]
 
     l_u = float(l_u)
     total = float(l_s + weights.eta1 * l_u + weights.eta2 * l_reg)
@@ -289,7 +285,6 @@ def contrastive_objective(
     soft_weights: np.ndarray | None,
     temperature: float,
     weights: LossWeights,
-    include_soft: bool,
 ) -> ContrastiveLossParts:
     """Composite contrastive objective over one batch of projected views.
 
@@ -298,8 +293,8 @@ def contrastive_objective(
     call: the unsupervised term over all rows with the other view as the only
     positive, the supervised term over the labeled subset with same-class
     positives, and the soft term over `soft_idx` with pairwise weights
-    `soft_weights`. During warm-up (include_soft=False) the soft term is
-    dropped entirely.
+    `soft_weights`. The soft term is skipped (l_soft = 0) when `soft_idx` has
+    fewer than two rows, so warm-up passes an empty `soft_idx` and no weights.
     """
     features = np.asarray(features, dtype=float)
     n = features.shape[0]
@@ -320,13 +315,13 @@ def contrastive_objective(
     l_soft = 0.0
     n_excluded = 0
     soft_idx = np.asarray(soft_idx, dtype=int)
-    if include_soft and soft_idx.size >= 2 and weights.gamma2 > 0:
+    if soft_idx.size >= 2 and weights.gamma2 > 0:
         if soft_weights is None:
             raise ValueError("soft term requested without a positiveness matrix")
         l_soft, g, n_excluded = contrastive_loss(features[soft_idx], soft_weights, temperature)
         grad[soft_idx] += weights.gamma2 * g
 
-    total = float(l_unsup + weights.gamma1 * l_sup + (weights.gamma2 * l_soft if include_soft else 0.0))
+    total = float(l_unsup + weights.gamma1 * l_sup + weights.gamma2 * l_soft)
     return ContrastiveLossParts(
         total=total,
         l_unsup=l_unsup,

@@ -140,7 +140,7 @@ def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epo
     return result, amap, pi_e
 
 
-def _soft_batch(
+def _soft_probs(
     params: nn.ModelParams,
     cfg: TrainConfig,
     X_unl: np.ndarray,
@@ -149,31 +149,20 @@ def _soft_batch(
     pi_e: np.ndarray,
     n_total: int,
 ):
-    """Debias, sample and score the batch's pseudo-labels.
+    """Debias and sample the batch's pseudo-labels.
 
-    Returns (selected unlabeled positions, instance probability rows for
-    [labeled; selected unlabeled], instance pred classes for hard mode).
+    Returns (selected unlabeled positions, probability rows for [labeled;
+    selected unlabeled]). In hard mode each row is the one-hot of its argmax.
     """
     pi_floor = floor_distribution(pi_e, n_total)
-    if X_unl.shape[0]:
-        logits = nn.classify(params, nn.encode(params, X_unl))
-        probs = transfer.debias(np.atleast_2d(logits), pi_floor, cfg.sampling.k)
-        batch = transfer.PseudoLabelBatch.from_probs(probs, ids=unl_ids)
-        rates = transfer.sampling_rates(pi_floor, batch_labels, cfg.sampling.alpha, cfg.sampling.beta)
-        batch = transfer.sample_pseudolabels(batch, rates)
-        sel = np.flatnonzero(batch.mask)
-    else:
-        batch = None
-        sel = np.zeros(0, dtype=int)
-
-    lab_probs = transfer.one_hot(batch_labels, pi_e.size)
-    if sel.size:
-        inst_probs = np.concatenate([lab_probs, batch.probs[sel]], axis=0)
-        inst_pred = np.concatenate([np.asarray(batch_labels, int), batch.pred_class[sel]])
-    else:
-        inst_probs = lab_probs
-        inst_pred = np.asarray(batch_labels, int)
-    return sel, inst_probs, inst_pred
+    logits = nn.classify(params, nn.encode(params, X_unl))
+    batch = transfer.PseudoLabelBatch.from_probs(transfer.debias(logits, pi_floor, cfg.sampling.k), ids=unl_ids)
+    rates = transfer.sampling_rates(pi_floor, batch_labels, cfg.sampling.alpha, cfg.sampling.beta)
+    sel = np.flatnonzero(transfer.sample_pseudolabels(batch, rates).mask)
+    P = np.concatenate([transfer.one_hot(batch_labels, pi_e.size), batch.probs[sel]], axis=0)
+    if cfg.soft_mode == "hard":
+        P = transfer.one_hot(P.argmax(axis=1), pi_e.size)
+    return sel, P
 
 
 def run(
@@ -226,7 +215,7 @@ def run(
             except EstimationError as exc:
                 raise TrainingAborted(f"estimation failed at epoch {epoch}: {exc}") from exc
         lr = nn.cosine_lr(epoch, sched)
-        include_soft = epoch >= sched.warmup_epochs and cfg.soft_mode != "off"
+        soft_on = epoch >= sched.warmup_epochs and cfg.soft_mode != "off"
         sums = {k: 0.0 for k in (
             "l_s", "l_u", "l_reg", "l_cls", "l_cl_u", "l_cl_s", "l_cl_soft", "l_con",
         )}
@@ -276,18 +265,11 @@ def run(
 
             soft_view_idx = np.zeros(0, dtype=int)
             W_views = None
-            if include_soft:
-                sel, inst_probs, inst_pred = _soft_batch(
-                    params, cfg, X_unl, unl_idx, y, result.pi_e, n_total
-                )
+            if soft_on:
+                sel, P = _soft_probs(params, cfg, X_unl, unl_idx, y, result.pi_e, n_total)
                 v1_idx = np.concatenate([np.arange(n_l), n_l + sel])
                 soft_view_idx = np.concatenate([v1_idx, n_b + v1_idx])
-                if cfg.soft_mode == "hard":
-                    W_views = losses.hard_indicator_weights(np.concatenate([inst_pred, inst_pred]))
-                else:
-                    W_views = transfer.build_positiveness_matrix(
-                        np.concatenate([inst_probs, inst_probs], axis=0), cfg.metric
-                    )
+                W_views = transfer.build_positiveness_matrix(np.concatenate([P, P], axis=0), cfg.metric)
             con = losses.contrastive_objective(
                 U,
                 other,
@@ -297,7 +279,6 @@ def run(
                 W_views,
                 cfg.temperature,
                 cfg.weights,
-                include_soft,
             )
             if not np.isfinite(con.total):
                 raise TrainingAborted(f"non-finite contrastive loss in epoch {epoch} batch {batch_id}")

@@ -51,11 +51,10 @@ class PseudoLabelBatch:
             ids = np.arange(probs.shape[0])
         # argmax ties break toward the lowest class index
         pred = probs.argmax(axis=1)
-        conf = probs.max(axis=1) if probs.shape[0] else np.zeros(0)
         return cls(
             probs=probs,
             pred_class=pred.astype(int),
-            confidence=conf,
+            confidence=probs.max(axis=1),
             mask=np.zeros(probs.shape[0], dtype=bool),
             ids=np.asarray(ids, dtype=int),
         )

@@ -178,10 +178,10 @@ def _check_eq7(rng):
 
     def f(flat):
         return contrastive_objective(
-            flat.reshape(F.shape), other, labeled_idx, labeled_cls, soft_idx, W, tau, w, True
+            flat.reshape(F.shape), other, labeled_idx, labeled_cls, soft_idx, W, tau, w
         ).total
 
-    res = contrastive_objective(F, other, labeled_idx, labeled_cls, soft_idx, W, tau, w, True)
+    res = contrastive_objective(F, other, labeled_idx, labeled_cls, soft_idx, W, tau, w)
     return max_rel_err(res.grad.ravel(), central_fd(f, F.ravel()))
 
 

@@ -88,12 +88,41 @@ class TestConfig:
         "train.checkpoint_every=-1",
         "train.kmeans_n_init=0",
         "eval.kmeans_n_init=0",
+        "train.base_lr=NaN",
+        "train.base_lr=Infinity",
+        "train.temperature=NaN",
+        "train.momentum=NaN",
+        "dataset.seed=-1",
+        "model.d_hidden=0",
+        "model.d_feat=0",
+        "model.d_proj_hidden=0",
+        "model.d_proj=0",
+        "train.kmeans_max_iter=0",
+        "eval.kmeans_max_iter=0",
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, override):
         rc = main(["train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", override])
         assert rc == 2
         assert f"error: {override.partition('=')[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "telemetry.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "a"], "--seeds"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", ""], "--seeds"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,,1"], "--seeds"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "-1"], "--seeds"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,0"], "--seeds"),
+    (["ablate", "--axis", "k", "--seeds", "x", *SMALL], "--seeds"),
+    (["train", "--seed", "-1", *SMALL], "--seed"),
+    (["estimate", "--seed", "-2", *SMALL], "--seed"),
+], ids=["eval-a", "eval-empty", "eval-gap", "eval-negative", "eval-repeat", "ablate-x", "train-negative",
+        "estimate-negative"])
+def test_bad_seed_argument_exit_2(tmp_path, capsys, argv, option):
+    rc = main([*argv, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"error: {option} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestGenData:

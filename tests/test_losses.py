@@ -369,6 +369,23 @@ class TestClassificationObjective:
             )
             assert max_rel_err(analytic, central_fd(f, flat)) < 1e-4
 
+    def test_no_unlabeled_rows(self):
+        # zero-row unlabeled views: no pseudo terms, L_reg over the labeled rows alone
+        rng = np.random.default_rng(17)
+        lab, labels = rng.standard_normal((3, 4)), np.array([0, 2, 1])
+        empty = np.zeros((0, 4))
+        target = np.array([0.4, 0.3, 0.2, 0.1])
+        w = LossWeights(eta1=0.8, eta2=1.1)
+        res = classification_objective(lab, labels, empty, empty, target, w, 0.5)
+        assert res.l_u == 0.0 and res.n_gated == 0
+        assert res.grad_unl_v1.shape == res.grad_unl_v2.shape == (0, 4)
+        assert res.l_reg == kl_regularizer(softmax(lab).mean(axis=0), target, 0.5)[0]
+
+        def f(flat):
+            return classification_objective(flat.reshape(3, 4), labels, empty, empty, target, w, 0.5).total
+
+        assert max_rel_err(res.grad_labeled.ravel(), central_fd(f, lab.ravel())) < 1e-4
+
     def test_confidence_gate_suppresses_low_confidence(self):
         # uniform view probabilities stay under a 0.9 gate: no pseudo terms
         v = np.zeros((2, 4))
@@ -395,24 +412,23 @@ class TestContrastiveObjective:
         rng = np.random.default_rng(12)
         F, other, lab_idx, lab_cls = build_views_batch(rng, 2, 3, 4)
         w = LossWeights(gamma1=0.0, gamma2=0.0)
-        res = contrastive_objective(F, other, lab_idx, lab_cls, np.zeros(0, int), None, 1.0, w, False)
+        res = contrastive_objective(F, other, lab_idx, lab_cls, np.zeros(0, int), None, 1.0, w)
         sets = [[other[i]] for i in range(F.shape[0])]
         ref, ref_grad = positive_set_contrastive_loss(F, sets, 1.0)
         assert res.total == pytest.approx(ref, abs=1e-12)
         assert np.abs(res.grad - ref_grad).max() < 1e-12
 
     def test_warmup_independent_of_weights(self):
+        # warm-up passes an empty soft set: the same result as a full soft set at gamma2 = 0
         rng = np.random.default_rng(13)
         F, other, lab_idx, lab_cls = build_views_batch(rng, 2, 2, 3)
-        soft_idx = np.arange(4)
-        W1 = rng.uniform(0.1, 1.0, size=(4, 4))
-        W2 = rng.uniform(0.1, 1.0, size=(4, 4))
-        w = LossWeights()
-        a = contrastive_objective(F, other, lab_idx, lab_cls, soft_idx, W1, 1.0, w, False)
-        b = contrastive_objective(F, other, lab_idx, lab_cls, soft_idx, W2, 1.0, w, False)
+        W = rng.uniform(0.1, 1.0, size=(4, 4))
+        a = contrastive_objective(F, other, lab_idx, lab_cls, np.zeros(0, int), None, 1.0, LossWeights())
+        b = contrastive_objective(F, other, lab_idx, lab_cls, np.arange(4), W, 1.0, LossWeights(gamma2=0.0))
         assert a.total == b.total
         assert np.array_equal(a.grad, b.grad)
         assert a.l_soft == 0.0
+        assert a.n_soft_excluded == 0
 
     def test_composite_equals_weighted_parts(self):
         rng = np.random.default_rng(14)
@@ -420,7 +436,7 @@ class TestContrastiveObjective:
         soft_idx = np.array([0, 1, 4, 5])
         W = rng.uniform(0.1, 1.0, size=(4, 4))
         w = LossWeights(gamma1=0.6, gamma2=1.4)
-        res = contrastive_objective(F, other, lab_idx, lab_cls, soft_idx, W, 0.8, w, True)
+        res = contrastive_objective(F, other, lab_idx, lab_cls, soft_idx, W, 0.8, w)
         assert res.total == pytest.approx(
             res.l_unsup + 0.6 * res.l_sup + 1.4 * res.l_soft, abs=1e-9
         )
@@ -436,10 +452,10 @@ class TestContrastiveObjective:
 
             def f(flat):
                 return contrastive_objective(
-                    flat.reshape(F.shape), other, lab_idx, lab_cls, soft_idx, W, 1.0, w, True
+                    flat.reshape(F.shape), other, lab_idx, lab_cls, soft_idx, W, 1.0, w
                 ).total
 
-            res = contrastive_objective(F, other, lab_idx, lab_cls, soft_idx, W, 1.0, w, True)
+            res = contrastive_objective(F, other, lab_idx, lab_cls, soft_idx, W, 1.0, w)
             assert max_rel_err(res.grad.ravel(), central_fd(f, F.ravel())) < 1e-4
 
     def test_soft_without_weights_rejected(self):
@@ -447,7 +463,7 @@ class TestContrastiveObjective:
         F, other, lab_idx, lab_cls = build_views_batch(rng, 2, 2, 3)
         with pytest.raises(ValueError):
             contrastive_objective(
-                F, other, lab_idx, lab_cls, np.array([0, 1]), None, 1.0, LossWeights(), True
+                F, other, lab_idx, lab_cls, np.array([0, 1]), None, 1.0, LossWeights()
             )
 
 

@@ -123,6 +123,22 @@ class TestRun:
             params_to_vector(base.params), params_to_vector(soft.params)
         )
 
+    def test_no_unlabeled_rows(self):
+        # every row labeled: each batch's unlabeled part is a zero-row array, and
+        # the soft set holds one-hot labeled rows only, so soft and hard agree
+        X, y = gen_synthetic(4, 6, np.array([8, 6, 5, 4]), 7.0, 1.0, seed=1)
+        split = split_known_novel(X, y, 4, 1.0, seed=1)
+        assert split.y_lab.size == len(split.X)
+        sched = nn.TrainSchedule(base_lr=0.05, total_epochs=3, batch_size=2, warmup_epochs=1)
+        soft, hard = (
+            run(split, toy_model(), TrainConfig(schedule=sched, seed=2, reestimate_interval=3, soft_mode=mode))
+            for mode in ("soft", "hard")
+        )
+        assert all(rec["l_u"] == 0.0 for rec in soft.telemetry)
+        assert all(rec["l_cl_soft"] > 0.0 for rec in soft.telemetry[1:])
+        assert soft.telemetry == hard.telemetry
+        assert np.array_equal(params_to_vector(soft.params), params_to_vector(hard.params))
+
     def test_stop_and_resume_matches_uninterrupted(self):
         cfg = toy_config(total_epochs=6, warmup=1, r=3, seed=7)
         snapshots = {}

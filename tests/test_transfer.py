@@ -5,6 +5,7 @@ import pytest
 
 from cobranch.losses import hard_indicator_weights, softmax
 from cobranch.transfer import (
+    SIMILARITY_METRICS,
     PseudoLabelBatch,
     SamplingConfig,
     build_positiveness_matrix,
@@ -233,6 +234,10 @@ class TestBuildMatrix:
     def test_hard_indicator(self):
         W = hard_indicator_weights(np.array([0, 1, 0]))
         assert W.tolist() == [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
+        # hard soft-mode rests on this: on one-hot rows every metric is the indicator, exactly
+        c = np.array([2, 0, 2, 1, 0, 3, 2, 2])
+        for metric in SIMILARITY_METRICS:
+            assert np.array_equal(build_positiveness_matrix(one_hot(c, 4), metric), hard_indicator_weights(c))
 
 
 def test_one_hot_shape():
