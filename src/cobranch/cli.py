@@ -399,6 +399,7 @@ def cmd_estimate(args) -> int:
         "cluster_sizes": np.bincount(result.assignments, minlength=built.split.num_classes).tolist(),
         "inertia": result.inertia,
         "iterations": result.iterations,
+        "restart": result.restart,
         "cluster_to_class": amap.cluster_to_class.tolist(),
         "pi_e": pi_e.tolist(),
     }

@@ -158,6 +158,19 @@ def _validate(cfg: dict) -> None:
     for block, key, low in lows:
         if cfg[block][key] is not None and cfg[block][key] < low:
             raise ConfigError(f"{block}.{key} must be >= {low}, got {cfg[block][key]!r}")
+    ranges = [
+        ("dataset", "noise_scale", lambda v: v >= 0, ">= 0"),
+        ("model", "scale", lambda v: v > 0, "> 0"),
+        ("train", "base_lr", lambda v: v > 0, "> 0"),
+        ("train", "momentum", lambda v: 0 <= v < 1, "in [0, 1)"),
+        ("train", "conf_gate", lambda v: 0 <= v <= 1, "in [0, 1]"),
+        ("train", "view_noise", lambda v: v >= 0, ">= 0"),
+        ("train", "view_dropout", lambda v: 0 <= v < 1, "in [0, 1)"),
+    ]
+    ranges += [(block, "kmeans_tol", lambda v: v >= 0, ">= 0") for block in ("train", "eval")]
+    for block, key, ok, rule in ranges:
+        if not ok(cfg[block][key]):
+            raise ConfigError(f"{block}.{key} must be {rule}, got {cfg[block][key]!r}")
     if tr["soft_mode"] not in ("soft", "hard", "off"):
         raise ConfigError(f"train.soft_mode must be soft/hard/off, got {tr['soft_mode']!r}")
     if tr["metric"] not in transfer.SIMILARITY_METRICS:

@@ -10,7 +10,7 @@ clusters map to novel classes in descending size order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ class KMeansResult:
     inertia: float
     iterations: int
     inertia_history: list
+    restart: int = 0  # index of the winning initialization
 
 
 @dataclass(frozen=True)
@@ -51,51 +52,48 @@ class AlignmentMap:
 
 # --- k-means -----------------------------------------------------------------
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _sq_dists(X: np.ndarray, centers: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
+    """(N, K) squared distances in GEMM form |x|^2 - 2 x.c + |c|^2, clamped at
+    0; `x_sq` holds the squared row norms of X. Needs O(N K) memory. X should
+    be centred, or the form cancels on data far from the origin."""
+    d2 = X @ (-2.0 * centers).T
+    d2 += x_sq[:, None]
+    d2 += np.einsum("ij,ij->i", centers, centers)
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _kmeanspp_init(X: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy k-means++: per step, draw a few D^2-weighted candidates and
-    keep the one minimizing the total potential. The greedy variant is what
-    makes small far-away blobs reliably receive a seed."""
+    keep the one minimizing the total potential (first minimum on ties). The
+    greedy variant is what makes small far-away blobs reliably receive a seed."""
     n = X.shape[0]
     n_candidates = 2 + int(math.log(max(k, 2)))
-    centers = np.empty((k, X.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = X[first]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+    ids = [int(rng.integers(n))]
+    d2 = _sq_dists(X, X[ids], x_sq)[:, 0]
+    for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0:
             cand_ids = rng.integers(n, size=n_candidates)
         else:
             cand_ids = rng.choice(n, size=n_candidates, p=d2 / total)
-        best_d2 = None
-        best_pot = np.inf
-        best_id = int(cand_ids[0])
-        for cid in cand_ids:
-            nd2 = np.minimum(d2, ((X - X[int(cid)]) ** 2).sum(axis=1))
-            pot = float(nd2.sum())
-            if pot < best_pot:
-                best_id, best_pot, best_d2 = int(cid), pot, nd2
-        centers[j] = X[best_id]
-        d2 = best_d2
-    return centers
+        # one contiguous row per candidate, so each potential is a pairwise sum
+        nd2 = np.minimum(d2, _sq_dists(X, X[cand_ids], x_sq).T, order="C")
+        best = int(nd2.sum(axis=1).argmin())
+        ids.append(int(cand_ids[best]))
+        d2 = nd2[best]
+    return X[ids]
 
 
-def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    return np.maximum(d2, 0.0)
-
-
-def _assign_with_repair(X: np.ndarray, centers: np.ndarray, k: int):
+def _assign_with_repair(X: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, k: int):
     """Nearest-center assignment; empty clusters steal the point currently
     farthest from its own center (which becomes the cluster's new center)."""
-    d2 = _sq_dists(X, centers)
+    d2 = _sq_dists(X, centers, x_sq)
     assign = d2.argmin(axis=1)
+    point_cost = d2[np.arange(X.shape[0]), assign]
     counts = np.bincount(assign, minlength=k)
     if np.all(counts > 0):
-        inertia = float(d2[np.arange(X.shape[0]), assign].sum())
-        return assign, centers, inertia
+        return assign, centers, float(point_cost.sum())
     centers = centers.copy()
-    point_cost = d2[np.arange(X.shape[0]), assign]
     for c in np.flatnonzero(counts == 0):
         donors = counts[assign] > 1
         if not donors.any():
@@ -107,20 +105,26 @@ def _assign_with_repair(X: np.ndarray, centers: np.ndarray, k: int):
         counts[c] = 1
         centers[c] = X[far]
         point_cost[far] = 0.0
-    inertia = float(point_cost.sum())
-    return assign, centers, inertia
+    return assign, centers, float(point_cost.sum())
 
 
-def _lloyd(X: np.ndarray, n_clusters: int, rng, max_iter: int, tol: float) -> KMeansResult:
-    centers = _kmeanspp_init(X, n_clusters, rng)
-    assign, centers, inertia = _assign_with_repair(X, centers, n_clusters)
+def _cluster_means(X: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+    """Per-cluster means; each (cluster, column) sum runs over the rows in
+    order, as `X[assign == c].mean(axis=0)` does. Every cluster is non-empty."""
+    d = X.shape[1]
+    flat = (assign[:, None] * d + np.arange(d)).ravel()
+    sums = np.bincount(flat, weights=X.ravel(), minlength=k * d).reshape(k, d)
+    return sums / np.bincount(assign, minlength=k)[:, None]
+
+
+def _lloyd(X: np.ndarray, x_sq: np.ndarray, n_clusters: int, rng, max_iter: int, tol: float) -> KMeansResult:
+    centers = _kmeanspp_init(X, x_sq, n_clusters, rng)
+    assign, centers, inertia = _assign_with_repair(X, x_sq, centers, n_clusters)
     history = [inertia]
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_centers = np.empty_like(centers)
-        for c in range(n_clusters):
-            new_centers[c] = X[assign == c].mean(axis=0)
-        new_assign, new_centers, inertia = _assign_with_repair(X, new_centers, n_clusters)
+        new_centers = _cluster_means(X, assign, n_clusters)
+        new_assign, new_centers, inertia = _assign_with_repair(X, x_sq, new_centers, n_clusters)
         history.append(inertia)
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         stable = bool(np.array_equal(new_assign, assign))
@@ -149,9 +153,12 @@ def kmeans(
 
     Each run stops when the max center shift drops below tol, the assignment
     is stable, or max_iter is hit; the run with the lowest inertia wins
-    (ties: earliest run). Restarts matter under heavy class imbalance, where
-    a single k-means++ start regularly leaves a small blob uncovered.
-    Inertia is non-increasing over each run's iterations.
+    (ties: earliest run), and `restart` is its index. Restarts matter under
+    heavy class imbalance, where a single k-means++ start regularly leaves a
+    small blob uncovered. Inertia is non-increasing over each run's
+    iterations. The runs see the features minus their column mean, which
+    changes no distance but keeps the GEMM distance form from cancelling;
+    the returned centers are in the original coordinates.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -166,12 +173,16 @@ def kmeans(
     if n_init < 1:
         raise ValueError("need at least one initialization")
 
+    mean = X.mean(axis=0)
+    X = X - mean
+    x_sq = np.einsum("ij,ij->i", X, X)
     best: KMeansResult | None = None
     for trial in range(n_init):
         rng = rng_for(seed, KMEANS, trial)
-        result = _lloyd(X, n_clusters, rng, max_iter, tol)
+        result = _lloyd(X, x_sq, n_clusters, rng, max_iter, tol)
         if best is None or result.inertia < best.inertia:
-            best = result
+            best = replace(result, restart=trial)
+    best.centers += mean
     return best
 
 

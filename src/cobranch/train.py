@@ -126,7 +126,7 @@ def make_views(X: np.ndarray, rng: np.random.Generator, noise_std: float, dropou
 
 
 def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epoch: int):
-    result, amap, pi_e = estimate_round(
+    return estimate_round(
         nn.encode(params, split.X),
         split.num_classes,
         np.arange(split.y_lab.size),
@@ -137,7 +137,6 @@ def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epo
         tol=cfg.kmeans_tol,
         n_init=cfg.kmeans_n_init,
     )
-    return result, amap, pi_e
 
 
 def _soft_probs(
@@ -209,9 +208,10 @@ def run(
     params, opt_cls, opt_con = result.params, result.opt_cls, result.opt_con
 
     for epoch in range(result.epochs_done, sched.total_epochs):
+        km = None
         if epoch % cfg.reestimate_interval == 0 or result.pi_e is None:
             try:
-                _, result.alignment, result.pi_e = _estimate(split, params, cfg, epoch)
+                km, result.alignment, result.pi_e = _estimate(split, params, cfg, epoch)
             except EstimationError as exc:
                 raise TrainingAborted(f"estimation failed at epoch {epoch}: {exc}") from exc
         lr = nn.cosine_lr(epoch, sched)
@@ -303,6 +303,8 @@ def run(
         record.update({k: float(v) / n_batches for k, v in sums.items()})
         record["soft_anchors_excluded"] = n_soft_excluded
         record["pi_e"] = result.pi_e.tolist()
+        if km is not None:
+            record["kmeans"] = {"iterations": km.iterations, "inertia": km.inertia, "restart": km.restart}
         result.telemetry.append(record)
         result.epochs_done = epoch + 1
         if on_epoch is not None:

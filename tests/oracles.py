@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own computational paths:
 finite differences instead of analytic gradients, exhaustive enumeration
-and a re-solving tie-break instead of the assignment solver, projected
+and a re-solving tie-break instead of the assignment solver, broadcast
+distances and per-cluster loops instead of the GEMM k-means, projected
 gradient descent instead of the closed-form optimum, nearest-mean
 classification instead of the encoder, a per-anchor loop over positive-set
 lists instead of the weighted contrastive kernel. The parameter-vector and
@@ -13,10 +14,12 @@ computes; the package itself has no use for them.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from cobranch._rng import KMEANS, rng_for
 from cobranch.nn import ModelParams
 from cobranch.transfer import build_positiveness_matrix
 
@@ -170,6 +173,76 @@ def resolving_assignment(cost: np.ndarray) -> np.ndarray:
         fixed += rows[i][chosen]
         avail.remove(chosen)
     return np.array(result, dtype=int)
+
+
+def broadcast_sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(N, K) squared distances through an (N, K, D) difference array."""
+    return ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+
+
+def _reference_kmeanspp(X, k, rng):
+    n = X.shape[0]
+    n_candidates = 2 + int(math.log(max(k, 2)))
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[int(rng.integers(n))]
+    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0:
+            cand_ids = rng.integers(n, size=n_candidates)
+        else:
+            cand_ids = rng.choice(n, size=n_candidates, p=d2 / total)
+        best_d2, best_pot, best_id = None, np.inf, int(cand_ids[0])
+        for cid in cand_ids:
+            nd2 = np.minimum(d2, ((X - X[int(cid)]) ** 2).sum(axis=1))
+            pot = float(nd2.sum())
+            if pot < best_pot:
+                best_id, best_pot, best_d2 = int(cid), pot, nd2
+        centers[j] = X[best_id]
+        d2 = best_d2
+    return centers
+
+
+def _reference_assign(X, centers, k):
+    d2 = broadcast_sq_dists(X, centers)
+    assign = d2.argmin(axis=1)
+    point_cost = d2[np.arange(X.shape[0]), assign]
+    counts = np.bincount(assign, minlength=k)
+    centers = centers.copy()
+    for c in np.flatnonzero(counts == 0):
+        far = int(np.where(counts[assign] > 1, point_cost, -np.inf).argmax())
+        counts[assign[far]] -= 1
+        assign[far] = c
+        counts[c] = 1
+        centers[c] = X[far]
+        point_cost[far] = 0.0
+    return assign, centers, float(point_cost.sum())
+
+
+def reference_kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, n_init: int = 10):
+    """Best of `n_init` Lloyd runs from greedy k-means++ starts, written as
+    direct loops on the raw features: broadcast distances, one potential per
+    k-means++ candidate, `X[assign == c].mean(0)` per cluster, and the same
+    farthest-point repair of empty clusters. It draws the same random
+    numbers as `estimate.kmeans`. Returns (assignments, centers, inertia,
+    iterations, restart) of the winning run (ties: earliest)."""
+    X = np.asarray(X, dtype=float)
+    best = None
+    for trial in range(n_init):
+        centers = _reference_kmeanspp(X, k, rng_for(seed, KMEANS, trial))
+        assign, centers, inertia = _reference_assign(X, centers, k)
+        iterations = 0
+        for iterations in range(1, max_iter + 1):
+            means = np.array([X[assign == c].mean(axis=0) for c in range(k)])
+            new_assign, means, inertia = _reference_assign(X, means, k)
+            shift = float(np.linalg.norm(means - centers, axis=1).max())
+            stable = np.array_equal(new_assign, assign)
+            assign, centers = new_assign, means
+            if stable or shift < tol:
+                break
+        if best is None or inertia < best[2]:
+            best = (assign, centers, inertia, iterations, trial)
+    return best
 
 
 def positive_set_contrastive_loss(features: np.ndarray, positive_sets: list, temperature: float):

@@ -99,6 +99,19 @@ class TestConfig:
         "model.d_proj=0",
         "train.kmeans_max_iter=0",
         "eval.kmeans_max_iter=0",
+        "train.view_dropout=1.5",
+        "train.view_dropout=1",
+        "train.kmeans_tol=-1e-3",
+        "eval.kmeans_tol=-1e-3",
+        "train.conf_gate=-0.1",
+        "train.conf_gate=1.5",
+        "train.base_lr=0",
+        "train.base_lr=-0.1",
+        "train.momentum=1",
+        "train.momentum=-0.5",
+        "train.view_noise=-0.1",
+        "dataset.noise_scale=-1",
+        "model.scale=0",
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, override):
         rc = main(["train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", override])
@@ -390,13 +403,15 @@ class TestEstimateCommand:
         assert len(rec["pi_e"]) == 5
         assert sorted(rec["cluster_to_class"]) == list(range(5))
         assert sum(rec["cluster_sizes"]) == len(rec["assignments"])
+        assert 0 <= rec["restart"] < 10
 
     def test_config_kmeans_keys_used(self, tmp_path):
         rc = main(["estimate", "--seed", "2", "--out", str(tmp_path), *SMALL,
                    "--set", "dataset.class_separation=1",  # overlapping classes: Lloyd needs several steps
                    "--set", "train.kmeans_max_iter=1", "--set", "train.kmeans_n_init=1"])
         assert rc == 0
-        assert json.loads((tmp_path / "estimate.json").read_text())["iterations"] <= 1
+        rec = json.loads((tmp_path / "estimate.json").read_text())
+        assert rec["iterations"] <= 1 and rec["restart"] == 0
 
     def test_checkpoint_estimate(self, tmp_path):
         main(["train", "--seed", "6", "--out", str(tmp_path / "run"), *SMALL])

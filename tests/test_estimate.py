@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from cobranch.data import ImbalanceProfile, gen_synthetic, make_longtail_counts,
 from cobranch.estimate import (
     AlignmentMap,
     EstimationError,
+    _sq_dists,
     align_clusters,
     aligned_distribution,
     estimate_distribution,
@@ -15,7 +18,7 @@ from cobranch.estimate import (
     hungarian,
     kmeans,
 )
-from oracles import brute_force_assignment, resolving_assignment
+from oracles import broadcast_sq_dists, brute_force_assignment, reference_kmeans, resolving_assignment
 
 
 class TestKMeans:
@@ -77,6 +80,57 @@ class TestKMeans:
             kmeans(np.zeros((2, 2)), 3, seed=0)
         with pytest.raises(ValueError):
             kmeans(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1, seed=0)
+
+    def test_sq_dists_matches_broadcast(self):
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((70, 9)) * 3.0
+        C = rng.standard_normal((11, 9)) * 3.0
+        x_sq, c_sq = (X**2).sum(axis=1), (C**2).sum(axis=1)
+        err = np.abs(_sq_dists(X, C, x_sq) - broadcast_sq_dists(X, C))
+        assert np.all(err <= 1e-9 * (1.0 + x_sq[:, None] + c_sq[None, :]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(1, 8),
+        d=st.integers(1, 12),
+        per=st.integers(3, 40),
+        n_init=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        offset=st.floats(-100.0, 100.0),
+    )
+    def test_matches_reference_on_separated_blobs(self, k, d, per, n_init, seed, offset):
+        rng = np.random.default_rng(seed)
+        means = rng.standard_normal((k, d))
+        if k > 1:  # unit-variance blobs whose means lie at least 8 apart
+            gaps = np.sqrt(broadcast_sq_dists(means, means))[np.triu_indices(k, 1)]
+            means *= 8.0 / max(gaps.min(), 1e-3)
+        sizes = rng.integers(3, per + 1, size=k)
+        X = np.repeat(means, sizes, axis=0) + rng.standard_normal((sizes.sum(), d)) + offset
+        res = kmeans(X, k, seed=seed, n_init=n_init)
+        assign, centers, inertia, iterations, restart = reference_kmeans(X, k, seed, n_init=n_init)
+        assert np.array_equal(res.assignments, assign)
+        assert (res.iterations, res.restart) == (iterations, restart)
+        assert np.allclose(res.centers, centers, rtol=0, atol=1e-9 * (1.0 + np.abs(X).max()))
+        assert res.inertia == pytest.approx(inertia, rel=1e-9)
+
+    def test_translation_invariant_far_from_origin(self):
+        rng = np.random.default_rng(11)
+        means = 0.7 * rng.standard_normal((8, 16))  # overlapping blobs: many near-ties
+        X = np.repeat(means, 60, axis=0) + rng.standard_normal((480, 16))
+        base = kmeans(X, 8, seed=3, n_init=2)
+        far = kmeans(X + 1e7, 8, seed=3, n_init=2)
+        assert np.array_equal(far.assignments, base.assignments)
+        assert np.allclose(far.centers - 1e7, base.centers, rtol=0, atol=1e-6)
+
+    def test_memory_is_n_by_k(self):
+        X = np.random.default_rng(12).standard_normal((6000, 16))
+        tracemalloc.start()
+        try:
+            kmeans(X, 50, seed=0, n_init=1, max_iter=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # an (N, K, D) difference array alone is 38.4 MB
 
 
 class TestHungarian:

@@ -5,6 +5,7 @@ import pytest
 
 from cobranch import losses, nn, train as train_mod
 from cobranch.data import gen_synthetic, split_known_novel
+from cobranch.estimate import kmeans
 from cobranch.train import ModelConfig, TrainConfig, TrainingAborted, make_batches, make_views, run
 from oracles import params_to_vector, positive_set_contrastive_loss
 
@@ -90,6 +91,18 @@ class TestRun:
         pi = [rec["pi_e"] for rec in result.telemetry]
         assert pi[0] == pi[1] == pi[2]
         assert pi[3] == pi[4] == pi[5]
+
+    def test_kmeans_telemetry_on_estimation_epochs(self):
+        split = toy_split()
+        cfg = toy_config(total_epochs=6, warmup=1, r=3)
+        result = run(split, toy_model(), cfg)
+        assert ["kmeans" in rec for rec in result.telemetry] == [True, False, False, True, False, False]
+        m = toy_model()
+        params = nn.init_params(split.X.shape[1], m.d_hidden, m.d_feat, m.d_proj_hidden, m.d_proj,
+                                split.num_classes, seed=cfg.seed, scale=m.scale)
+        km = kmeans(nn.encode(params, split.X), split.num_classes, seed=cfg.seed * 1000003)
+        assert result.telemetry[0]["kmeans"] == {"iterations": km.iterations, "inertia": km.inertia,
+                                                 "restart": km.restart}
 
     def test_deterministic_given_seed(self):
         split = toy_split()
