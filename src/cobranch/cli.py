@@ -72,10 +72,16 @@ def write_csv_atomic(path: str, header: list, rows: list) -> None:
 # --- dataset construction --------------------------------------------------------
 
 @dataclass
-class BuiltDataset:
-    split: DatasetSplit
-    test_features: np.ndarray
-    test_labels: np.ndarray
+class EvalSet:
+    """A labeled test pool and the training-pool facts its report needs:
+    which classes are known, how many there are, and each one's training
+    count."""
+
+    X: np.ndarray
+    y: np.ndarray
+    num_known: int
+    num_classes: int
+    true_counts: np.ndarray
 
 
 def _labeled_counts_ranked(ds: dict) -> np.ndarray:
@@ -87,7 +93,7 @@ def _labeled_counts_ranked(ds: dict) -> np.ndarray:
     return make_longtail_counts(ds["num_known"], ImbalanceProfile(ds["profile"], ds["rho_l"], n_max_l))
 
 
-def build_synthetic_dataset(ds: dict, run_seed: int) -> BuiltDataset:
+def build_synthetic_dataset(ds: dict, run_seed: int) -> tuple[DatasetSplit, EvalSet]:
     data_seed = ds["seed"] if ds["seed"] is not None else run_seed
     C = ds["num_classes"]
     counts = make_longtail_counts(C, ImbalanceProfile(ds["profile"], ds["rho_u"], ds["n_max"]))
@@ -104,18 +110,31 @@ def build_synthetic_dataset(ds: dict, run_seed: int) -> BuiltDataset:
     test_counts = np.full(C, ds["test_per_class"], dtype=int)
     test_X, test_y = sample_from_means(means, test_counts, ds["noise_scale"], data_seed, stream=TEST)
     to_split = np.array([split.class_remap[c] for c in range(C)])
-    return BuiltDataset(split=split, test_features=test_X, test_labels=to_split[test_y])
+    return split, EvalSet(test_X, to_split[test_y], split.num_known, split.num_classes, split.true_counts)
 
 
-def _check_meta(ds: dict, meta: dict) -> None:
-    """The config's class counts and width must be the ones the files were made with."""
-    for key in ("num_classes", "num_known", "d_in"):
+def _load_meta(ds: dict) -> dict:
+    """`meta.json`, checked against the config: the class counts and width
+    the files were made with, and one non-negative training count per class."""
+    path = ds["meta_path"]
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    for key in ("num_classes", "num_known", "d_in", "true_counts"):
         if key not in meta:
-            raise ConfigError(f"{ds['meta_path']}: missing key {key!r}")
+            raise ConfigError(f"{path}: missing key {key!r}")
+    for key in ("num_classes", "num_known", "d_in"):
         if meta[key] != ds[key]:
-            raise ConfigError(
-                f"dataset.{key}={ds[key]!r} disagrees with {key}={meta[key]!r} in {ds['meta_path']}"
-            )
+            raise ConfigError(f"dataset.{key}={ds[key]!r} disagrees with {key}={meta[key]!r} in {path}")
+    counts = meta["true_counts"]
+    if not (
+        isinstance(counts, list)
+        and len(counts) == ds["num_classes"]
+        and all(type(c) is int and c >= 0 for c in counts)
+    ):
+        raise ConfigError(
+            f"{path}: true_counts must be {ds['num_classes']} non-negative integers, got {counts!r}"
+        )
+    return meta
 
 
 def _check_width(path: str, X: np.ndarray, d_in: int) -> None:
@@ -123,60 +142,75 @@ def _check_width(path: str, X: np.ndarray, d_in: int) -> None:
         raise EmbeddingFormatError(f"{path}: {X.shape[1]} feature columns, expected d_in={d_in}")
 
 
-def build_file_dataset(ds: dict) -> BuiltDataset:
-    with open(ds["meta_path"], "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    _check_meta(ds, meta)
+def _file_split(ds: dict, meta: dict) -> DatasetSplit:
     ids, labels, X = load_embeddings(ds["path"])
     _check_width(ds["path"], X, ds["d_in"])
     try:
-        split = split_from_mask(
+        return split_from_mask(
             X,
             labels,
             ids,
             labels != UNLABELED_MARKER,
             meta["num_known"],
             meta["num_classes"],
-            np.asarray(meta["true_counts"], dtype=int) if meta.get("true_counts") else None,
-            {int(k): v for k, v in meta.get("class_remap", {}).items()},
+            np.asarray(meta["true_counts"], dtype=int),
+            {},  # meta.json's class_remap is provenance: nothing downstream reads it
         )
     except ValueError as exc:  # a label outside the known classes, counts that do not add up
         raise EmbeddingFormatError(f"{ds['path']}: {exc}") from exc
-    _, test_labels, test_X = load_embeddings(ds["test_path"])
-    _check_width(ds["test_path"], test_X, ds["d_in"])
-    if np.any(test_labels == UNLABELED_MARKER):
-        raise EmbeddingFormatError(f"{ds['test_path']}: test rows must all be labeled")
-    return BuiltDataset(split=split, test_features=test_X, test_labels=test_labels)
 
 
-def build_dataset(cfg: dict, run_seed: int) -> BuiltDataset:
+def _file_test_set(ds: dict, meta: dict) -> EvalSet:
+    C = meta["num_classes"]
+    _, labels, X = load_embeddings(ds["test_path"], num_classes=C)
+    _check_width(ds["test_path"], X, ds["d_in"])
+    missing = np.flatnonzero(np.bincount(labels, minlength=C) == 0)
+    if missing.size:
+        raise EmbeddingFormatError(f"{ds['test_path']}: no rows of classes {missing.tolist()}")
+    return EvalSet(X, labels, meta["num_known"], C, np.asarray(meta["true_counts"], dtype=int))
+
+
+def build_dataset(cfg: dict, run_seed: int) -> DatasetSplit:
+    """The training split: generated, or read from `meta.json` and `dataset.path`."""
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        return build_synthetic_dataset(ds, run_seed)
-    return build_file_dataset(ds)
+        return build_synthetic_dataset(ds, run_seed)[0]
+    return _file_split(ds, _load_meta(ds))
+
+
+def build_test_set(cfg: dict, run_seed: int) -> EvalSet:
+    """The test set: generated, or read from `meta.json` and
+    `dataset.test_path` without reading the training pool."""
+    ds = cfg["dataset"]
+    if ds["kind"] == "synthetic":
+        return build_synthetic_dataset(ds, run_seed)[1]
+    return _file_test_set(ds, _load_meta(ds))
 
 
 # --- experiment runner ------------------------------------------------------------
 
 def run_experiment(cfg: dict, seed: int):
     """gen -> train -> encode test -> evaluate, all in memory."""
-    built = build_dataset(cfg, seed)
+    ds = cfg["dataset"]
+    if ds["kind"] == "synthetic":
+        split, test = build_synthetic_dataset(ds, seed)
+    else:
+        meta = _load_meta(ds)
+        split, test = _file_split(ds, meta), _file_test_set(ds, meta)
     model_cfg, train_cfg = to_train_objects(cfg, seed)
-    result = train_mod.run(built.split, model_cfg, train_cfg)
-    report = evaluate_trained(cfg, built, result.params, seed)
-    return report, result, built
+    result = train_mod.run(split, model_cfg, train_cfg)
+    report = evaluate_trained(cfg, test, result.params, seed)
+    return report, result, test
 
 
-def evaluate_trained(cfg: dict, built: BuiltDataset, params: nn.ModelParams, eval_seed: int) -> EvalReport:
-    if built.split.true_counts is None:
-        raise ConfigError("evaluation needs per-class training counts (metadata)")
-    feats = nn.encode(params, built.test_features)
+def evaluate_trained(cfg: dict, test: EvalSet, params: nn.ModelParams, eval_seed: int) -> EvalReport:
+    feats = nn.encode(params, test.X)
     return evaluate(
         feats,
-        built.test_labels,
-        built.split.num_known,
-        built.split.num_classes,
-        built.split.true_counts,
+        test.y,
+        test.num_known,
+        test.num_classes,
+        test.true_counts,
         seed=eval_seed,
         kmeans_max_iter=cfg["eval"]["kmeans_max_iter"],
         kmeans_tol=cfg["eval"]["kmeans_tol"],
@@ -250,19 +284,13 @@ def cmd_gen_data(args) -> int:
     if cfg["dataset"]["seed"] is None and args.seed is None:
         raise ConfigError("gen-data needs --seed (or dataset.seed)")
     seed = args.seed if args.seed is not None else cfg["dataset"]["seed"]
-    built = build_synthetic_dataset(cfg["dataset"], seed)
+    split, test = build_synthetic_dataset(cfg["dataset"], seed)
     os.makedirs(args.out, exist_ok=True)
 
-    split = built.split
     train_labels = np.full(len(split.X), UNLABELED_MARKER)
     train_labels[: split.y_lab.size] = split.y_lab
     save_embeddings(split.ids, train_labels, split.X, os.path.join(args.out, "train.csv"))
-    save_embeddings(
-        np.arange(built.test_labels.size),
-        built.test_labels,
-        built.test_features,
-        os.path.join(args.out, "test.csv"),
-    )
+    save_embeddings(np.arange(test.y.size), test.y, test.X, os.path.join(args.out, "test.csv"))
     meta = {
         "config": cfg,
         "seed": seed,
@@ -288,7 +316,7 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     os.makedirs(args.out, exist_ok=True)
-    built = build_dataset(cfg, args.seed)
+    split = build_dataset(cfg, args.seed)
     model_cfg, train_cfg = to_train_objects(cfg, args.seed)
 
     resume = None
@@ -319,7 +347,7 @@ def cmd_train(args) -> int:
                     checkpoint_dict(result, cfg, args.seed),
                 )
 
-        result = train_mod.run(built.split, model_cfg, train_cfg, resume=resume, on_epoch=on_epoch)
+        result = train_mod.run(split, model_cfg, train_cfg, resume=resume, on_epoch=on_epoch)
 
     write_json_atomic(os.path.join(args.out, "checkpoint.json"), checkpoint_dict(result, cfg, args.seed))
     print(f"trained {result.epochs_done} epochs; wrote checkpoint.json and telemetry.jsonl to {args.out}")
@@ -330,12 +358,12 @@ def cmd_eval(args) -> int:
     blob = load_checkpoint(args.checkpoint)
     cfg = blob["config"]
     params = checkpoint_params(blob)
-    built = build_dataset(cfg, blob["train_seed"])
+    test = build_test_set(cfg, blob["train_seed"])
     os.makedirs(args.out, exist_ok=True)
 
     rows = []
     for seed in args.seeds:
-        report = evaluate_trained(cfg, built, params, seed)
+        report = evaluate_trained(cfg, test, params, seed)
         payload = {"config": cfg, "seed": seed, "report": report.to_dict()}
         write_json_atomic(os.path.join(args.out, f"report_seed{seed}.json"), payload)
         write_csv_atomic(
@@ -378,16 +406,16 @@ def cmd_estimate(args) -> int:
         data_seed = args.seed
         if data_seed is None:
             raise ConfigError("estimate needs --seed when no checkpoint is given")
-    built = build_dataset(cfg, data_seed)
-    feats = built.split.X
+    split = build_dataset(cfg, data_seed)
+    feats = split.X
     if params is not None:
         feats = nn.encode(params, feats)
     result, amap, pi_e = estimate_round(
         feats,
-        built.split.num_classes,
-        np.arange(built.split.y_lab.size),
-        built.split.y_lab,
-        built.split.num_known,
+        split.num_classes,
+        np.arange(split.y_lab.size),
+        split.y_lab,
+        split.num_known,
         seed=args.seed if args.seed is not None else 0,
         max_iter=cfg["train"]["kmeans_max_iter"],
         tol=cfg["train"]["kmeans_tol"],
@@ -396,7 +424,7 @@ def cmd_estimate(args) -> int:
     record = {
         "config": cfg,
         "assignments": result.assignments.tolist(),
-        "cluster_sizes": np.bincount(result.assignments, minlength=built.split.num_classes).tolist(),
+        "cluster_sizes": np.bincount(result.assignments, minlength=split.num_classes).tolist(),
         "inertia": result.inertia,
         "iterations": result.iterations,
         "restart": result.restart,

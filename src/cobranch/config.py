@@ -152,22 +152,32 @@ def _validate(cfg: dict) -> None:
                 "the smallest class would round to 0"
             )
     tr = cfg["train"]
-    lows = [("dataset", "seed", 0), ("train", "total_epochs", 1), ("train", "checkpoint_every", 0)]
+    lows = [("dataset", "seed", 0), ("train", "total_epochs", 1), ("train", "checkpoint_every", 0),
+            ("train", "reestimate_interval", 1), ("train", "batch_size", 2)]
     lows += [("model", key, 1) for key in ("d_hidden", "d_feat", "d_proj_hidden", "d_proj")]
     lows += [(block, key, 1) for block in ("train", "eval") for key in ("kmeans_n_init", "kmeans_max_iter")]
     for block, key, low in lows:
         if cfg[block][key] is not None and cfg[block][key] < low:
             raise ConfigError(f"{block}.{key} must be >= {low}, got {cfg[block][key]!r}")
+    if tr["warmup_epochs"] is not None and not 0 <= tr["warmup_epochs"] <= tr["total_epochs"]:
+        raise ConfigError(
+            f"train.warmup_epochs must be in [0, train.total_epochs={tr['total_epochs']}], "
+            f"got {tr['warmup_epochs']!r}"
+        )
     ranges = [
         ("dataset", "noise_scale", lambda v: v >= 0, ">= 0"),
         ("model", "scale", lambda v: v > 0, "> 0"),
         ("train", "base_lr", lambda v: v > 0, "> 0"),
+        ("train", "temperature", lambda v: v > 0, "> 0"),
         ("train", "momentum", lambda v: 0 <= v < 1, "in [0, 1)"),
         ("train", "conf_gate", lambda v: 0 <= v <= 1, "in [0, 1]"),
         ("train", "view_noise", lambda v: v >= 0, ">= 0"),
         ("train", "view_dropout", lambda v: 0 <= v < 1, "in [0, 1)"),
     ]
     ranges += [(block, "kmeans_tol", lambda v: v >= 0, ">= 0") for block in ("train", "eval")]
+    ranges += [("train", key, lambda v: v >= 0, ">= 0") for key in ("eta1", "eta2", "gamma1", "gamma2", "k")]
+    ranges += [("train", key, lambda v: 0 <= v <= 1, "in [0, 1]")
+               for key in ("alpha", "beta", "smoothing_p", "aux_encoder_weight")]
     for block, key, ok, rule in ranges:
         if not ok(cfg[block][key]):
             raise ConfigError(f"{block}.{key} must be {rule}, got {cfg[block][key]!r}")

@@ -10,6 +10,8 @@ retained for evaluation but must never be read by training code.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -318,9 +320,29 @@ def save_embeddings(ids: np.ndarray, labels: np.ndarray, X: np.ndarray, path: st
         fh.write("\n".join(lines) + "\n")
 
 
-def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in `mask`, or its length when there is none."""
+    return int(mask.argmax()) if mask.any() else mask.size
+
+
+def _parse_rows(rows: list[str], dtype: np.dtype) -> np.ndarray:
+    """`rows` as one structured array. An integer field spelled as a float is
+    a ValueError on every NumPy: older ones only warn and truncate it."""
+    if not rows:
+        return np.zeros(0, dtype)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def load_embeddings(path: str, num_classes: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read the embedding CSV format as `(ids, labels, X)` in file order,
-    label -1 meaning withheld from training."""
+    label -1 meaning withheld from training. Blank lines are skipped.
+
+    With `num_classes` every row must carry a class in [0, num_classes) (a
+    test pool). The first bad row raises EmbeddingFormatError naming
+    `path:line`.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -333,37 +355,44 @@ def load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if name != f"f{i}":
             raise EmbeddingFormatError(f"{path}:1: expected column f{i}, got {name!r}")
 
-    ids = np.empty(len(lines) - 1, dtype=int)
-    labels = np.empty(len(lines) - 1, dtype=int)
-    X = np.empty((len(lines) - 1, d))
-    n = 0
-    id_lines: dict[int, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != d + 2:
-            raise EmbeddingFormatError(
-                f"{path}:{lineno}: expected {d + 2} fields, got {len(parts)}"
-            )
-        try:
-            sid = ids[n] = int(parts[0])
-            label = labels[n] = int(parts[1])
-            X[n] = [float(x) for x in parts[2:]]
-        except (ValueError, OverflowError) as exc:
-            raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from exc
-        if not np.isfinite(X[n]).all():
-            raise EmbeddingFormatError(f"{path}:{lineno}: non-finite feature value")
-        if sid in id_lines:
-            raise EmbeddingFormatError(
-                f"{path}:{lineno}: sample id {sid} already used on line {id_lines[sid]}"
-            )
-        id_lines[sid] = lineno
-        if label < UNLABELED_MARKER:
-            raise EmbeddingFormatError(
-                f"{path}:{lineno}: label index {label} is invalid"
-            )
-        n += 1
-    if n == 0:
+    lineno = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
+    rows = [lines[i - 1] for i in lineno]
+    if not rows:
         raise EmbeddingFormatError(f"{path}: no data rows")
-    return ids[:n], labels[:n], X[:n]
+
+    # Rows [0, end) parse; row `end`, if any, is the first with a wrong field
+    # count or an unparsable value, and a fault above it is reported first.
+    fields = np.array([row.count(",") for row in rows]) + 1
+    end = _first(fields != d + 2)
+    fault = f"expected {d + 2} fields, got {fields[end]}" if end < len(rows) else ""
+    dtype = np.dtype([("id", np.int64), ("label", np.int64), ("x", np.float64, (d,))])
+    try:
+        table = _parse_rows(rows[:end], dtype)
+    except ValueError as exc:
+        # NumPy names the row as a 0-based index into the rows passed.
+        at = re.search(r" at row (\d+)", str(exc))
+        if at is None:
+            raise EmbeddingFormatError(f"{path}: {exc}") from exc
+        end, fault = int(at.group(1)), str(exc).replace(at.group(0), "")
+        table = _parse_rows(rows[:end], dtype)
+
+    # copies, so the parsed table is freed on return
+    ids, labels, X = (np.ascontiguousarray(table[name]) for name in ("id", "label", "x"))
+    order = np.argsort(ids, kind="stable")
+    repeat = np.zeros(ids.size, dtype=bool)
+    repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    if num_classes is None:
+        bad_label, want = labels < UNLABELED_MARKER, ""
+    else:
+        bad_label, want = (labels < 0) | (labels >= num_classes), f": test rows need a class in [0, {num_classes})"
+    checks = (  # on one row, the first failing check is the one reported
+        (~np.isfinite(X).all(axis=1), lambda i: "non-finite feature value"),
+        (repeat, lambda i: f"sample id {ids[i]} already used on line {lineno[_first(ids == ids[i])]}"),
+        (bad_label, lambda i: f"label index {labels[i]} is invalid{want}"),
+    )
+    row, message = min(((_first(mask), say) for mask, say in checks), key=lambda c: c[0])
+    if row < end:
+        raise EmbeddingFormatError(f"{path}:{lineno[row]}: {message(row)}")
+    if fault:
+        raise EmbeddingFormatError(f"{path}:{lineno[end]}: {fault}")
+    return ids, labels, X

@@ -6,9 +6,10 @@ and a re-solving tie-break instead of the assignment solver, broadcast
 distances and per-cluster loops instead of the GEMM k-means, projected
 gradient descent instead of the closed-form optimum, nearest-mean
 classification instead of the encoder, a per-anchor loop over positive-set
-lists instead of the weighted contrastive kernel. The parameter-vector and
-two-vector positiveness helpers at the end only reshape what the library
-computes; the package itself has no use for them.
+lists instead of the weighted contrastive kernel, one `float()` call per
+value instead of the one-pass CSV parser. The parameter-vector and
+two-vector positiveness helpers only reshape what the library computes;
+the package itself has no use for them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cobranch._rng import KMEANS, rng_for
+from cobranch.data import EmbeddingFormatError
 from cobranch.nn import ModelParams
 from cobranch.transfer import build_positiveness_matrix
 
@@ -377,3 +379,55 @@ def positiveness(p: np.ndarray, q: np.ndarray, metric: str = "dot") -> float:
     entry of the library's matrix over the two."""
     W = build_positiveness_matrix(np.stack([np.asarray(p, float), np.asarray(q, float)]), metric)
     return float(W[0, 1])
+
+
+def reference_load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The embedding CSV reader as one `float()` call per value, one line at
+    a time: `(ids, labels, X)` in file order, or EmbeddingFormatError at the
+    first line with a fault."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise EmbeddingFormatError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if len(header) < 3 or header[0] != "id" or header[1] != "label":
+        raise EmbeddingFormatError(f"{path}:1: bad header {lines[0]!r}")
+    d = len(header) - 2
+    for i, name in enumerate(header[2:]):
+        if name != f"f{i}":
+            raise EmbeddingFormatError(f"{path}:1: expected column f{i}, got {name!r}")
+
+    ids = np.empty(len(lines) - 1, dtype=int)
+    labels = np.empty(len(lines) - 1, dtype=int)
+    X = np.empty((len(lines) - 1, d))
+    n = 0
+    id_lines: dict[int, int] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != d + 2:
+            raise EmbeddingFormatError(
+                f"{path}:{lineno}: expected {d + 2} fields, got {len(parts)}"
+            )
+        try:
+            sid = ids[n] = int(parts[0])
+            label = labels[n] = int(parts[1])
+            X[n] = [float(x) for x in parts[2:]]
+        except (ValueError, OverflowError) as exc:
+            raise EmbeddingFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not np.isfinite(X[n]).all():
+            raise EmbeddingFormatError(f"{path}:{lineno}: non-finite feature value")
+        if sid in id_lines:
+            raise EmbeddingFormatError(
+                f"{path}:{lineno}: sample id {sid} already used on line {id_lines[sid]}"
+            )
+        id_lines[sid] = lineno
+        if label < -1:  # the unlabeled marker is -1
+            raise EmbeddingFormatError(
+                f"{path}:{lineno}: label index {label} is invalid"
+            )
+        n += 1
+    if n == 0:
+        raise EmbeddingFormatError(f"{path}: no data rows")
+    return ids[:n], labels[:n], X[:n]

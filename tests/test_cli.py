@@ -112,6 +112,25 @@ class TestConfig:
         "train.view_noise=-0.1",
         "dataset.noise_scale=-1",
         "model.scale=0",
+        "train.temperature=0",
+        "train.temperature=-1",
+        "train.eta1=-1",
+        "train.eta2=-1",
+        "train.gamma1=-1",
+        "train.gamma2=-5",
+        "train.k=-0.5",
+        "train.alpha=-1",
+        "train.alpha=1.5",
+        "train.beta=-0.1",
+        "train.beta=2",
+        "train.smoothing_p=-0.1",
+        "train.smoothing_p=1.5",
+        "train.aux_encoder_weight=-0.5",
+        "train.aux_encoder_weight=1.5",
+        "train.reestimate_interval=0",
+        "train.batch_size=1",
+        "train.warmup_epochs=5",
+        "train.warmup_epochs=-1",
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, override):
         rc = main(["train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", override])
@@ -225,19 +244,29 @@ class TestTrainEval:
         assert rc == 2
         assert "definitely_missing" in capsys.readouterr().err
 
+    def train_on_files(self, tmp_path, out="run", extra=()):
+        data = tmp_path / "data"
+        if not (data / "meta.json").exists():
+            assert main(["gen-data", "--seed", "5", "--out", str(data), *SMALL]) == 0
+        return main([
+            "train", "--seed", "0", "--out", str(tmp_path / out), *SMALL, *extra,
+            "--set", "dataset.kind=embeddings",
+            "--set", f"dataset.path={data / 'train.csv'}",
+            "--set", f"dataset.meta_path={data / 'meta.json'}",
+            "--set", f"dataset.test_path={data / 'test.csv'}",
+        ])
+
     def train_on_edited_csv(self, tmp_path, edit, name="train.csv", extra=()):
         data = tmp_path / "data"
         assert main(["gen-data", "--seed", "5", "--out", str(data), *SMALL]) == 0
         lines = (data / name).read_text().splitlines()
         edit(lines)
         (data / name).write_text("\n".join(lines) + "\n")
-        return main([
-            "train", "--seed", "0", "--out", str(tmp_path / "run"), *SMALL, *extra,
-            "--set", "dataset.kind=embeddings",
-            "--set", f"dataset.path={data / 'train.csv'}",
-            "--set", f"dataset.meta_path={data / 'meta.json'}",
-            "--set", f"dataset.test_path={data / 'test.csv'}",
-        ])
+        return self.train_on_files(tmp_path, extra=extra)
+
+    def eval_run(self, tmp_path, out="eval"):
+        return main(["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"),
+                     "--seeds", "0", "--out", str(tmp_path / out)])
 
     def test_nonfinite_feature_exit_2(self, tmp_path, capsys):
         def edit(lines):
@@ -254,16 +283,73 @@ class TestTrainEval:
             lines[4] = ",".join([sid, *lines[4].split(",")[1:]])
 
         assert self.train_on_edited_csv(tmp_path, edit) == 2
-        assert "train.csv:5: sample id" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "train.csv:5: sample id" in err and "already used on line 4" in err
 
     @pytest.mark.parametrize("name", ["train.csv", "test.csv"])
     def test_feature_width_mismatch_exit_2(self, tmp_path, capsys, name):
         def drop_last_column(lines):
             lines[:] = [line.rsplit(",", 1)[0] for line in lines]
 
-        assert self.train_on_edited_csv(tmp_path, drop_last_column, name) == 2
+        rc = self.train_on_edited_csv(tmp_path, drop_last_column, name)
+        if name == "test.csv":  # train never reads the test pool; eval reports it
+            assert rc == 0
+            rc = self.eval_run(tmp_path)
+        assert rc == 2
         err = capsys.readouterr().err
         assert f"{name}: 5 feature columns, expected d_in=6" in err
+
+    def test_train_does_not_read_test_csv(self, tmp_path):
+        assert self.train_on_files(tmp_path, out="with") == 0
+        (tmp_path / "data" / "test.csv").unlink()
+        assert self.train_on_files(tmp_path, out="without") == 0
+        assert sha(tmp_path / "with" / "checkpoint.json") == sha(tmp_path / "without" / "checkpoint.json")
+
+    def test_eval_does_not_read_train_csv(self, tmp_path):
+        assert self.train_on_files(tmp_path) == 0
+        assert self.eval_run(tmp_path, out="with") == 0
+        (tmp_path / "data" / "train.csv").unlink()
+        assert self.eval_run(tmp_path, out="without") == 0
+        for name in ("report_seed0.json", "report_seed0.csv", "aggregate.json", "aggregate.csv"):
+            assert sha(tmp_path / "with" / name) == sha(tmp_path / "without" / name)
+
+    @pytest.mark.parametrize("label", ["99", "5", "-1"])
+    def test_test_label_out_of_range_exit_2(self, tmp_path, capsys, label):
+        def relabel(lines):
+            parts = lines[3].split(",")
+            parts[1] = label  # num_classes=5
+            lines[3] = ",".join(parts)
+
+        assert self.train_on_edited_csv(tmp_path, relabel, "test.csv") == 0
+        assert self.eval_run(tmp_path) == 2
+        assert f"test.csv:4: label index {label} is invalid" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "report_seed0.json").exists()
+
+    def test_test_class_without_rows_exit_2(self, tmp_path, capsys):
+        def drop_class_2(lines):
+            lines[1:] = [line for line in lines[1:] if line.split(",")[1] != "2"]
+
+        assert self.train_on_edited_csv(tmp_path, drop_class_2, "test.csv") == 0
+        assert self.eval_run(tmp_path) == 2
+        assert "test.csv: no rows of classes [2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("counts", [
+        [10, 10, 10, 10], [10, 10, 10, 10, 10, 10], [10, -1, 10, 10, 10], [10, 1.5, 10, 10, 10],
+        [10, "10", 10, 10, 10], [10, True, 10, 10, 10], None, "MISSING",
+    ], ids=["one-short", "one-long", "negative", "float", "string", "bool", "null", "missing"])
+    def test_bad_true_counts_exit_2(self, tmp_path, capsys, counts):
+        assert self.train_on_files(tmp_path) == 0
+        meta_path = tmp_path / "data" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        if counts == "MISSING":
+            del meta["true_counts"]
+        else:
+            meta["true_counts"] = counts
+        meta_path.write_text(json.dumps(meta))
+        assert self.eval_run(tmp_path) == 2
+        assert self.train_on_files(tmp_path, out="again") == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{meta_path}: ") == 2 and "true_counts" in err
 
     def test_labeled_novel_class_exit_2(self, tmp_path, capsys):
         def label_novel(lines):
@@ -465,10 +551,10 @@ class TestAblate:
 
 def test_run_experiment_in_memory():
     cfg = small_cfg()
-    report, result, built = run_experiment(cfg, seed=0)
+    report, result, test = run_experiment(cfg, seed=0)
     assert 0.0 <= report.acc_all <= 1.0
     assert result.epochs_done == 4
-    assert built.test_labels.size == 5 * 8
+    assert test.y.size == 5 * 8
 
 
 def test_smoke_config_runs_under_a_minute(tmp_path):

@@ -1,6 +1,9 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cobranch.data import (
@@ -15,7 +18,7 @@ from cobranch.data import (
     split_independent_pools,
     split_known_novel,
 )
-from oracles import nearest_mean_accuracy
+from oracles import nearest_mean_accuracy, reference_load_embeddings
 
 
 def exp_profile(rho, n_max):
@@ -281,6 +284,132 @@ class TestEmbeddingFiles:
         path.write_text("id,label,x0,x1\n0,0,1.0,2.0\n")
         with pytest.raises(EmbeddingFormatError):
             load_embeddings(str(path))
+
+
+# Values where a parser that is not correctly rounded, or that drops the sign
+# of zero or flushes subnormals, would differ from `float()`.
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.1, 1 / 3]
+
+
+# Spellings of an integer that are not integers: both loaders must reject
+# them, never truncate them.
+FLOAT_INTS = ["{}.0".format, "{}e0".format, "{}.5".format]
+
+
+@st.composite
+def embedding_pools(draw):
+    """Text of an embedding file: ids anywhere in int64, label -1 or a class,
+    each value in one of several spellings, blank lines and CRLF. In some
+    pools one id or label is spelled as a float, which makes the file bad."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n, unique=True))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+    spell = st.sampled_from([repr, "{:.17g}".format, "{:.3e}".format, "{:+.6f}".format])
+    float_field = draw(st.sampled_from([None, None, None, 0, 1]))  # id or label
+    float_row = draw(st.integers(0, n - 1))
+    lines = ["id,label," + ",".join(f"f{i}" for i in range(d))]
+    for row, sid in enumerate(ids):
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        fields = [str(sid), str(draw(st.integers(-1, 50)))]
+        if row == float_row and float_field is not None:
+            fields[float_field] = draw(st.sampled_from(FLOAT_INTS))(fields[float_field])
+        values = [draw(spell)(draw(value)) for _ in range(d)]
+        lines.append(",".join([*fields, *values]))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def loader_error(load, path):
+    """The `path:line` an EmbeddingFormatError from `load` names."""
+    with pytest.raises(EmbeddingFormatError) as info:
+        load(path)
+    return re.match(rf"{re.escape(path)}:\d+", str(info.value)).group(0)
+
+
+class TestLoaderAgainstOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=embedding_pools())
+    def test_same_arrays(self, tmp_path, text):
+        path = tmp_path / "pool.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            want = reference_load_embeddings(str(path))
+        except EmbeddingFormatError:  # a float-spelled integer, or a value that rounds past 1.8e308
+            assert loader_error(load_embeddings, str(path)) == loader_error(reference_load_embeddings, str(path))
+            return
+        got = load_embeddings(str(path))
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got[2].flags.c_contiguous
+
+    GOOD = ["0,0,1.0,2.0", "1,-1,0.5,-0.0", "2,3,5e-324,1e308", "3,1,-1e308,0.25"]
+
+    @pytest.mark.parametrize("row,bad", [
+        (2, "2,3,5e-324"),                     # field count
+        (1, "1,-1,0.5,oops"),                  # unparsable value
+        (1, "1,-1,0.5,-0.0#"),                 # '#' is no comment marker
+        (3, f"{2**64},1,-1e308,0.25"),         # id outside int64
+        (0, "0,0,nan,2.0"),                    # non-finite
+        (3, "3,1,-1e308,inf"),                 # non-finite
+        (2, "0,3,5e-324,1e308"),               # repeated id
+        (1, "1,-4,0.5,-0.0"),                  # label below -1
+    ], ids=["fields", "oops", "hash", "id-2**64", "nan", "inf", "repeated-id", "label-minus-4"])
+    @pytest.mark.parametrize("blank_before", [False, True], ids=["no-blank", "after-blank"])
+    def test_single_fault_names_the_oracle_line(self, tmp_path, row, bad, blank_before):
+        rows = list(self.GOOD)
+        rows[row] = bad
+        if blank_before:
+            rows.insert(row, "")
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("id,label,f0,f1\n" + "\n".join(rows) + "\n")
+        where = loader_error(reference_load_embeddings, path)
+        assert loader_error(load_embeddings, path) == where
+        assert where == f"{path}:{row + 2 + blank_before}"
+
+    @pytest.mark.parametrize("bad", ["1,1.5,0.5,-0.0", "2.0,-1,0.5,-0.0", f"{2**63},-1,0.5,-0.0"],
+                             ids=["label-1.5", "id-2.0", "id-2**63"])
+    def test_integer_fields_are_exact_without_warning_filters(self, tmp_path, bad):
+        # Outside a test run a library's DeprecationWarning is ignored; a NumPy
+        # that only warns when it parses an integer via a float must not get
+        # to truncate the value then.
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("id,label,f0,f1\n" + "\n".join([self.GOOD[0], bad, *self.GOOD[2:]]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            where = loader_error(reference_load_embeddings, path)
+            assert loader_error(load_embeddings, path) == where == f"{path}:3"
+
+    @pytest.mark.parametrize("first,second", [
+        ("0,0,nan,2.0", "3,1,-1e308"),         # non-finite above a field count
+        ("0,0,nan,2.0", "3,1,-1e308,oops"),    # non-finite above an unparsable value
+        ("2,-4,5e-324,1e308", "3,1,-1e308"),   # bad label above a field count
+        ("0,0,1.0,oops", "3,1,-1e308"),        # unparsable above a field count
+        ("2,3,5e-324", "1,1,-1e308,0.25"),     # field count above a repeated id
+    ], ids=["nan-fields", "nan-oops", "label-fields", "oops-fields", "fields-repeat"])
+    def test_two_faults_name_the_first_line(self, tmp_path, first, second):
+        rows = list(self.GOOD)
+        rows[0], rows[3] = first, second
+        rows.insert(2, "")
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("id,label,f0,f1\n" + "\n".join(rows) + "\n")
+        where = loader_error(reference_load_embeddings, path)
+        assert loader_error(load_embeddings, path) == where == f"{path}:2"
+
+    def test_test_pool_labels_name_the_line(self, tmp_path):
+        path = tmp_path / "test.csv"
+        path.write_text("id,label,f0,f1\n0,0,1,2\n\n1,99,1,2\n")
+        with pytest.raises(EmbeddingFormatError, match=r"test.csv:4: label index 99 is invalid"):
+            load_embeddings(str(path), num_classes=5)
+        path.write_text("id,label,f0,f1\n0,-1,1,2\n")
+        with pytest.raises(EmbeddingFormatError, match=r"test.csv:2: label index -1"):
+            load_embeddings(str(path), num_classes=5)
 
 
 def test_split_validate_catches_count_mismatch():
