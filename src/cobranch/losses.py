@@ -19,6 +19,7 @@ to the raw feature/logit arrays; callers chain them through the network.
 from __future__ import annotations
 
 import logging
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +45,26 @@ class LossWeights:
             raise ValueError("loss weights must be nonnegative")
 
 
-def contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: float):
+class Scratch(dict):
+    """Flat float buffers by slot, grown on demand: one run's contrastive calls
+    reuse them as n x n work arrays instead of faulting in fresh pages. Each is
+    an anonymous mapping, not heap memory, so holding it through a run leaves
+    no hole in the heap, and its pages go back to the OS when the run ends."""
+
+    def view(self, slot: str, n: int) -> np.ndarray:
+        if slot not in self or self[slot].size < n * n:
+            self[slot] = np.frombuffer(mmap.mmap(-1, 8 * n * n), dtype=float)
+        return self[slot][: n * n].reshape(n, n)
+
+
+def contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: float, scratch: Scratch | None = None):
     """Weighted contrastive loss; returns (scalar, grad wrt features, n_excluded).
 
     Per anchor i: sum_j w_ij * (-log p_ij) / sum_j w_ij over j != i, where
     p_i is the softmax of z_i.z_a / temperature over a != i. The diagonal of
     `weights` is ignored. Anchors whose off-diagonal weight mass is zero are
-    excluded; the scalar is the mean over the included anchors.
+    excluded; the scalar is the mean over the included anchors. The n x n work
+    happens in `scratch` (a new one when None); `weights` is left unchanged.
     """
     F = np.asarray(features, dtype=float)
     if temperature <= 0:
@@ -61,10 +75,12 @@ def contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: flo
     norms = np.linalg.norm(F, axis=1)
     if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
         raise ValueError("contrastive features must be unit norm")
-    W = np.array(weights, dtype=float)
-    if W.shape != (n, n):
-        raise ValueError(f"weights must be {n}x{n}, got {W.shape}")
-    if np.any(W < 0) or not np.all(np.isfinite(W)):
+    if np.shape(weights) != (n, n):
+        raise ValueError(f"weights must be {n}x{n}, got {np.shape(weights)}")
+    scratch = Scratch() if scratch is None else scratch
+    W = scratch.view("W", n)
+    W[...] = weights
+    if not (W.min() >= 0 and W.max() < np.inf):  # NaN fails both comparisons
         raise ValueError("contrastive weights must be finite and nonnegative")
     np.fill_diagonal(W, 0.0)
     row_mass = W.sum(axis=1)
@@ -76,19 +92,22 @@ def contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: flo
     if n_exc:
         logger.debug("contrastive loss: %d anchors excluded (zero weight mass)", n_exc)
 
-    S = F @ F.T / temperature
+    # three buffers: S (logits, then -log p, then G + G.T), E (p, then G), W (Wbar)
+    S = np.matmul(F, F.T, out=scratch.view("S", n))  # F @ F.T takes the SYRK path
+    S /= temperature
     np.fill_diagonal(S, -np.inf)  # self is not a candidate
     S -= S.max(axis=1, keepdims=True)
-    E = np.exp(S)
+    E = np.exp(S, out=scratch.view("E", n))
     denom = E.sum(axis=1, keepdims=True)
-    p = E / denom
-    neg_log_p = np.log(denom) - S
+    E /= denom
+    neg_log_p = np.subtract(np.log(denom), S, out=S)
     np.fill_diagonal(neg_log_p, 0.0)  # diagonal weight is zero; avoid 0 * inf
-    Wbar = W / np.where(included, row_mass, 1.0)[:, None]
-    loss = float((Wbar * neg_log_p).sum() / n_inc)
-    G = (p - Wbar) / n_inc
+    W /= np.where(included, row_mass, 1.0)[:, None]
+    loss = float(np.multiply(W, neg_log_p, out=S).sum() / n_inc)
+    G = np.subtract(E, W, out=E)
+    G /= n_inc
     G[~included] = 0.0
-    grad = (G + G.T) @ F / temperature
+    grad = np.add(G, G.T, out=S) @ F / temperature  # into S: no overlap copy of G.T
     return loss, grad, n_exc
 
 
@@ -285,6 +304,7 @@ def contrastive_objective(
     soft_weights: np.ndarray | None,
     temperature: float,
     weights: LossWeights,
+    scratch: Scratch | None = None,
 ) -> ContrastiveLossParts:
     """Composite contrastive objective over one batch of projected views.
 
@@ -295,21 +315,24 @@ def contrastive_objective(
     positives, and the soft term over `soft_idx` with pairwise weights
     `soft_weights`. The soft term is skipped (l_soft = 0) when `soft_idx` has
     fewer than two rows, so warm-up passes an empty `soft_idx` and no weights.
+    All three calls share `scratch` (a new one when None).
     """
     features = np.asarray(features, dtype=float)
     n = features.shape[0]
     grad = np.zeros_like(features)
+    scratch = Scratch() if scratch is None else scratch
 
-    W = np.zeros((n, n))
+    W = scratch.view("one_hot", n)
+    W.fill(0.0)
     W[np.arange(n), other_view] = 1.0
-    l_unsup, g, _ = contrastive_loss(features, W, temperature)
+    l_unsup, g, _ = contrastive_loss(features, W, temperature, scratch)
     grad += g
 
     l_sup = 0.0
     labeled_idx = np.asarray(labeled_idx, dtype=int)
     if labeled_idx.size >= 2 and weights.gamma1 > 0:
         W = hard_indicator_weights(labeled_classes)
-        l_sup, g, _ = contrastive_loss(features[labeled_idx], W, temperature)
+        l_sup, g, _ = contrastive_loss(features[labeled_idx], W, temperature, scratch)
         grad[labeled_idx] += weights.gamma1 * g
 
     l_soft = 0.0
@@ -318,7 +341,7 @@ def contrastive_objective(
     if soft_idx.size >= 2 and weights.gamma2 > 0:
         if soft_weights is None:
             raise ValueError("soft term requested without a positiveness matrix")
-        l_soft, g, n_excluded = contrastive_loss(features[soft_idx], soft_weights, temperature)
+        l_soft, g, n_excluded = contrastive_loss(features[soft_idx], soft_weights, temperature, scratch)
         grad[soft_idx] += weights.gamma2 * g
 
     total = float(l_unsup + weights.gamma1 * l_sup + weights.gamma2 * l_soft)

@@ -47,7 +47,6 @@ class ModelParams:
 
     ENCODER_FIELDS = ("enc_w1", "enc_b1", "enc_w2", "enc_b2")
     PROJECTOR_FIELDS = ("proj_w1", "proj_b1", "proj_w2", "proj_b2")
-    CLASSIFIER_FIELDS = ("cls_w",)
 
     @property
     def d_in(self) -> int:

@@ -206,6 +206,7 @@ def run(
     if result.epochs_done >= sched.total_epochs:
         raise ValueError(f"start epoch {result.epochs_done} is not below total_epochs={sched.total_epochs}")
     params, opt_cls, opt_con = result.params, result.opt_cls, result.opt_con
+    scratch = losses.Scratch()  # the contrastive kernel's n x n buffers, reused by every batch
 
     for epoch in range(result.epochs_done, sched.total_epochs):
         km = None
@@ -279,6 +280,7 @@ def run(
                 W_views,
                 cfg.temperature,
                 cfg.weights,
+                scratch,
             )
             if not np.isfinite(con.total):
                 raise TrainingAborted(f"non-finite contrastive loss in epoch {epoch} batch {batch_id}")

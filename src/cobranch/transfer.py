@@ -143,7 +143,7 @@ def build_positiveness_matrix(probs: np.ndarray, metric: str = "dot") -> np.ndar
     else:
         d = np.sqrt(((P[:, None, :] - P[None, :, :]) ** 2).sum(axis=2))
         W = 1.0 - d / math.sqrt(2.0)
-    W = np.clip(W, 0.0, 1.0)
+    np.clip(W, 0.0, 1.0, out=W)
     np.fill_diagonal(W, 0.0)
     return W
 
