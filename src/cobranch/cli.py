@@ -235,6 +235,12 @@ def checkpoint_dict(result: train_mod.TrainResult, cfg: dict, train_seed: int) -
     }
 
 
+def write_checkpoint(path: str, result: train_mod.TrainResult, cfg: dict, train_seed: int) -> None:
+    """Compact JSON: `indent` would send a checkpoint through json's pure-Python encoder."""
+    blob = checkpoint_dict(result, cfg, train_seed)
+    write_text_atomic(path, json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n")
+
+
 def load_checkpoint(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         blob = json.load(fh)
@@ -342,14 +348,11 @@ def cmd_train(args) -> int:
             tel.flush()
             n = result.epochs_done
             if every and ((n - start) % every == 0 or n == total):
-                write_json_atomic(
-                    os.path.join(args.out, f"checkpoint_epoch{n:04d}.json"),
-                    checkpoint_dict(result, cfg, args.seed),
-                )
+                write_checkpoint(os.path.join(args.out, f"checkpoint_epoch{n:04d}.json"), result, cfg, args.seed)
 
         result = train_mod.run(split, model_cfg, train_cfg, resume=resume, on_epoch=on_epoch)
 
-    write_json_atomic(os.path.join(args.out, "checkpoint.json"), checkpoint_dict(result, cfg, args.seed))
+    write_checkpoint(os.path.join(args.out, "checkpoint.json"), result, cfg, args.seed)
     print(f"trained {result.epochs_done} epochs; wrote checkpoint.json and telemetry.jsonl to {args.out}")
     return EXIT_OK
 

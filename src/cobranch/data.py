@@ -151,28 +151,6 @@ def sample_from_means(
     return X, y
 
 
-def gen_synthetic(
-    num_classes: int,
-    d_in: int,
-    counts: np.ndarray,
-    class_separation: float,
-    noise_scale: float,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian-blob pool `(X, y)`: one mean per class, isotropic noise around it.
-
-    Deterministic in `seed`; see make_class_means/sample_from_means to build
-    several pools (e.g. a disjoint test set) over the same means.
-    """
-    counts = np.asarray(counts, dtype=int)
-    if len(counts) != num_classes:
-        raise ValueError("counts length must equal num_classes")
-    if np.any(counts < 1):
-        raise ValueError("every class needs at least one sample")
-    means = make_class_means(num_classes, d_in, class_separation, seed)
-    return sample_from_means(means, counts, noise_scale, seed)
-
-
 def remap_known_novel(class_sizes: np.ndarray, num_known: int, rng: np.random.Generator) -> np.ndarray:
     """Original class id -> split class id.
 

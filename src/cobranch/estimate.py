@@ -44,11 +44,6 @@ class AlignmentMap:
             raise ValueError("cluster_to_class must be a permutation of 0..C-1")
         object.__setattr__(self, "cluster_to_class", c2c)
 
-    def class_to_cluster(self) -> np.ndarray:
-        inv = np.empty_like(self.cluster_to_class)
-        inv[self.cluster_to_class] = np.arange(self.cluster_to_class.size)
-        return inv
-
 
 # --- k-means -----------------------------------------------------------------
 

@@ -3,10 +3,10 @@
 Three building blocks and two composites:
 
 * contrastive_loss       -- weighted cross-entropy over the off-diagonal softmax
-                            of pairwise similarities: the one kernel behind every
-                            contrastive term (one-hot rows give the unsupervised
-                            term, the same-class indicator the supervised one,
-                            positiveness weights the soft one)
+                            of pairwise similarities: the one-term case of the
+                            kernel behind every contrastive term (one-hot rows
+                            give the unsupervised term, the same-class indicator
+                            the supervised one, positiveness weights the soft one)
 * hard_indicator_weights -- the same-class indicator weight matrix
 * kl_regularizer         -- KL(mean prediction || smoothed target distribution)
 * classification_objective -- supervised CE + cross pseudo supervision + KL
@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 
 _UNIT_NORM_TOL = 1e-3
 _SIMPLEX_TOL = 1e-4
+_SHARED_SHIFT_RANGE = 600.0  # exp(-600) ~ 2.6e-261, a normal double
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,25 @@ def contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: flo
     Per anchor i: sum_j w_ij * (-log p_ij) / sum_j w_ij over j != i, where
     p_i is the softmax of z_i.z_a / temperature over a != i. The diagonal of
     `weights` is ignored. Anchors whose off-diagonal weight mass is zero are
-    excluded; the scalar is the mean over the included anchors. The n x n work
-    happens in `scratch` (a new one when None); `weights` is left unchanged.
+    excluded; the scalar is the mean over the included anchors. This is the
+    one-term case of `_prefix_terms`; `weights` is left unchanged.
+    """
+    n = np.shape(features)[0]
+    if np.shape(weights) != (n, n):
+        raise ValueError(f"weights must be {n}x{n}, got {np.shape(weights)}")
+    grad, [(loss, n_exc)] = _prefix_terms(features, temperature, [(1.0, weights)], None, scratch)
+    return loss, grad, n_exc
+
+
+def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray | None, scratch: Scratch | None):
+    """The contrastive kernel: weighted terms over nested row prefixes of one
+    batch, sharing one similarity GEMM, one row softmax and one gradient GEMM.
+
+    Each (gamma, W) in `blocks` is a term over rows [0, k) with k x k weights
+    `W`, as in `contrastive_loss`. `pairs[i]` (None: no such term) is row i's
+    one positive among all rows, at weight 1. Returns the gradient of the
+    gamma-weighted sum and [(loss, n_excluded)]: one per block, then the pairs
+    term's. The n x n work happens in `scratch` (a new one when None).
     """
     F = np.asarray(features, dtype=float)
     if temperature <= 0:
@@ -75,40 +93,85 @@ def contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: flo
     norms = np.linalg.norm(F, axis=1)
     if np.any(np.abs(norms - 1.0) > _UNIT_NORM_TOL):
         raise ValueError("contrastive features must be unit norm")
-    if np.shape(weights) != (n, n):
-        raise ValueError(f"weights must be {n}x{n}, got {np.shape(weights)}")
     scratch = Scratch() if scratch is None else scratch
-    W = scratch.view("W", n)
-    W[...] = weights
-    if not (W.min() >= 0 and W.max() < np.inf):  # NaN fails both comparisons
-        raise ValueError("contrastive weights must be finite and nonnegative")
-    np.fill_diagonal(W, 0.0)
-    row_mass = W.sum(axis=1)
-    included = row_mass > 0
-    n_inc = int(included.sum())
-    n_exc = n - n_inc
-    if n_inc == 0:
-        raise ValueError("every anchor has zero weight mass")
-    if n_exc:
-        logger.debug("contrastive loss: %d anchors excluded (zero weight mass)", n_exc)
 
-    # three buffers: S (logits, then -log p, then G + G.T), E (p, then G), W (Wbar)
-    S = np.matmul(F, F.T, out=scratch.view("S", n))  # F @ F.T takes the SYRK path
-    S /= temperature
+    normed = []  # per block: W / (row mass * anchors included), the included rows, their count
+    for t, (_, weights) in enumerate(blocks):
+        k = np.shape(weights)[0]
+        if np.shape(weights) != (k, k) or not 2 <= k <= n:
+            raise ValueError(f"weights must be square over 2 to {n} rows, got {np.shape(weights)}")
+        W = scratch.view(f"W{t}", k)
+        W[...] = weights
+        if not (W.min() >= 0 and W.max() < np.inf):  # NaN fails both comparisons
+            raise ValueError("contrastive weights must be finite and nonnegative")
+        np.fill_diagonal(W, 0.0)
+        mass = W.sum(axis=1)
+        included = mass > 0
+        n_inc = int(included.sum())
+        if n_inc == 0:
+            raise ValueError("every anchor has zero weight mass")
+        if n_inc < k:
+            logger.debug("contrastive loss: %d anchors excluded (zero weight mass)", k - n_inc)
+        W *= np.divide(1.0, mass * n_inc, out=np.zeros(k), where=included)[:, None]
+        normed.append((W, included, n_inc))
+    if pairs is not None and np.any(pairs == np.arange(n)):
+        raise ValueError("a row cannot be its own positive")
+
+    # two n x n buffers: S (logits - row max), E (exp, then G)
+    F_t = F / temperature
+    S = np.matmul(F_t, F.T, out=scratch.view("S", n))  # a GEMM: the operands are distinct buffers
     np.fill_diagonal(S, -np.inf)  # self is not a candidate
     S -= S.max(axis=1, keepdims=True)
     E = np.exp(S, out=scratch.view("E", n))
-    denom = E.sum(axis=1, keepdims=True)
-    E /= denom
-    neg_log_p = np.subtract(np.log(denom), S, out=S)
-    np.fill_diagonal(neg_log_p, 0.0)  # diagonal weight is zero; avoid 0 * inf
-    W /= np.where(included, row_mass, 1.0)[:, None]
-    loss = float(np.multiply(W, neg_log_p, out=S).sum() / n_inc)
-    G = np.subtract(E, W, out=E)
-    G /= n_inc
-    G[~included] = 0.0
-    grad = np.add(G, G.T, out=S) @ F / temperature  # into S: no overlap copy of G.T
-    return loss, grad, n_exc
+    ends = sorted({W.shape[0] for W, _, _ in normed} | {n})  # column bands [previous end, end)
+    starts = [0] + ends[:-1]
+    denom = np.cumsum(np.add.reduceat(E, starts, axis=1), axis=1)  # each row's sum over each prefix
+
+    # A prefix shares the full row's shift while exp(-(a row's range)) stays a
+    # normal number, with e^100 to spare for gamma / n_inc. At smaller
+    # temperatures its denominator could underflow, so it takes its own shift.
+    shared = 2 * (1 + _UNIT_NORM_TOL) ** 2 / temperature <= _SHARED_SHIFT_RANGE
+    softmax_of = []  # per block: its row shift and denominator, and its own exp when not shared
+    for t, (W, _, _) in enumerate(normed):
+        k = W.shape[0]
+        if shared:
+            softmax_of.append((0.0, denom[:k, ends.index(k)], None))
+            continue
+        shift = S[:k, :k].max(axis=1)
+        E_k = np.subtract(S[:k, :k], shift[:, None], out=scratch.view(f"E{t}", k))
+        np.exp(E_k, out=E_k)
+        softmax_of.append((shift, E_k.sum(axis=1), E_k))
+    np.fill_diagonal(S, 0.0)  # the diagonal's weight is zero; avoid 0 * inf
+
+    parts = []
+    coef = np.zeros((n, len(ends)))  # per row and column band: the weight of E in G
+    for (gamma, _), (W, included, n_inc), (shift, den, E_k) in zip(blocks, normed, softmax_of):
+        k = W.shape[0]
+        loss = (np.log(den) + shift)[included].sum() / n_inc - np.einsum("ij,ij->", W, S[:k, :k])
+        parts.append((float(loss), k - n_inc))
+        a = np.where(included, gamma / (n_inc * den), 0.0)
+        if E_k is None:
+            coef[:k, : ends.index(k) + 1] += a[:, None]
+        else:
+            E_k *= a[:, None]
+    if pairs is not None:
+        rows = np.arange(n)
+        parts.append((float(np.log(denom[:, -1]).mean() - S[rows, pairs].mean()), 0))
+        coef += 1.0 / (n * denom[:, -1:])
+
+    G = E
+    for band, (start, end) in enumerate(zip(starts, ends)):
+        G[:, start:end] *= coef[:, band : band + 1]
+    for (gamma, _), (W, _, _), (_, _, E_k) in zip(blocks, normed, softmax_of):
+        k = W.shape[0]
+        if E_k is not None:
+            G[:k, :k] += E_k
+        G[:k, :k] -= W if gamma == 1.0 else np.multiply(W, gamma, out=W)
+    if pairs is not None:
+        G[rows, pairs] -= 1.0 / n
+    grad = G @ F_t
+    grad += G.T @ F_t  # BLAS reads G.T in place: cheaper than forming G + G.T
+    return grad, parts
 
 
 def hard_indicator_weights(classes: np.ndarray) -> np.ndarray:
@@ -292,15 +355,14 @@ class ContrastiveLossParts:
     l_sup: float
     l_soft: float
     grad: np.ndarray
+    n_soft_anchors: int
     n_soft_excluded: int
 
 
 def contrastive_objective(
     features: np.ndarray,
     other_view: np.ndarray,
-    labeled_idx: np.ndarray,
     labeled_classes: np.ndarray,
-    soft_idx: np.ndarray,
     soft_weights: np.ndarray | None,
     temperature: float,
     weights: LossWeights,
@@ -308,48 +370,30 @@ def contrastive_objective(
 ) -> ContrastiveLossParts:
     """Composite contrastive objective over one batch of projected views.
 
-    features holds every view in the batch (unit rows); other_view[i] is the
-    index of the same sample's second view. Each term is one contrastive_loss
-    call: the unsupervised term over all rows with the other view as the only
-    positive, the supervised term over the labeled subset with same-class
-    positives, and the soft term over `soft_idx` with pairwise weights
-    `soft_weights`. The soft term is skipped (l_soft = 0) when `soft_idx` has
-    fewer than two rows, so warm-up passes an empty `soft_idx` and no weights.
-    All three calls share `scratch` (a new one when None).
+    features holds every view in the batch (unit rows), ordered so that each
+    term covers a prefix: the unsupervised term covers every row, with
+    other_view[i] (the same sample's second view) as row i's one positive;
+    the supervised term covers rows [0, L), L = len(labeled_classes), with
+    same-class positives; the soft term covers rows [0, m) with the m x m
+    pairwise weights `soft_weights`. A term over fewer than two rows, at a
+    zero gamma, or without weights (warm-up) is skipped and reads 0. All
+    terms are one `_prefix_terms` call, in `scratch` (a new one when None).
     """
-    features = np.asarray(features, dtype=float)
-    n = features.shape[0]
-    grad = np.zeros_like(features)
-    scratch = Scratch() if scratch is None else scratch
-
-    W = scratch.view("one_hot", n)
-    W.fill(0.0)
-    W[np.arange(n), other_view] = 1.0
-    l_unsup, g, _ = contrastive_loss(features, W, temperature, scratch)
-    grad += g
-
-    l_sup = 0.0
-    labeled_idx = np.asarray(labeled_idx, dtype=int)
-    if labeled_idx.size >= 2 and weights.gamma1 > 0:
-        W = hard_indicator_weights(labeled_classes)
-        l_sup, g, _ = contrastive_loss(features[labeled_idx], W, temperature, scratch)
-        grad[labeled_idx] += weights.gamma1 * g
-
-    l_soft = 0.0
-    n_excluded = 0
-    soft_idx = np.asarray(soft_idx, dtype=int)
-    if soft_idx.size >= 2 and weights.gamma2 > 0:
-        if soft_weights is None:
-            raise ValueError("soft term requested without a positiveness matrix")
-        l_soft, g, n_excluded = contrastive_loss(features[soft_idx], soft_weights, temperature, scratch)
-        grad[soft_idx] += weights.gamma2 * g
-
-    total = float(l_unsup + weights.gamma1 * l_sup + weights.gamma2 * l_soft)
+    sup_on = len(labeled_classes) >= 2 and weights.gamma1 > 0
+    soft_on = soft_weights is not None and len(soft_weights) >= 2 and weights.gamma2 > 0
+    blocks = [(weights.gamma1, hard_indicator_weights(labeled_classes))] if sup_on else []
+    if soft_on:
+        blocks.append((weights.gamma2, soft_weights))
+    grad, parts = _prefix_terms(features, temperature, blocks, np.asarray(other_view), scratch)
+    l_unsup = parts.pop()[0]
+    l_sup = parts.pop(0)[0] if sup_on else 0.0
+    l_soft, n_soft_excluded = parts.pop(0) if soft_on else (0.0, 0)
     return ContrastiveLossParts(
-        total=total,
+        total=float(l_unsup + weights.gamma1 * l_sup + weights.gamma2 * l_soft),
         l_unsup=l_unsup,
         l_sup=l_sup,
         l_soft=l_soft,
         grad=grad,
-        n_soft_excluded=n_excluded,
+        n_soft_anchors=len(soft_weights) if soft_on else 0,
+        n_soft_excluded=n_soft_excluded,
     )

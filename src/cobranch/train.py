@@ -14,6 +14,7 @@ contrastive step.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -89,7 +90,8 @@ class TrainResult:
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when a batch produces a non-finite loss or gradient."""
+    """Raised when estimation fails or a batch step fails numerically: a
+    non-finite loss or gradient, or a ValueError from an objective."""
 
 
 def make_batches(split: DatasetSplit, batch_size: int, seed: int, epoch: int):
@@ -137,6 +139,26 @@ def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epo
         tol=cfg.kmeans_tol,
         n_init=cfg.kmeans_n_init,
     )
+
+
+@contextlib.contextmanager
+def _named_abort(phase: str, epoch: int, batch_id: int):
+    """A numerical failure inside one batch's step of a branch, re-raised as
+    a TrainingAborted that names the phase, the epoch and the batch."""
+    try:
+        yield
+    except (ValueError, FloatingPointError) as exc:
+        raise TrainingAborted(f"{phase} step, epoch {epoch} batch {batch_id}: {exc}") from exc
+
+
+def _other_view(*group_sizes: int) -> np.ndarray:
+    """Each row's other view when every group of samples lists its first
+    views, then its second views, group after group."""
+    other, start = [], 0
+    for b in group_sizes:
+        other.append(start + (np.arange(2 * b) + b) % (2 * b))
+        start += 2 * b
+    return np.concatenate(other)
 
 
 def _soft_probs(
@@ -220,7 +242,7 @@ def run(
         sums = {k: 0.0 for k in (
             "l_s", "l_u", "l_reg", "l_cls", "l_cl_u", "l_cl_s", "l_cl_soft", "l_con",
         )}
-        n_soft_excluded = 0
+        counts = {k: 0 for k in ("n_gated", "soft_anchors", "soft_anchors_excluded")}
 
         batches = make_batches(split, sched.batch_size, cfg.seed, epoch)
         for batch_id, (lab_idx, unl_idx) in enumerate(batches):
@@ -231,64 +253,50 @@ def run(
             lab_v1, lab_v2 = make_views(X_lab, rng_views, noise_std, cfg.view_dropout)
             unl_v1, unl_v2 = make_views(X_unl, rng_views, noise_std, cfg.view_dropout)
 
-            # pseudo-labeling branch step
-            stacked = np.concatenate([lab_v1, unl_v1, unl_v2], axis=0)
-            logits, cache = nn.classifier_branch_forward(params, stacked)
-            cls = losses.classification_objective(
-                logits[:n_l],
-                y,
-                logits[n_l : n_l + n_u],
-                logits[n_l + n_u :],
-                result.pi_e,
-                cfg.weights,
-                cfg.smoothing_p,
-                cfg.conf_gate,
-            )
-            if not np.isfinite(cls.total):
-                raise TrainingAborted(f"non-finite classification loss in epoch {epoch} batch {batch_id}")
-            dlogits = np.concatenate([cls.grad_labeled, cls.grad_unl_v1, cls.grad_unl_v2], axis=0)
-            cls_grads = nn.classifier_branch_backward(params, cache, dlogits)
-            if cfg.aux_encoder_weight != 1.0:
-                for name in params.ENCODER_FIELDS:
-                    cls_grads[name] = cfg.aux_encoder_weight * cls_grads[name]
-            try:
+            with _named_abort("classification", epoch, batch_id):
+                stacked = np.concatenate([lab_v1, unl_v1, unl_v2], axis=0)
+                logits, cache = nn.classifier_branch_forward(params, stacked)
+                cls = losses.classification_objective(
+                    logits[:n_l],
+                    y,
+                    logits[n_l : n_l + n_u],
+                    logits[n_l + n_u :],
+                    result.pi_e,
+                    cfg.weights,
+                    cfg.smoothing_p,
+                    cfg.conf_gate,
+                )
+                if not np.isfinite(cls.total):
+                    raise FloatingPointError("non-finite loss")
+                dlogits = np.concatenate([cls.grad_labeled, cls.grad_unl_v1, cls.grad_unl_v2], axis=0)
+                cls_grads = nn.classifier_branch_backward(params, cache, dlogits)
+                if cfg.aux_encoder_weight != 1.0:
+                    for name in params.ENCODER_FIELDS:
+                        cls_grads[name] = cfg.aux_encoder_weight * cls_grads[name]
                 nn.sgd_step(params, cls_grads, lr, opt_cls)
-            except nn.NonFiniteGradientError as exc:
-                raise TrainingAborted(f"epoch {epoch} batch {batch_id}: {exc}") from exc
 
-            # contrastive branch step
-            all_views = np.concatenate([lab_v1, unl_v1, lab_v2, unl_v2], axis=0)
-            n_b = n_l + n_u
-            other = np.concatenate([np.arange(n_b) + n_b, np.arange(n_b)])
-            U, cache = nn.contrastive_branch_forward(params, all_views)
-            labeled_view_idx = np.concatenate([np.arange(n_l), n_b + np.arange(n_l)])
-            labeled_view_cls = np.concatenate([y, y])
-
-            soft_view_idx = np.zeros(0, dtype=int)
-            W_views = None
-            if soft_on:
-                sel, P = _soft_probs(params, cfg, X_unl, unl_idx, y, result.pi_e, n_total)
-                v1_idx = np.concatenate([np.arange(n_l), n_l + sel])
-                soft_view_idx = np.concatenate([v1_idx, n_b + v1_idx])
-                W_views = transfer.build_positiveness_matrix(np.concatenate([P, P], axis=0), cfg.metric)
-            con = losses.contrastive_objective(
-                U,
-                other,
-                labeled_view_idx,
-                labeled_view_cls,
-                soft_view_idx,
-                W_views,
-                cfg.temperature,
-                cfg.weights,
-                scratch,
-            )
-            if not np.isfinite(con.total):
-                raise TrainingAborted(f"non-finite contrastive loss in epoch {epoch} batch {batch_id}")
-            try:
+            with _named_abort("contrastive", epoch, batch_id):
+                sel, W_views = np.zeros(0, dtype=int), None
+                if soft_on:
+                    sel, P = _soft_probs(params, cfg, X_unl, unl_idx, y, result.pi_e, n_total)
+                    P_views = np.concatenate([P[:n_l], P[:n_l], P[n_l:], P[n_l:]], axis=0)
+                    W_views = transfer.build_positiveness_matrix(P_views, cfg.metric)
+                # views in nested order, [labeled v1, labeled v2, selected v1, selected v2, the
+                # rest v1, the rest v2], so that the supervised and soft terms cover row prefixes
+                picked = np.zeros(n_u, dtype=bool)
+                picked[sel] = True
+                order = np.argsort(~picked, kind="stable")  # the selected, then the rest
+                u1, u2, n_s = unl_v1[order], unl_v2[order], sel.size
+                views = np.concatenate([lab_v1, lab_v2, u1[:n_s], u2[:n_s], u1[n_s:], u2[n_s:]], axis=0)
+                other = _other_view(n_l, n_s, n_u - n_s)
+                U, cache = nn.contrastive_branch_forward(params, views)
+                con = losses.contrastive_objective(
+                    U, other, np.concatenate([y, y]), W_views, cfg.temperature, cfg.weights, scratch
+                )
+                if not np.isfinite(con.total):
+                    raise FloatingPointError("non-finite loss")
                 nn.sgd_step(params, nn.contrastive_branch_backward(params, cache, con.grad), lr, opt_con)
-            except nn.NonFiniteGradientError as exc:
-                raise TrainingAborted(f"epoch {epoch} batch {batch_id}: {exc}") from exc
-            params.check_finite()
+                params.check_finite()
 
             sums["l_s"] += cls.l_s
             sums["l_u"] += cls.l_u
@@ -298,12 +306,14 @@ def run(
             sums["l_cl_s"] += con.l_sup
             sums["l_cl_soft"] += con.l_soft
             sums["l_con"] += con.total
-            n_soft_excluded += con.n_soft_excluded
+            counts["n_gated"] += cls.n_gated
+            counts["soft_anchors"] += con.n_soft_anchors
+            counts["soft_anchors_excluded"] += con.n_soft_excluded
 
         n_batches = len(batches)
         record = {"epoch": epoch, "lr": lr}
         record.update({k: float(v) / n_batches for k, v in sums.items()})
-        record["soft_anchors_excluded"] = n_soft_excluded
+        record.update(counts)
         record["pi_e"] = result.pi_e.tolist()
         if km is not None:
             record["kmeans"] = {"iterations": km.iterations, "inertia": km.inertia, "restart": km.restart}

@@ -6,10 +6,11 @@ and a re-solving tie-break instead of the assignment solver, broadcast
 distances and per-cluster loops instead of the GEMM k-means, projected
 gradient descent instead of the closed-form optimum, nearest-mean
 classification instead of the encoder, a per-anchor loop over positive-set
-lists instead of the weighted contrastive kernel, one `float()` call per
-value instead of the one-pass CSV parser. The parameter-vector and
-two-vector positiveness helpers only reshape what the library computes;
-the package itself has no use for them.
+lists and one softmax per term instead of the shared contrastive kernel,
+one `float()` call per value instead of the one-pass CSV parser. The
+parameter-vector and two-vector positiveness helpers only reshape what the
+library computes; the package itself has no use for them, nor for the
+synthetic pool and the inverse alignment kept here for tests.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cobranch._rng import KMEANS, rng_for
-from cobranch.data import EmbeddingFormatError
+from cobranch.data import EmbeddingFormatError, make_class_means, sample_from_means
+from cobranch.estimate import AlignmentMap
 from cobranch.nn import ModelParams
 from cobranch.transfer import build_positiveness_matrix
 
@@ -279,6 +281,56 @@ def positive_set_contrastive_loss(features: np.ndarray, positive_sets: list, tem
     return total / len(anchors), (G + G.T) @ F / temperature
 
 
+def per_term_contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: float):
+    """Weighted contrastive loss over one term's own softmax, as the package
+    computed it before its terms shared one kernel; returns (loss, grad,
+    n_excluded). Row-normalized weights, each anchor shifted by its own max."""
+    F = np.asarray(features, dtype=float)
+    n = F.shape[0]
+    W = np.array(weights, dtype=float)
+    np.fill_diagonal(W, 0.0)
+    row_mass = W.sum(axis=1)
+    included = row_mass > 0
+    n_inc = int(included.sum())
+    if n_inc == 0:
+        raise ValueError("every anchor has zero weight mass")
+    S = F @ F.T / temperature
+    np.fill_diagonal(S, -np.inf)
+    S -= S.max(axis=1, keepdims=True)
+    E = np.exp(S)
+    denom = E.sum(axis=1, keepdims=True)
+    neg_log_p = np.log(denom) - S
+    np.fill_diagonal(neg_log_p, 0.0)
+    W /= np.where(included, row_mass, 1.0)[:, None]
+    loss = float((W * neg_log_p).sum() / n_inc)
+    G = (E / denom - W) / n_inc
+    G[~included] = 0.0
+    return loss, (G + G.T) @ F / temperature, n - n_inc
+
+
+def per_term_contrastive_objective(features, other_view, labeled_classes, soft_weights, temperature, weights):
+    """The composite contrastive objective as three `per_term_contrastive_loss`
+    calls on gathered rows, scattered back: the unsupervised term on every
+    row, the supervised term on rows [0, L) and the soft term on rows [0, m).
+    Returns (l_unsup, l_sup, l_soft, grad, n_soft_excluded)."""
+    F = np.asarray(features, dtype=float)
+    n = F.shape[0]
+    one_hot = np.zeros((n, n))
+    one_hot[np.arange(n), other_view] = 1.0
+    l_unsup, grad, _ = per_term_contrastive_loss(F, one_hot, temperature)
+    l_sup = l_soft = 0.0
+    n_excluded = 0
+    c = np.asarray(labeled_classes)
+    if c.size >= 2 and weights.gamma1 > 0:
+        l_sup, g, _ = per_term_contrastive_loss(F[: c.size], (c[:, None] == c[None, :]).astype(float), temperature)
+        grad[: c.size] += weights.gamma1 * g
+    if soft_weights is not None and len(soft_weights) >= 2 and weights.gamma2 > 0:
+        m = len(soft_weights)
+        l_soft, g, n_excluded = per_term_contrastive_loss(F[:m], soft_weights, temperature)
+        grad[:m] += weights.gamma2 * g
+    return l_unsup, l_sup, l_soft, grad, n_excluded
+
+
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the probability simplex."""
     v = np.asarray(v, dtype=float)
@@ -431,3 +483,32 @@ def reference_load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray, np.nda
     if n == 0:
         raise EmbeddingFormatError(f"{path}: no data rows")
     return ids[:n], labels[:n], X[:n]
+
+
+def gen_synthetic(
+    num_classes: int,
+    d_in: int,
+    counts: np.ndarray,
+    class_separation: float,
+    noise_scale: float,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian-blob pool `(X, y)`: one mean per class, isotropic noise around it.
+
+    Deterministic in `seed`; the package builds its pools from
+    make_class_means/sample_from_means directly.
+    """
+    counts = np.asarray(counts, dtype=int)
+    if len(counts) != num_classes:
+        raise ValueError("counts length must equal num_classes")
+    if np.any(counts < 1):
+        raise ValueError("every class needs at least one sample")
+    means = make_class_means(num_classes, d_in, class_separation, seed)
+    return sample_from_means(means, counts, noise_scale, seed)
+
+
+def class_to_cluster(amap: AlignmentMap) -> np.ndarray:
+    """The inverse of an alignment: class id -> cluster id."""
+    inv = np.empty_like(amap.cluster_to_class)
+    inv[amap.cluster_to_class] = np.arange(amap.cluster_to_class.size)
+    return inv

@@ -14,7 +14,7 @@ import numpy as np
 
 from cobranch.cli import main, run_experiment
 from cobranch.config import effective_config
-from cobranch.data import ImbalanceProfile, gen_synthetic, make_longtail_counts, split_known_novel
+from cobranch.data import ImbalanceProfile, make_longtail_counts, split_known_novel
 from cobranch.estimate import AlignmentMap, aligned_distribution, estimate_round, hungarian
 from cobranch.evaluation import evaluate
 from cobranch.losses import (
@@ -26,11 +26,13 @@ from cobranch.losses import (
     kl_regularizer,
     softmax,
 )
+from cobranch.train import _other_view
 from cobranch.transfer import PseudoLabelBatch, debias, sample_pseudolabels, sampling_rates
 from conftest import ACCEPTANCE_LINES
 from oracles import (
     brute_force_assignment_batch,
     central_fd,
+    gen_synthetic,
     max_rel_err,
     optimal_soft_logits,
     pgd_anchor_minimizer,
@@ -168,20 +170,16 @@ def _check_eq7(rng):
     n_l, n_u, d = 1, 2, int(rng.integers(2, 9))
     n_b = n_l + n_u
     F = unit_rows(rng, 2 * n_b, d)
-    other = np.concatenate([np.arange(n_b) + n_b, np.arange(n_b)])
-    labeled_idx = np.concatenate([np.arange(n_l), n_b + np.arange(n_l)])
+    other = _other_view(n_l, n_u)  # nested order: labeled v1, v2, then the unlabeled v1s, v2s
     labeled_cls = np.zeros(2 * n_l, dtype=int)
-    soft_idx = np.arange(2 * n_b)
     W = rng.uniform(0.05, 1.0, size=(2 * n_b, 2 * n_b))
     w = LossWeights(gamma1=float(rng.uniform(0.2, 1.5)), gamma2=float(rng.uniform(0.2, 1.5)))
     tau = float(rng.uniform(0.4, 1.6))
 
     def f(flat):
-        return contrastive_objective(
-            flat.reshape(F.shape), other, labeled_idx, labeled_cls, soft_idx, W, tau, w
-        ).total
+        return contrastive_objective(flat.reshape(F.shape), other, labeled_cls, W, tau, w).total
 
-    res = contrastive_objective(F, other, labeled_idx, labeled_cls, soft_idx, W, tau, w)
+    res = contrastive_objective(F, other, labeled_cls, W, tau, w)
     return max_rel_err(res.grad.ravel(), central_fd(f, F.ravel()))
 
 

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cobranch
 from cobranch.cli import main, run_experiment
 from cobranch.config import ConfigError, effective_config, load_config
 
@@ -232,6 +236,37 @@ class TestTrainEval:
         agg = json.loads((tmp_path / "eval" / "aggregate.json").read_text())
         assert agg["metrics"]["acc_all"]["mean"] == report["report"]["acc_all"]
         assert agg["metrics"]["acc_all"]["std"] == 0.0
+
+    def test_checkpoint_compact_and_indented_both_load(self, tmp_path):
+        every = [*SMALL, "--set", "train.checkpoint_every=2"]
+        assert main(["train", "--seed", "7", "--out", str(tmp_path / "run"), *every]) == 0
+
+        def indented_copy(name):
+            text = (tmp_path / "run" / name).read_text()
+            blob = json.loads(text)
+            assert text == json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n"
+            path = tmp_path / f"indented_{name}"
+            path.write_text(json.dumps(blob, sort_keys=True, indent=2) + "\n")
+            return path
+
+        final, mid = indented_copy("checkpoint.json"), indented_copy("checkpoint_epoch0002.json")
+        for ckpt, out in ((tmp_path / "run" / "checkpoint.json", "a"), (final, "b")):
+            assert main(["eval", "--checkpoint", str(ckpt), "--seeds", "0", "--out", str(tmp_path / out)]) == 0
+        assert sha(tmp_path / "a" / "report_seed0.json") == sha(tmp_path / "b" / "report_seed0.json")
+        assert main(["train", "--seed", "7", "--out", str(tmp_path / "resumed"), *every, "--resume", str(mid)]) == 0
+        assert sha(tmp_path / "resumed" / "checkpoint.json") == sha(tmp_path / "run" / "checkpoint.json")
+
+    def test_numerical_abort_names_phase_epoch_batch(self, tmp_path):
+        # In a child process, so that pytest does not turn NumPy's overflow
+        # warning into an exception: the run sees what a user's run sees.
+        src = os.path.dirname(os.path.dirname(cobranch.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        argv = ["train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", "train.temperature=1e-300"]
+        out = subprocess.run([sys.executable, "-m", "cobranch.cli", *argv], env=env, capture_output=True,
+                             text=True, timeout=120)
+        assert out.returncode == 1
+        assert re.search(r"numerical abort: contrastive step, epoch \d+ batch \d+: ", out.stderr), out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         rc = main([

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cobranch.data import (
     EmbeddingFormatError,
     ImbalanceProfile,
-    gen_synthetic,
     load_embeddings,
     make_class_means,
     make_longtail_counts,
@@ -18,7 +17,7 @@ from cobranch.data import (
     split_independent_pools,
     split_known_novel,
 )
-from oracles import nearest_mean_accuracy, reference_load_embeddings
+from oracles import gen_synthetic, nearest_mean_accuracy, reference_load_embeddings
 
 
 def exp_profile(rho, n_max):

@@ -21,10 +21,12 @@ from cobranch.losses import (
     smooth_target,
     softmax,
 )
+from cobranch.train import _other_view
 from oracles import (
     central_fd,
     max_rel_err,
     optimal_soft_logits,
+    per_term_contrastive_objective,
     pgd_anchor_minimizer,
     positive_set_contrastive_loss,
 )
@@ -222,10 +224,10 @@ class TestScratch:
         rng = np.random.default_rng(24)
         scratch = Scratch()
         for n_l, n_u in ((3, 5), (24, 104), (24, 92)):  # the scratch grows, then is reused
-            F, other, lab_idx, lab_cls = build_views_batch(rng, n_l, n_u, 16)
-            soft_idx = np.arange(F.shape[0] - 2)
-            W = rng.uniform(0.0, 1.0, size=(soft_idx.size, soft_idx.size))
-            args = (F, other, lab_idx, lab_cls, soft_idx, W, 0.5, LossWeights())
+            F, other, lab_cls = build_views_batch(rng, n_l, n_u, 16)
+            m = F.shape[0] - 2
+            W = rng.uniform(0.0, 1.0, size=(m, m))
+            args = (F, other, lab_cls, W, 0.5, LossWeights())
             a, b = contrastive_objective(*args, scratch), contrastive_objective(*args)
             assert (a.l_unsup, a.l_sup, a.l_soft) == (b.l_unsup, b.l_sup, b.l_soft)
             assert np.array_equal(a.grad, b.grad)
@@ -258,17 +260,16 @@ class TestScratch:
             import resource
             import numpy as np
             from cobranch.losses import LossWeights, Scratch, contrastive_objective
+            from cobranch.train import _other_view
             rng = np.random.default_rng(0)
             F = rng.standard_normal((256, 16))
             F /= np.linalg.norm(F, axis=1, keepdims=True)
-            other = np.concatenate([np.arange(128) + 128, np.arange(128)])
-            lab_idx = np.concatenate([np.arange(24), 128 + np.arange(24)])
+            other = _other_view(24, 92, 12)  # 24 labeled, 92 more soft and 12 other samples
             lab_cls = np.tile(rng.integers(0, 6, size=24), 2)
-            soft_idx = np.concatenate([np.arange(116), 128 + np.arange(116)])
             P = rng.dirichlet(np.ones(10), size=232)
             W = P @ P.T
             scratch = Scratch()
-            args = (F, other, lab_idx, lab_cls, soft_idx, W, 1.0, LossWeights(), scratch)
+            args = (F, other, lab_cls, W, 1.0, LossWeights(), scratch)
             contrastive_objective(*args)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             contrastive_objective(*args)
@@ -502,73 +503,106 @@ class TestClassificationObjective:
 
 
 def build_views_batch(rng, n_l, n_u, d):
-    n_b = n_l + n_u
-    F = unit_rows(rng, 2 * n_b, d)
-    other = np.concatenate([np.arange(n_b) + n_b, np.arange(n_b)])
-    labeled_idx = np.concatenate([np.arange(n_l), n_b + np.arange(n_l)])
+    """Views in nested order, [labeled v1, labeled v2, unlabeled v1, unlabeled
+    v2]: the labeled views are the first 2 * n_l rows."""
+    F = unit_rows(rng, 2 * (n_l + n_u), d)
     classes = rng.integers(0, 2, size=n_l)
-    labeled_cls = np.concatenate([classes, classes])
-    return F, other, labeled_idx, labeled_cls
+    return F, _other_view(n_l, n_u), np.concatenate([classes, classes])
 
 
 class TestContrastiveObjective:
     def test_reduces_to_unsupervised_alone(self):
         rng = np.random.default_rng(12)
-        F, other, lab_idx, lab_cls = build_views_batch(rng, 2, 3, 4)
+        F, other, lab_cls = build_views_batch(rng, 2, 3, 4)
         w = LossWeights(gamma1=0.0, gamma2=0.0)
-        res = contrastive_objective(F, other, lab_idx, lab_cls, np.zeros(0, int), None, 1.0, w)
+        res = contrastive_objective(F, other, lab_cls, None, 1.0, w)
         sets = [[other[i]] for i in range(F.shape[0])]
         ref, ref_grad = positive_set_contrastive_loss(F, sets, 1.0)
         assert res.total == pytest.approx(ref, abs=1e-12)
         assert np.abs(res.grad - ref_grad).max() < 1e-12
 
     def test_warmup_independent_of_weights(self):
-        # warm-up passes an empty soft set: the same result as a full soft set at gamma2 = 0
+        # warm-up passes no soft weights: the same result as soft weights at gamma2 = 0
         rng = np.random.default_rng(13)
-        F, other, lab_idx, lab_cls = build_views_batch(rng, 2, 2, 3)
+        F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
         W = rng.uniform(0.1, 1.0, size=(4, 4))
-        a = contrastive_objective(F, other, lab_idx, lab_cls, np.zeros(0, int), None, 1.0, LossWeights())
-        b = contrastive_objective(F, other, lab_idx, lab_cls, np.arange(4), W, 1.0, LossWeights(gamma2=0.0))
+        a = contrastive_objective(F, other, lab_cls, None, 1.0, LossWeights())
+        b = contrastive_objective(F, other, lab_cls, W, 1.0, LossWeights(gamma2=0.0))
         assert a.total == b.total
         assert np.array_equal(a.grad, b.grad)
         assert a.l_soft == 0.0
-        assert a.n_soft_excluded == 0
+        assert a.n_soft_anchors == a.n_soft_excluded == 0
 
     def test_composite_equals_weighted_parts(self):
         rng = np.random.default_rng(14)
-        F, other, lab_idx, lab_cls = build_views_batch(rng, 2, 2, 4)
-        soft_idx = np.array([0, 1, 4, 5])
+        F, other, lab_cls = build_views_batch(rng, 2, 2, 4)
         W = rng.uniform(0.1, 1.0, size=(4, 4))
         w = LossWeights(gamma1=0.6, gamma2=1.4)
-        res = contrastive_objective(F, other, lab_idx, lab_cls, soft_idx, W, 0.8, w)
+        res = contrastive_objective(F, other, lab_cls, W, 0.8, w)
         assert res.total == pytest.approx(
             res.l_unsup + 0.6 * res.l_sup + 1.4 * res.l_soft, abs=1e-9
         )
+        assert res.n_soft_anchors == 4
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(15)
         for trial in range(3):
             n_l, n_u, d = 2, 2, 3
-            F, other, lab_idx, lab_cls = build_views_batch(rng, n_l, n_u, d)
-            soft_idx = np.array([0, 1, 2, 4, 5, 6])
+            F, other, lab_cls = build_views_batch(rng, n_l, n_u, d)
             W = rng.uniform(0.05, 1.0, size=(6, 6))
             w = LossWeights(gamma1=0.9, gamma2=1.2)
 
             def f(flat):
-                return contrastive_objective(
-                    flat.reshape(F.shape), other, lab_idx, lab_cls, soft_idx, W, 1.0, w
-                ).total
+                return contrastive_objective(flat.reshape(F.shape), other, lab_cls, W, 1.0, w).total
 
-            res = contrastive_objective(F, other, lab_idx, lab_cls, soft_idx, W, 1.0, w)
+            res = contrastive_objective(F, other, lab_cls, W, 1.0, w)
             assert max_rel_err(res.grad.ravel(), central_fd(f, F.ravel())) < 1e-4
 
-    def test_soft_without_weights_rejected(self):
+    def test_soft_weights_beyond_batch_rejected(self):
         rng = np.random.default_rng(16)
-        F, other, lab_idx, lab_cls = build_views_batch(rng, 2, 2, 3)
-        with pytest.raises(ValueError):
-            contrastive_objective(
-                F, other, lab_idx, lab_cls, np.array([0, 1]), None, 1.0, LossWeights()
-            )
+        F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
+        for W in (np.ones((9, 9)), np.ones((4, 3))):
+            with pytest.raises(ValueError, match="weights must be square over 2 to 8 rows"):
+                contrastive_objective(F, other, lab_cls, W, 1.0, LossWeights())
+
+    def test_self_paired_row_rejected(self):
+        rng = np.random.default_rng(17)
+        F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
+        other[3] = 3
+        with pytest.raises(ValueError, match="its own positive"):
+            contrastive_objective(F, other, lab_cls, None, 1.0, LossWeights())
+
+
+@st.composite
+def nested_batches(draw):
+    """A batch in nested order: L labeled and m soft rows of n, L <= m <= n,
+    soft weights with some zero-mass rows, gammas that may be 0."""
+    n_l, n_s, n_r = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    assume(n_l + n_s + n_r >= 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    F = unit_rows(rng, 2 * (n_l + n_s + n_r), draw(st.integers(2, 5)))
+    classes = rng.integers(0, 2, size=n_l)
+    m = 2 * (n_l + n_s)
+    W = rng.uniform(0.0, 1.0, size=(m, m)) * (rng.random((m, 1)) < 0.8)  # about 1 row in 5 has no mass
+    assume(m < 2 or np.any(W[~np.eye(m, dtype=bool)] > 0))
+    gammas = [draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for _ in range(2)]
+    tau = draw(st.one_of(st.just(1e-3), st.floats(0.2, 2.0)))
+    return F, _other_view(n_l, n_s, n_r), np.concatenate([classes, classes]), W, tau, LossWeights(
+        gamma1=gammas[0], gamma2=gammas[1])
+
+
+class TestSharedKernelProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(batch=nested_batches())
+    def test_objective_matches_per_term_oracle(self, batch):
+        F, other, lab_cls, W, tau, w = batch
+        res = contrastive_objective(F, other, lab_cls, W, tau, w)
+        l_unsup, l_sup, l_soft, grad, n_excluded = per_term_contrastive_objective(F, other, lab_cls, W, tau, w)
+        assert abs(res.l_unsup - l_unsup) < 1e-10
+        assert abs(res.l_sup - l_sup) < 1e-10
+        assert abs(res.l_soft - l_soft) < 1e-10
+        assert np.abs(res.grad - grad).max() < 1e-10
+        assert res.n_soft_excluded == n_excluded
 
 
 def test_loss_weights_validation():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cobranch import losses, nn, train as train_mod
-from cobranch.data import gen_synthetic, split_known_novel
+from cobranch.data import split_known_novel
 from cobranch.estimate import kmeans
 from cobranch.train import ModelConfig, TrainConfig, TrainingAborted, make_batches, make_views, run
-from oracles import params_to_vector, positive_set_contrastive_loss
+from oracles import gen_synthetic, params_to_vector, positive_set_contrastive_loss
 
 
 def toy_split(seed=0, C=5, counts=(30, 20, 12, 8, 5), num_known=3, d=6):
@@ -113,10 +113,27 @@ class TestRun:
         assert a.telemetry == b.telemetry
         assert not np.array_equal(params_to_vector(a.params), params_to_vector(c.params))
 
-    def test_telemetry_composites_match_parts(self):
+    def test_telemetry_composites_match_parts(self, monkeypatch):
         split = toy_split()
         weights = losses.LossWeights(eta1=0.7, eta2=1.2, gamma1=0.9, gamma2=1.1)
         cfg = toy_config(total_epochs=4, warmup=1, r=2, weights=weights)
+        seen = {"n_gated": 0, "soft_anchors": 0, "soft_anchors_excluded": 0}
+        real_cls, real_con = losses.classification_objective, losses.contrastive_objective
+
+        def cls_objective(*args, **kw):
+            res = real_cls(*args, **kw)
+            seen["n_gated"] += res.n_gated
+            return res
+
+        def con_objective(*args, **kw):
+            res = real_con(*args, **kw)
+            soft_weights = args[3]
+            seen["soft_anchors"] += 0 if soft_weights is None else len(soft_weights)
+            seen["soft_anchors_excluded"] += res.n_soft_excluded
+            return res
+
+        monkeypatch.setattr(train_mod.losses, "classification_objective", cls_objective)
+        monkeypatch.setattr(train_mod.losses, "contrastive_objective", con_objective)
         result = run(split, toy_model(), cfg)
         for rec in result.telemetry:
             assert rec["l_cls"] == pytest.approx(
@@ -125,6 +142,11 @@ class TestRun:
             assert rec["l_con"] == pytest.approx(
                 rec["l_cl_u"] + 0.9 * rec["l_cl_s"] + 1.1 * rec["l_cl_soft"], abs=1e-9
             )
+            assert 0 <= rec["soft_anchors_excluded"] <= rec["soft_anchors"]
+        # counts are sums over the epoch's batches: none offered in the warm-up epoch
+        assert result.telemetry[0]["soft_anchors"] == 0
+        assert all(rec["soft_anchors"] > 0 and rec["n_gated"] > 0 for rec in result.telemetry[1:])
+        assert {k: sum(rec[k] for rec in result.telemetry) for k in seen} == seen
 
     def test_soft_modes_diverge_after_warmup(self):
         split = toy_split()
@@ -183,8 +205,73 @@ class TestRun:
             return res
 
         monkeypatch.setattr(train_mod.losses, "classification_objective", poisoned)
-        with pytest.raises(TrainingAborted, match="batch 0"):
+        with pytest.raises(TrainingAborted, match="classification step, epoch 0 batch 0: non-finite loss"):
             run(split, toy_model(), toy_config())
+
+    def test_views_in_nested_order(self, monkeypatch):
+        # noise-free views, so that every view row is its sample's input row
+        split = toy_split()
+        n_lab = split.y_lab.size
+        seen = {"batches": [], "soft": [], "views": [], "objective": []}
+        real_batches, real_soft = train_mod.make_batches, train_mod._soft_probs
+        real_forward, real_objective = nn.contrastive_branch_forward, losses.contrastive_objective
+
+        def batches(*args):
+            out = real_batches(*args)
+            seen["batches"] += out
+            return out
+
+        def soft_probs(*args):
+            sel, P = real_soft(*args)
+            seen["soft"].append((len(seen["views"]), sel, P))  # before this batch's forward
+            return sel, P
+
+        def forward(params, x):
+            seen["views"].append(x.copy())
+            return real_forward(params, x)
+
+        def objective(U, other, lab_cls, W, *rest):
+            seen["objective"].append((other, lab_cls, W))
+            return real_objective(U, other, lab_cls, W, *rest)
+
+        monkeypatch.setattr(train_mod, "make_views", lambda X, rng, noise, dropout: (X.copy(), X.copy()))
+        monkeypatch.setattr(train_mod, "make_batches", batches)
+        monkeypatch.setattr(train_mod, "_soft_probs", soft_probs)
+        monkeypatch.setattr(train_mod.nn, "contrastive_branch_forward", forward)
+        monkeypatch.setattr(train_mod.losses, "contrastive_objective", objective)
+        run(split, toy_model(), toy_config(total_epochs=2, warmup=1, r=2))
+        soft_of = {b: (sel, P) for b, sel, P in seen["soft"]}
+        assert len(soft_of) == len(seen["batches"]) // 2  # the second epoch's batches
+        for b, ((lab, unl), views, (other, lab_cls, W)) in enumerate(
+                zip(seen["batches"], seen["views"], seen["objective"])):
+            sel, P = soft_of.get(b, (np.zeros(0, dtype=int), None))
+            n_l, n_s = lab.size, sel.size
+            rest = np.setdiff1d(np.arange(unl.size), sel)
+            samples = np.concatenate([lab, n_lab + unl[sel], n_lab + unl[rest]])
+            expect = np.concatenate([split.X[g] for g in np.split(samples, [n_l, n_l + n_s]) for _ in (0, 1)])
+            assert np.array_equal(views, expect)
+            assert np.array_equal(views[other], views) and np.all(other != np.arange(len(other)))
+            assert np.array_equal(lab_cls, np.concatenate([split.y_lab[lab]] * 2))
+            if P is None:
+                assert W is None
+            else:  # W's rows follow the views: P's labeled rows twice, then its selected rows twice
+                rows = np.concatenate([np.arange(n_l)] * 2 + [n_l + np.arange(n_s)] * 2)
+                expect_W = P[rows] @ P[rows].T * (1 - np.eye(rows.size))  # the "dot" metric
+                assert np.allclose(W, expect_W, rtol=0, atol=1e-12)
+
+    def test_objective_value_error_names_phase(self, monkeypatch):
+        real = losses.contrastive_objective
+        calls = []
+
+        def failing(*args, **kw):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("contrastive features must be unit norm")
+            return real(*args, **kw)
+
+        monkeypatch.setattr(train_mod.losses, "contrastive_objective", failing)
+        with pytest.raises(TrainingAborted, match="contrastive step, epoch 0 batch 2: contrastive features must"):
+            run(toy_split(), toy_model(), toy_config())
 
 
 class TestGradientIsolation:
