@@ -105,6 +105,10 @@ def build_synthetic_dataset(ds: dict, run_seed: int) -> tuple[DatasetSplit, Eval
         split = split_independent_pools(
             means, counts, _labeled_counts_ranked(ds), ds["num_known"], ds["noise_scale"], data_seed
         )
+    if split.y_lab.size == 0:
+        raise ConfigError(
+            f"dataset.labeled_ratio must be large enough to label a sample: {ds['labeled_ratio']!r} labels none"
+        )
 
     # balanced disjoint test set over the same means, in split-space labels
     test_counts = np.full(C, ds["test_per_class"], dtype=int)
@@ -145,6 +149,8 @@ def _check_width(path: str, X: np.ndarray, d_in: int) -> None:
 def _file_split(ds: dict, meta: dict) -> DatasetSplit:
     ids, labels, X = load_embeddings(ds["path"])
     _check_width(ds["path"], X, ds["d_in"])
+    if np.all(labels == UNLABELED_MARKER):
+        raise EmbeddingFormatError(f"{ds['path']}: no labeled rows: every label is {UNLABELED_MARKER}")
     try:
         return split_from_mask(
             X,

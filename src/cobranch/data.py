@@ -9,9 +9,13 @@ retained for evaluation but must never be read by training code.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import math
+import os
 import re
 import warnings
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +28,9 @@ PROFILE_KINDS = ("exponential", "pareto")
 # `label` is an integer class index, or -1 for a sample whose label is
 # withheld from training. Features are decimal floats.
 UNLABELED_MARKER = -1
+# A cache beside each embedding file: the parsed arrays and the sha256 of the
+# bytes they were parsed from.
+SIDECAR_SUFFIX = ".parsed.npz"
 
 
 class EmbeddingFormatError(ValueError):
@@ -282,6 +289,10 @@ def split_independent_pools(
     return _synthetic_split(X, y, rank_in_class < counts_l[y], num_known, remap)
 
 
+def _header(d: int) -> str:
+    return "id,label," + ",".join(f"f{i}" for i in range(d))
+
+
 def save_embeddings(ids: np.ndarray, labels: np.ndarray, X: np.ndarray, path: str) -> None:
     """Write the embedding CSV format; floats via repr for exact round-trip.
 
@@ -291,7 +302,7 @@ def save_embeddings(ids: np.ndarray, labels: np.ndarray, X: np.ndarray, path: st
         raise ValueError("refusing to write an empty pool")
     if X.ndim != 2 or len(ids) != len(X) or len(labels) != len(X):
         raise ValueError(f"ids {len(ids)}, labels {len(labels)} and X {X.shape} disagree")
-    lines = ["id,label," + ",".join(f"f{i}" for i in range(X.shape[1]))]
+    lines = [_header(X.shape[1])]
     for sid, label, row in zip(ids.tolist(), labels.tolist(), X):
         lines.append(f"{sid},{label}," + ",".join(map(repr, row.tolist())))
     with open(path, "w", encoding="utf-8") as fh:
@@ -313,16 +324,27 @@ def _parse_rows(rows: list[str], dtype: np.dtype) -> np.ndarray:
         return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def load_embeddings(path: str, num_classes: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read the embedding CSV format as `(ids, labels, X)` in file order,
-    label -1 meaning withheld from training. Blank lines are skipped.
+def _first_fault(ids: np.ndarray, labels: np.ndarray, X: np.ndarray, num_classes: int | None):
+    """The first row that fails an array check (`ids.size` when none does),
+    and a function of (that row, each row's file line) that says why. On one
+    row the first failing check is the one named."""
+    order = np.argsort(ids, kind="stable")
+    repeat = np.zeros(ids.size, dtype=bool)
+    repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    if num_classes is None:
+        bad_label, want = labels < UNLABELED_MARKER, ""
+    else:
+        bad_label, want = (labels < 0) | (labels >= num_classes), f": test rows need a class in [0, {num_classes})"
+    checks = (
+        (~np.isfinite(X).all(axis=1), lambda i, lineno: "non-finite feature value"),
+        (repeat, lambda i, lineno: f"sample id {ids[i]} already used on line {lineno[_first(ids == ids[i])]}"),
+        (bad_label, lambda i, lineno: f"label index {labels[i]} is invalid{want}"),
+    )
+    return min(((_first(mask), say) for mask, say in checks), key=lambda c: c[0])
 
-    With `num_classes` every row must carry a class in [0, num_classes) (a
-    test pool). The first bad row raises EmbeddingFormatError naming
-    `path:line`.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+
+def _parse(path: str, lines: list[str], num_classes: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`load_embeddings` on the file's lines, with no cache."""
     if not lines:
         raise EmbeddingFormatError(f"{path}: empty file")
     header = lines[0].split(",")
@@ -356,21 +378,75 @@ def load_embeddings(path: str, num_classes: int | None = None) -> tuple[np.ndarr
 
     # copies, so the parsed table is freed on return
     ids, labels, X = (np.ascontiguousarray(table[name]) for name in ("id", "label", "x"))
-    order = np.argsort(ids, kind="stable")
-    repeat = np.zeros(ids.size, dtype=bool)
-    repeat[order[1:]] = ids[order[1:]] == ids[order[:-1]]
-    if num_classes is None:
-        bad_label, want = labels < UNLABELED_MARKER, ""
-    else:
-        bad_label, want = (labels < 0) | (labels >= num_classes), f": test rows need a class in [0, {num_classes})"
-    checks = (  # on one row, the first failing check is the one reported
-        (~np.isfinite(X).all(axis=1), lambda i: "non-finite feature value"),
-        (repeat, lambda i: f"sample id {ids[i]} already used on line {lineno[_first(ids == ids[i])]}"),
-        (bad_label, lambda i: f"label index {labels[i]} is invalid{want}"),
-    )
-    row, message = min(((_first(mask), say) for mask, say in checks), key=lambda c: c[0])
+    row, message = _first_fault(ids, labels, X, num_classes)
     if row < end:
-        raise EmbeddingFormatError(f"{path}:{lineno[row]}: {message(row)}")
+        raise EmbeddingFormatError(f"{path}:{lineno[row]}: {message(row, lineno)}")
     if fault:
         raise EmbeddingFormatError(f"{path}:{lineno[end]}: {fault}")
+    return ids, labels, X
+
+
+def _read_sidecar(side: str, digest: str, raw: bytes, num_classes: int | None):
+    """The arrays cached in `side`, if they were parsed from bytes with this
+    digest and pass again every check the parser makes on `raw`'s header
+    width and on arrays; else None."""
+    try:
+        with open(side, "rb") as fh, np.load(fh, allow_pickle=False) as z:
+            if str(z["sha256"]) != digest:
+                return None
+            ids, labels, X = z["ids"], z["labels"], z["X"]
+    except (OSError, EOFError, KeyError, TypeError, ValueError, RuntimeError, zipfile.BadZipFile):
+        return None  # no file, a damaged one, or one that holds something else
+    if not (
+        X.ndim == 2 and len(X) and ids.shape == labels.shape == X.shape[:1]
+        and ids.dtype == labels.dtype == np.int64 and X.dtype == np.float64
+    ):
+        return None
+    head = _header(X.shape[1]).encode()
+    if raw[: len(head) + 1] not in (head + b"\n", head + b"\r"):
+        return None
+    if _first_fault(ids, labels, X, num_classes)[0] < len(X):
+        return None
+    return ids, labels, X
+
+
+def _write_sidecar(side: str, digest: str, ids: np.ndarray, labels: np.ndarray, X: np.ndarray) -> None:
+    """Write the cache under a unique temporary name, then move it into
+    place. A directory that refuses the write is left without one."""
+    tmp = f"{side}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            np.savez(fh, sha256=np.array(digest), ids=ids, labels=labels, X=X)
+        os.replace(tmp, side)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+
+
+def load_embeddings(path: str, num_classes: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read the embedding CSV format as `(ids, labels, X)` in file order,
+    label -1 meaning withheld from training. Blank lines are skipped.
+
+    With `num_classes` every row must carry a class in [0, num_classes) (a
+    test pool). The first bad row raises EmbeddingFormatError naming
+    `path:line`.
+
+    A clean parse is cached in `<path>.parsed.npz` with the sha256 of the
+    file's bytes. A later load of the same bytes takes the arrays from there
+    if they pass the array checks again; otherwise the file is parsed, so
+    every error comes from the parser.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    side = f"{path}{SIDECAR_SUFFIX}"
+    cached = _read_sidecar(side, digest, raw, num_classes)
+    if cached is not None:
+        return cached
+    text = raw.decode("utf-8")
+    del raw  # one copy of the file at a time, so a miss peaks no higher than a parse alone
+    lines = text.splitlines()
+    del text
+    ids, labels, X = _parse(path, lines, num_classes)
+    _write_sidecar(side, digest, ids, labels, X)
     return ids, labels, X

@@ -27,7 +27,6 @@ class KMeansResult:
     centers: np.ndarray
     inertia: float
     iterations: int
-    inertia_history: list
     restart: int = 0  # index of the winning initialization
 
 
@@ -115,24 +114,16 @@ def _cluster_means(X: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
 def _lloyd(X: np.ndarray, x_sq: np.ndarray, n_clusters: int, rng, max_iter: int, tol: float) -> KMeansResult:
     centers = _kmeanspp_init(X, x_sq, n_clusters, rng)
     assign, centers, inertia = _assign_with_repair(X, x_sq, centers, n_clusters)
-    history = [inertia]
     iterations = 0
     for iterations in range(1, max_iter + 1):
         new_centers = _cluster_means(X, assign, n_clusters)
         new_assign, new_centers, inertia = _assign_with_repair(X, x_sq, new_centers, n_clusters)
-        history.append(inertia)
         shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
         stable = bool(np.array_equal(new_assign, assign))
         assign, centers = new_assign, new_centers
         if stable or shift < tol:
             break
-    return KMeansResult(
-        assignments=assign,
-        centers=centers,
-        inertia=history[-1],
-        iterations=iterations,
-        inertia_history=history,
-    )
+    return KMeansResult(assignments=assign, centers=centers, inertia=inertia, iterations=iterations)
 
 
 def kmeans(

@@ -29,6 +29,7 @@ logger = logging.getLogger(__name__)
 _UNIT_NORM_TOL = 1e-3
 _SIMPLEX_TOL = 1e-4
 _SHARED_SHIFT_RANGE = 600.0  # exp(-600) ~ 2.6e-261, a normal double
+_EXP_FLOOR = -700.0  # exp(-700) ~ 9.9e-305: still normal, where np.exp is fast
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,12 @@ def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray 
     S = np.matmul(F_t, F.T, out=scratch.view("S", n))  # a GEMM: the operands are distinct buffers
     np.fill_diagonal(S, -np.inf)  # self is not a candidate
     S -= S.max(axis=1, keepdims=True)
-    E = np.exp(S, out=scratch.view("E", n))
+    # A row's range is at most 2 (1 + tol)^2 / T. Past the floor np.exp takes a
+    # slow path for results that are subnormal or 0; clamped, each such term,
+    # self included, stays below 1e-304 of its row's largest, which is 1.
+    row_range = 2 * (1 + _UNIT_NORM_TOL) ** 2 / temperature
+    clamp = row_range > -_EXP_FLOOR
+    E = _exp(S, scratch.view("E", n), clamp)
     ends = sorted({W.shape[0] for W, _, _ in normed} | {n})  # column bands [previous end, end)
     starts = [0] + ends[:-1]
     denom = np.cumsum(np.add.reduceat(E, starts, axis=1), axis=1)  # each row's sum over each prefix
@@ -130,7 +136,7 @@ def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray 
     # A prefix shares the full row's shift while exp(-(a row's range)) stays a
     # normal number, with e^100 to spare for gamma / n_inc. At smaller
     # temperatures its denominator could underflow, so it takes its own shift.
-    shared = 2 * (1 + _UNIT_NORM_TOL) ** 2 / temperature <= _SHARED_SHIFT_RANGE
+    shared = row_range <= _SHARED_SHIFT_RANGE
     softmax_of = []  # per block: its row shift and denominator, and its own exp when not shared
     for t, (W, _, _) in enumerate(normed):
         k = W.shape[0]
@@ -139,7 +145,7 @@ def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray 
             continue
         shift = S[:k, :k].max(axis=1)
         E_k = np.subtract(S[:k, :k], shift[:, None], out=scratch.view(f"E{t}", k))
-        np.exp(E_k, out=E_k)
+        _exp(E_k, E_k, clamp)
         softmax_of.append((shift, E_k.sum(axis=1), E_k))
     np.fill_diagonal(S, 0.0)  # the diagonal's weight is zero; avoid 0 * inf
 
@@ -172,6 +178,11 @@ def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray 
     grad = G @ F_t
     grad += G.T @ F_t  # BLAS reads G.T in place: cheaper than forming G + G.T
     return grad, parts
+
+
+def _exp(S: np.ndarray, out: np.ndarray, clamp: bool) -> np.ndarray:
+    """exp of the shifted logits `S` into `out`; with `clamp`, of max(S, _EXP_FLOOR)."""
+    return np.exp(np.maximum(S, _EXP_FLOOR, out=out) if clamp else S, out=out)
 
 
 def hard_indicator_weights(classes: np.ndarray) -> np.ndarray:

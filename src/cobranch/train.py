@@ -144,9 +144,11 @@ def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epo
 @contextlib.contextmanager
 def _named_abort(phase: str, epoch: int, batch_id: int):
     """A numerical failure inside one batch's step of a branch, re-raised as
-    a TrainingAborted that names the phase, the epoch and the batch."""
+    a TrainingAborted that names the phase, the epoch and the batch. An
+    overflow, an invalid operation or a division by zero is such a failure."""
     try:
-        yield
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
     except (ValueError, FloatingPointError) as exc:
         raise TrainingAborted(f"{phase} step, epoch {epoch} batch {batch_id}: {exc}") from exc
 

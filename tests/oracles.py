@@ -229,23 +229,26 @@ def reference_kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100, tol:
     k-means++ candidate, `X[assign == c].mean(0)` per cluster, and the same
     farthest-point repair of empty clusters. It draws the same random
     numbers as `estimate.kmeans`. Returns (assignments, centers, inertia,
-    iterations, restart) of the winning run (ties: earliest)."""
+    iterations, restart, inertias) of the winning run (ties: earliest);
+    `inertias` holds its inertia after the start and after each iteration."""
     X = np.asarray(X, dtype=float)
     best = None
     for trial in range(n_init):
         centers = _reference_kmeanspp(X, k, rng_for(seed, KMEANS, trial))
         assign, centers, inertia = _reference_assign(X, centers, k)
+        inertias = [inertia]
         iterations = 0
         for iterations in range(1, max_iter + 1):
             means = np.array([X[assign == c].mean(axis=0) for c in range(k)])
             new_assign, means, inertia = _reference_assign(X, means, k)
+            inertias.append(inertia)
             shift = float(np.linalg.norm(means - centers, axis=1).max())
             stable = np.array_equal(new_assign, assign)
             assign, centers = new_assign, means
             if stable or shift < tol:
                 break
         if best is None or inertia < best[2]:
-            best = (assign, centers, inertia, iterations, trial)
+            best = (assign, centers, inertia, iterations, trial, inertias)
     return best
 
 

@@ -135,6 +135,7 @@ class TestConfig:
         "train.batch_size=1",
         "train.warmup_epochs=5",
         "train.warmup_epochs=-1",
+        "dataset.labeled_ratio=0.01",
     ])
     def test_bad_value_exit_2(self, tmp_path, capsys, override):
         rc = main(["train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", override])
@@ -209,6 +210,7 @@ class TestGenData:
         (["test_per_class=0"], "dataset.test_per_class"),
         (["rho_u=0.5", "rho_l=0.5"], "dataset.rho_u"),
         (["rho_l=0.5"], "dataset.rho_l"),
+        (["labeled_ratio=0.01", "n_max=24", "rho_u=6", "rho_l=6"], "dataset.labeled_ratio"),
     ])
     def test_generator_config_error_exit_2(self, tmp_path, capsys, overrides, key):
         sets = [arg for kv in overrides for arg in ("--set", f"dataset.{kv}")]
@@ -256,17 +258,30 @@ class TestTrainEval:
         assert main(["train", "--seed", "7", "--out", str(tmp_path / "resumed"), *every, "--resume", str(mid)]) == 0
         assert sha(tmp_path / "resumed" / "checkpoint.json") == sha(tmp_path / "run" / "checkpoint.json")
 
-    def test_numerical_abort_names_phase_epoch_batch(self, tmp_path):
+    def train_in_child(self, tmp_path, override):
         # In a child process, so that pytest does not turn NumPy's overflow
         # warning into an exception: the run sees what a user's run sees.
         src = os.path.dirname(os.path.dirname(cobranch.__file__))
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        argv = ["train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", "train.temperature=1e-300"]
-        out = subprocess.run([sys.executable, "-m", "cobranch.cli", *argv], env=env, capture_output=True,
-                             text=True, timeout=120)
+        argv = ["train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", override]
+        return subprocess.run([sys.executable, "-m", "cobranch.cli", *argv], env=env, capture_output=True,
+                              text=True, timeout=120)
+
+    def test_numerical_abort_names_phase_epoch_batch(self, tmp_path):
+        out = self.train_in_child(tmp_path, "train.temperature=1e-300")
         assert out.returncode == 1
-        assert re.search(r"numerical abort: contrastive step, epoch \d+ batch \d+: ", out.stderr), out.stderr
+        # the first fault: batch 0's contrastive step leaves weights near 1e300,
+        # and batch 1's classification step overflows on them
+        assert re.search(r"numerical abort: classification step, epoch 0 batch 1: overflow", out.stderr), out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_overflow_names_phase_epoch_batch(self, tmp_path):
+        # the run aborts on the overflow itself, not after NumPy's warning
+        out = self.train_in_child(tmp_path, "model.scale=1e300")
+        assert out.returncode == 1
+        assert re.search(r"numerical abort: classification step, epoch 0 batch \d+: overflow", out.stderr), out.stderr
+        assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+        assert not (tmp_path / "checkpoint.json").exists()
 
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         rc = main([
@@ -311,6 +326,14 @@ class TestTrainEval:
 
         assert self.train_on_edited_csv(tmp_path, edit) == 2
         assert "train.csv:4: non-finite" in capsys.readouterr().err
+
+    def test_no_labeled_row_exit_2(self, tmp_path, capsys):
+        def withhold_every_label(lines):
+            lines[1:] = [",".join([sid, "-1", *rest]) for sid, _, *rest in (l.split(",") for l in lines[1:])]
+
+        assert self.train_on_edited_csv(tmp_path, withhold_every_label) == 2
+        assert "train.csv: no labeled rows" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "telemetry.jsonl").exists()
 
     def test_repeated_sample_id_exit_2(self, tmp_path, capsys):
         def edit(lines):

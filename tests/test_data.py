@@ -1,3 +1,5 @@
+import hashlib
+import os
 import re
 import warnings
 
@@ -6,7 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from cobranch import data
 from cobranch.data import (
+    SIDECAR_SUFFIX,
     EmbeddingFormatError,
     ImbalanceProfile,
     load_embeddings,
@@ -409,6 +413,151 @@ class TestLoaderAgainstOracle:
         path.write_text("id,label,f0,f1\n0,-1,1,2\n")
         with pytest.raises(EmbeddingFormatError, match=r"test.csv:2: label index -1"):
             load_embeddings(str(path), num_classes=5)
+
+
+class TestSidecar:
+    # CRLF, a blank line, a withheld label and values a lossy cache would alter
+    TEXT = "id,label,f0,f1\r\n7,-1,5e-324,-0.0\r\n\r\n-8,2,1e308,0.1\r\n2,0,-2.5,2.2250738585072009e-308\r\n"
+
+    def pool(self, tmp_path, text=TEXT):
+        path = str(tmp_path / "pool.csv")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        return path
+
+    def assert_same(self, got, want):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got[2].flags.c_contiguous and got[2].flags.writeable
+
+    def test_hit_equals_oracle(self, tmp_path, monkeypatch):
+        path = self.pool(tmp_path)
+        load_embeddings(path)
+        assert os.path.isfile(path + SIDECAR_SUFFIX)
+
+        def no_parse(*args):
+            raise AssertionError("parsed on a hit")
+
+        monkeypatch.setattr(data, "_parse", no_parse)
+        self.assert_same(load_embeddings(path), reference_load_embeddings(path))
+
+    def test_edited_file_is_parsed_again(self, tmp_path):
+        path = self.pool(tmp_path)
+        load_embeddings(path)
+        with open(path, "r+b") as fh:  # one byte: -8 becomes -9
+            fh.seek(self.TEXT.index("-8") + 1)
+            fh.write(b"9")
+        self.assert_same(load_embeddings(path), reference_load_embeddings(path))
+        assert load_embeddings(path)[0].tolist() == [7, -9, 2]
+
+        with open(path, "r+b") as fh:  # one byte: 2.5 becomes 2x5
+            fh.seek(self.TEXT.index("2.5") + 1)
+            fh.write(b"x")
+        with open(path + SIDECAR_SUFFIX, "rb") as fh:
+            cached = fh.read()
+        assert loader_error(load_embeddings, path) == loader_error(reference_load_embeddings, path) == f"{path}:5"
+        assert sorted(os.listdir(tmp_path)) == ["pool.csv", "pool.csv" + SIDECAR_SUFFIX]
+        with open(path + SIDECAR_SUFFIX, "rb") as fh:
+            assert fh.read() == cached
+
+    def test_bad_file_writes_no_sidecar(self, tmp_path):
+        path = self.pool(tmp_path, self.TEXT.replace("-2.5", "-2x5"))
+        assert loader_error(load_embeddings, path) == f"{path}:5"
+        assert os.listdir(tmp_path) == ["pool.csv"]
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "half", "garbage", "npy", "no-X", "float-ids",
+                                        "wider", "repeated-id", "nan"])
+    def test_damaged_sidecar_is_parsed_past_and_rewritten(self, tmp_path, damage):
+        path = self.pool(tmp_path)
+        side = path + SIDECAR_SUFFIX
+        load_embeddings(path)
+        with np.load(side) as z:
+            arrays = {k: z[k] for k in z.files}
+        with open(side, "rb") as fh:
+            good = fh.read()
+        if damage in ("empty", "truncated", "half", "garbage"):
+            cut = {"empty": b"", "truncated": good[:-7], "half": good[: len(good) // 2],
+                   "garbage": np.random.default_rng(0).bytes(len(good))}[damage]
+            with open(side, "wb") as fh:
+                fh.write(cut)
+        elif damage == "npy":
+            with open(side, "wb") as fh:
+                np.save(fh, arrays["X"])
+        else:
+            if damage == "no-X":
+                del arrays["X"]
+            elif damage == "float-ids":
+                arrays["ids"] = arrays["ids"].astype(float)
+            elif damage == "wider":
+                arrays["X"] = np.hstack([arrays["X"], arrays["X"]])
+            elif damage == "repeated-id":
+                arrays["ids"][1] = arrays["ids"][0]
+            else:
+                arrays["X"][2, 1] = np.nan
+            with open(side, "wb") as fh:
+                np.savez(fh, **arrays)
+        self.assert_same(load_embeddings(path), reference_load_embeddings(path))
+        with open(side, "rb") as fh:
+            assert fh.read() == good
+
+    def test_every_truncation_and_byte_flip_is_a_miss_or_the_same_arrays(self, tmp_path):
+        path = self.pool(tmp_path)
+        load_embeddings(path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        with open(path + SIDECAR_SUFFIX, "rb") as fh:
+            good = fh.read()
+        digest, want = hashlib.sha256(raw).hexdigest(), reference_load_embeddings(path)
+        flips = [good[:i] + bytes([good[i] ^ 0xFF]) + good[i + 1 :] for i in range(len(good))]
+        for n, damaged in enumerate([good[:i] for i in range(len(good))] + flips):
+            side = str(tmp_path / f"damaged{n}.npz")
+            with open(side, "wb") as fh:
+                fh.write(damaged)
+            got = data._read_sidecar(side, digest, raw, None)
+            if got is not None:  # the flip hit bytes that no reader checks
+                self.assert_same(got, want)
+
+    def test_hit_checks_num_classes(self, tmp_path):
+        text = self.TEXT.replace("7,-1,", "7,1,")
+        path = self.pool(tmp_path, text)
+        load_embeddings(path, num_classes=3)  # cached with labels 1, 2 and 0
+        for num_classes, line, label in [(2, 4, 2), (1, 2, 1)]:
+            with pytest.raises(EmbeddingFormatError) as info:
+                load_embeddings(path, num_classes=num_classes)
+            assert str(info.value).startswith(f"{path}:{line}: label index {label} is invalid: test rows need")
+            with pytest.raises(EmbeddingFormatError) as fresh:
+                data._parse(path, text.splitlines(), num_classes)
+            assert str(info.value) == str(fresh.value)
+        self.assert_same(load_embeddings(path, num_classes=3), load_embeddings(path))
+
+    @pytest.mark.parametrize("step", ["open", "write", "replace"])
+    def test_unwritable_directory_loads_and_leaves_no_temp_file(self, tmp_path, monkeypatch, step):
+        # A read-only directory refuses the temporary file (refused here by
+        # hand: a test run as root ignores directory permissions); a full disk
+        # fails the write; another user's file can block the rename.
+        path = self.pool(tmp_path)
+        real_open, real_savez = open, np.savez
+
+        def refuse(*args, **kwargs):
+            raise PermissionError("refused")
+
+        if step == "open":
+            monkeypatch.setattr(data, "open", lambda f, mode="r", *a, **k: (
+                refuse() if "x" in mode else real_open(f, mode, *a, **k)), raising=False)
+        elif step == "write":
+            def savez(fh, **arrays):
+                real_savez(fh, **arrays)
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(data.np, "savez", savez)
+        else:
+            monkeypatch.setattr(data.os, "replace", refuse)
+        self.assert_same(load_embeddings(path), reference_load_embeddings(path))
+        assert os.listdir(tmp_path) == ["pool.csv"]
+        monkeypatch.undo()
+        load_embeddings(path)
+        assert sorted(os.listdir(tmp_path)) == ["pool.csv", "pool.csv" + SIDECAR_SUFFIX]
 
 
 def test_split_validate_catches_count_mismatch():

@@ -604,6 +604,16 @@ class TestSharedKernelProperties:
         assert np.abs(res.grad - grad).max() < 1e-10
         assert res.n_soft_excluded == n_excluded
 
+    @pytest.mark.parametrize("tau", [1e-3, 2e-3])
+    def test_small_temperature_exp_never_underflows(self, tau):
+        # Below T ~ 0.00286 a row spans more than 700, and np.exp takes a slow
+        # path on arguments past -708; the kernel clamps them first.
+        rng = np.random.default_rng(18)
+        F, other, lab_cls = build_views_batch(rng, 3, 5, 8)
+        W = rng.uniform(0.0, 1.0, size=(10, 10))
+        with np.errstate(under="raise"):
+            contrastive_objective(F, other, lab_cls, W, tau, LossWeights())
+
 
 def test_loss_weights_validation():
     with pytest.raises(ValueError):
