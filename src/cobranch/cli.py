@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn, train as train_mod
 from ._rng import TEST
-from .config import ConfigError, load_config, to_train_objects
+from .config import ConfigError, load_config, read_json, to_train_objects
 from .data import (
     UNLABELED_MARKER,
     DatasetSplit,
@@ -121,8 +121,7 @@ def _load_meta(ds: dict) -> dict:
     """`meta.json`, checked against the config: the class counts and width
     the files were made with, and one non-negative training count per class."""
     path = ds["meta_path"]
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = read_json(path)
     for key in ("num_classes", "num_known", "d_in", "true_counts"):
         if key not in meta:
             raise ConfigError(f"{path}: missing key {key!r}")
@@ -248,8 +247,7 @@ def write_checkpoint(path: str, result: train_mod.TrainResult, cfg: dict, train_
 
 
 def load_checkpoint(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
+    blob = read_json(path)
     if blob.get("format") != "cobranch-checkpoint-v1":
         raise ConfigError(f"{path}: not a checkpoint file")
     if blob["config_hash"] != nn.config_hash(blob["config"]):
@@ -581,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "seed", None) is not None:
             parse_seeds(str(args.seed), "--seed")  # argparse made it an int; this rejects a negative one
         return COMMANDS[args.command](args)
-    except (ConfigError, EmbeddingFormatError, FileNotFoundError, json.JSONDecodeError, OSError) as exc:
+    except (ConfigError, EmbeddingFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingAborted, EstimationError, nn.NonFiniteGradientError, ValueError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from dataclasses import fields
 
 from . import losses, nn, transfer
 from .train import ModelConfig, TrainConfig
@@ -139,7 +140,7 @@ def _validate(cfg: dict) -> None:
         raise ConfigError("dataset.labeled_ratio must be in (0, 1]")
     if not 1 <= ds["num_known"] <= ds["num_classes"]:
         raise ConfigError("dataset.num_known must be in [1, num_classes]")
-    if ds["kind"] == "synthetic":  # what the generator would reject later
+    if ds["kind"] == "synthetic":  # the generator's domain: it assumes these hold
         lows = (("num_classes", 2), ("d_in", 2), ("test_per_class", 1), ("rho_u", 1), ("rho_l", 1))
         for key, low in lows:
             if ds[key] < low:
@@ -187,19 +188,29 @@ def _validate(cfg: dict) -> None:
         raise ConfigError(f"train.metric must be one of {transfer.SIMILARITY_METRICS}")
 
 
+def read_json(path: str) -> dict:
+    """The JSON object in `path`; ConfigError naming the path if the file is
+    not UTF-8, not JSON or not an object."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     """Read a JSON config file and apply dotted-path overrides.
 
     Overrides look like `train.base_lr=0.05`; values are parsed as JSON with
     a fallback to bare strings.
     """
-    raw: dict = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    raw = read_json(path) if path is not None else {}
     for item in overrides or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not KEY=VALUE")
@@ -218,42 +229,21 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     return effective_config(raw)
 
 
+def _from_block(cls, block: dict, **given):
+    """`cls` built from `given` and, for each other field, the key of `block`
+    with the field's name: a field with no key raises KeyError."""
+    return cls(**given, **{f.name: block[f.name] for f in fields(cls) if f.name not in given})
+
+
 def to_train_objects(cfg: dict, seed: int) -> tuple[ModelConfig, TrainConfig]:
-    m = cfg["model"]
+    """The training objects of a validated config; `train.checkpoint_every` is the CLI's."""
     t = cfg["train"]
-    model_cfg = ModelConfig(
-        d_hidden=m["d_hidden"],
-        d_feat=m["d_feat"],
-        d_proj_hidden=m["d_proj_hidden"],
-        d_proj=m["d_proj"],
-        scale=m["scale"],
+    train_cfg = _from_block(
+        TrainConfig,
+        t,
+        schedule=_from_block(nn.TrainSchedule, t),
+        weights=_from_block(losses.LossWeights, t),
+        sampling=_from_block(transfer.SamplingConfig, t),
+        seed=seed,
     )
-    try:
-        schedule = nn.TrainSchedule(
-            base_lr=t["base_lr"],
-            total_epochs=t["total_epochs"],
-            batch_size=t["batch_size"],
-            warmup_epochs=t["warmup_epochs"],
-        )
-        train_cfg = TrainConfig(
-            schedule=schedule,
-            weights=losses.LossWeights(t["eta1"], t["eta2"], t["gamma1"], t["gamma2"]),
-            sampling=transfer.SamplingConfig(alpha=t["alpha"], beta=t["beta"], k=t["k"]),
-            seed=seed,
-            temperature=t["temperature"],
-            smoothing_p=t["smoothing_p"],
-            reestimate_interval=t["reestimate_interval"],
-            metric=t["metric"],
-            conf_gate=t["conf_gate"],
-            momentum=t["momentum"],
-            soft_mode=t["soft_mode"],
-            view_noise=t["view_noise"],
-            view_dropout=t["view_dropout"],
-            kmeans_max_iter=t["kmeans_max_iter"],
-            kmeans_tol=t["kmeans_tol"],
-            kmeans_n_init=t["kmeans_n_init"],
-            aux_encoder_weight=t["aux_encoder_weight"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return model_cfg, train_cfg
+    return ModelConfig(**cfg["model"]), train_cfg

@@ -42,10 +42,6 @@ class LossWeights:
     gamma1: float = 1.0
     gamma2: float = 1.0
 
-    def __post_init__(self):
-        if min(self.eta1, self.eta2, self.gamma1, self.gamma2) < 0:
-            raise ValueError("loss weights must be nonnegative")
-
 
 class Scratch(dict):
     """Flat float buffers by slot, grown on demand: one run's contrastive calls

@@ -75,21 +75,12 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainSchedule:
-    """Learning-rate / epoch bookkeeping for one training run.
-
-    warmup_epochs == total_epochs is allowed: the run never leaves warm-up.
-    """
+    """Learning-rate / epoch bookkeeping for one training run."""
 
     base_lr: float
     total_epochs: int
     batch_size: int
     warmup_epochs: int
-
-    def __post_init__(self):
-        if not 0 <= self.warmup_epochs <= self.total_epochs:
-            raise ValueError("need 0 <= warmup_epochs <= total_epochs")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2")
 
 
 def init_params(
@@ -122,24 +113,21 @@ def init_params(
     )
 
 
-def _as_batch(x: np.ndarray, dim: int, what: str) -> tuple[np.ndarray, bool]:
+def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """`x` as a float array of rows of width `dim`."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"{what}: expected dimension {dim}, got shape {x.shape}")
-    return x, single
+        raise ValueError(f"{what}: expected rows of dimension {dim}, got shape {x.shape}")
+    return x
 
 
 # --- encoder ---------------------------------------------------------------
 
 def encode_forward(params: ModelParams, x: np.ndarray):
-    X, single = _as_batch(x, params.d_in, "encode")
+    X = _as_batch(x, params.d_in, "encode")
     H = np.tanh(X @ params.enc_w1 + params.enc_b1)
     Z = H @ params.enc_w2 + params.enc_b2
-    cache = (X, H)
-    return (Z[0] if single else Z), cache
+    return Z, (X, H)
 
 
 def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
@@ -149,7 +137,6 @@ def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
 def encode_backward(params: ModelParams, cache, dZ: np.ndarray):
     """Returns (param grads dict, gradient w.r.t. the input)."""
     X, H = cache
-    dZ = np.atleast_2d(dZ)
     grads = {
         "enc_w2": H.T @ dZ,
         "enc_b2": dZ.sum(axis=0),
@@ -165,7 +152,7 @@ def encode_backward(params: ModelParams, cache, dZ: np.ndarray):
 # --- projector ---------------------------------------------------------------
 
 def project_forward(params: ModelParams, z: np.ndarray):
-    Z, single = _as_batch(z, params.d_feat, "project")
+    Z = _as_batch(z, params.d_feat, "project")
     G = np.tanh(Z @ params.proj_w1 + params.proj_b1)
     Q = G @ params.proj_w2 + params.proj_b2
     norms = np.linalg.norm(Q, axis=1)
@@ -176,8 +163,7 @@ def project_forward(params: ModelParams, z: np.ndarray):
     if fallback.any():
         U[fallback] = 0.0
         U[fallback, 0] = 1.0
-    cache = (Z, G, Q, norms, fallback)
-    return (U[0] if single else U), cache
+    return U, (Z, G, Q, norms, fallback)
 
 
 def project(params: ModelParams, z: np.ndarray) -> np.ndarray:
@@ -188,7 +174,6 @@ def project(params: ModelParams, z: np.ndarray) -> np.ndarray:
 
 def project_backward(params: ModelParams, cache, dU: np.ndarray):
     Z, G, Q, norms, fallback = cache
-    dU = np.atleast_2d(dU)
     dQ = np.zeros_like(Q)
     ok = ~fallback
     if ok.any():
@@ -211,7 +196,7 @@ def project_backward(params: ModelParams, cache, dU: np.ndarray):
 # --- cosine classifier -------------------------------------------------------
 
 def classify_forward(params: ModelParams, z: np.ndarray):
-    Z, single = _as_batch(z, params.d_feat, "classify")
+    Z = _as_batch(z, params.d_feat, "classify")
     z_norms = np.linalg.norm(Z, axis=1)
     if np.any(z_norms <= _ZERO_NORM_EPS):
         raise ValueError("classify: zero feature vector has no direction")
@@ -221,8 +206,7 @@ def classify_forward(params: ModelParams, z: np.ndarray):
     Zh = Z / z_norms[:, None]
     Wh = params.cls_w / w_norms[:, None]
     L = params.scale * (Zh @ Wh.T)
-    cache = (Z, z_norms, Zh, Wh, w_norms)
-    return (L[0] if single else L), cache
+    return L, (Z, z_norms, Zh, Wh, w_norms)
 
 
 def classify(params: ModelParams, z: np.ndarray) -> np.ndarray:
@@ -232,7 +216,6 @@ def classify(params: ModelParams, z: np.ndarray) -> np.ndarray:
 
 def classify_backward(params: ModelParams, cache, dL: np.ndarray):
     Z, z_norms, Zh, Wh, w_norms = cache
-    dL = np.atleast_2d(dL)
     s = params.scale
     dZh = s * (dL @ Wh)
     inner = (dZh * Zh).sum(axis=1, keepdims=True)
@@ -247,7 +230,7 @@ def classify_backward(params: ModelParams, cache, dL: np.ndarray):
 
 def classifier_branch_forward(params: ModelParams, x: np.ndarray):
     """Encoder + cosine classifier: logits plus a joint cache."""
-    Z, enc_cache = encode_forward(params, np.atleast_2d(np.asarray(x, float)))
+    Z, enc_cache = encode_forward(params, x)
     L, cls_cache = classify_forward(params, Z)
     return L, (enc_cache, cls_cache)
 
@@ -261,7 +244,7 @@ def classifier_branch_backward(params: ModelParams, cache, dL: np.ndarray) -> di
 
 def contrastive_branch_forward(params: ModelParams, x: np.ndarray):
     """Encoder + projector: unit features plus a joint cache."""
-    Z, enc_cache = encode_forward(params, np.atleast_2d(np.asarray(x, float)))
+    Z, enc_cache = encode_forward(params, x)
     U, proj_cache = project_forward(params, Z)
     return U, (enc_cache, proj_cache)
 

@@ -25,9 +25,6 @@ from ._rng import BATCH, VIEWS, rng_for
 from .data import DatasetSplit
 from .estimate import AlignmentMap, EstimationError, estimate_round, floor_distribution
 
-SOFT_MODES = ("soft", "hard", "off")
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     d_hidden: int = 32
@@ -61,20 +58,6 @@ class TrainConfig:
     # evaluated representation is owned by the contrastive branch.
     aux_encoder_weight: float = 1.0
 
-    def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if not 0 <= self.smoothing_p <= 1:
-            raise ValueError("smoothing_p must lie in [0, 1]")
-        if self.reestimate_interval < 1:
-            raise ValueError("reestimate_interval must be >= 1")
-        if self.metric not in transfer.SIMILARITY_METRICS:
-            raise ValueError(f"unknown metric {self.metric!r}")
-        if self.soft_mode not in SOFT_MODES:
-            raise ValueError(f"soft_mode must be one of {SOFT_MODES}")
-        if not 0 <= self.aux_encoder_weight <= 1:
-            raise ValueError("aux_encoder_weight must lie in [0, 1]")
-
 
 @dataclass
 class TrainResult:
@@ -100,8 +83,6 @@ def make_batches(split: DatasetSplit, batch_size: int, seed: int, epoch: int):
     Yields (labeled_indices, unlabeled_indices) pairs; the final short batch
     is kept. Labeled/unlabeled mixing follows pool proportions in expectation.
     """
-    if batch_size < 2:
-        raise ValueError("batch_size must be >= 2")
     n_l, n = split.y_lab.size, len(split.X)
     rng = rng_for(seed, BATCH, epoch)
     order = rng.permutation(n)

@@ -27,12 +27,6 @@ class SamplingConfig:
     beta: float = 0.5
     k: float = 0.5
 
-    def __post_init__(self):
-        if not 0 <= self.alpha <= 1 or not 0 <= self.beta <= 1:
-            raise ValueError("alpha and beta must lie in [0, 1]")
-        if self.k < 0:
-            raise ValueError("debias strength k must be nonnegative")
-
 
 @dataclass
 class PseudoLabelBatch:
@@ -85,8 +79,6 @@ def sampling_rates(
     The alpha branch applies to known classes present in the current batch's
     labeled samples; everything else (including all novel classes) uses beta.
     """
-    if not 0 <= alpha <= 1 or not 0 <= beta <= 1:
-        raise ValueError("alpha and beta must lie in [0, 1]")
     pi = np.asarray(pi_e, dtype=float)
     if np.any(pi <= 0):
         raise ValueError("estimated distribution must be strictly positive")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import cobranch
 from cobranch.cli import main, run_experiment
-from cobranch.config import ConfigError, effective_config, load_config
+from cobranch.config import DEFAULTS, ConfigError, effective_config, load_config, to_train_objects
 
 SMALL = [
     "--set", "dataset.num_classes=5",
@@ -142,6 +143,44 @@ class TestConfig:
         assert rc == 2
         assert f"error: {override.partition('=')[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "telemetry.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("train.metric", "hamming"),
+        ("train.soft_mode", "fuzzy"),
+        ("dataset.profile", "zipf"),
+        ("dataset.labeled_ratio", 0),
+        ("dataset.labeled_ratio", 1.5),
+    ])
+    def test_value_outside_its_domain_names_the_key(self, key, value):
+        block, _, leaf = key.partition(".")
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            effective_config({block: {leaf: value}})
+
+    def test_every_train_and_model_key_reaches_training(self):
+        # a valid value for every key, none of them its default
+        values = {
+            "model": {"d_hidden": 7, "d_feat": 5, "d_proj_hidden": 9, "d_proj": 6, "scale": 4.0},
+            "train": {
+                "base_lr": 0.03, "total_epochs": 9, "batch_size": 17, "warmup_epochs": 3, "eta1": 0.1,
+                "eta2": 0.2, "gamma1": 0.3, "gamma2": 0.4, "alpha": 0.6, "beta": 0.7, "k": 0.9,
+                "temperature": 0.25, "smoothing_p": 0.75, "reestimate_interval": 4, "metric": "l1",
+                "conf_gate": 0.35, "momentum": 0.45, "soft_mode": "hard", "view_noise": 0.15,
+                "view_dropout": 0.05, "checkpoint_every": 2, "kmeans_max_iter": 33, "kmeans_tol": 1e-3,
+                "kmeans_n_init": 4, "aux_encoder_weight": 0.55,
+            },
+        }
+        for block, kv in values.items():
+            assert kv.keys() == DEFAULTS[block].keys()
+            assert all(value != DEFAULTS[block][key] for key, value in kv.items())
+        model_cfg, train_cfg = to_train_objects(effective_config(values), seed=3)
+        assert dataclasses.asdict(model_cfg) == values["model"]
+        delivered = {
+            **vars(train_cfg), **vars(train_cfg.schedule), **vars(train_cfg.weights), **vars(train_cfg.sampling)
+        }
+        for key, value in values["train"].items():
+            if key != "checkpoint_every":  # the CLI's, not training's
+                assert delivered[key] == value, key
+        assert train_cfg.seed == 3
 
 
 @pytest.mark.parametrize("argv, option", [
@@ -426,6 +465,37 @@ class TestTrainEval:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"dataset.{key}={value} disagrees" in err and "meta.json" in err
+
+    @pytest.mark.parametrize("name", ["train.csv", "meta.json", "config.json", "checkpoint.json"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, name):
+        assert self.train_on_files(tmp_path) == 0
+        path = {"config.json": tmp_path, "checkpoint.json": tmp_path / "run"}.get(name, tmp_path / "data") / name
+        if name == "config.json":
+            path.write_text('{"train": {"base_lr": 0.05}}\n')
+        raw = path.read_bytes()
+        if name == "train.csv":  # the byte on line 3
+            lines = raw.split(b"\n")
+            lines[2] += b"\xff"
+            raw, path_line = b"\n".join(lines), f"{path}:3"
+        else:
+            raw, path_line = raw.replace(b"{", b"{\xff", 1), str(path)
+        path.write_bytes(raw)
+        if name == "checkpoint.json":
+            rc = self.eval_run(tmp_path)
+        else:
+            extra = ["--config", str(path)] if name == "config.json" else []
+            rc = self.train_on_files(tmp_path, out="again", extra=extra)
+        assert rc == 2
+        assert f"error: {path_line}: not UTF-8 (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["meta.json", "checkpoint.json"])
+    @pytest.mark.parametrize("text, message", [("{nope", "invalid JSON ("), ("[1]", "expected a JSON object")])
+    def test_invalid_json_file_exit_2(self, tmp_path, capsys, name, text, message):
+        assert self.train_on_files(tmp_path) == 0
+        path = tmp_path / ("run" if name == "checkpoint.json" else "data") / name
+        path.write_text(text)
+        assert self.eval_run(tmp_path) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
     def test_aggregate_is_mean_of_seeds(self, tmp_path):
         main(["train", "--seed", "9", "--out", str(tmp_path / "run"), *SMALL])

@@ -62,16 +62,6 @@ class TestLongtailCounts:
             ratio = counts[0] / tail
             assert rho * (1 - 2 / tail) <= ratio <= rho * (1 + 2 / tail)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            make_longtail_counts(1, exp_profile(2, 10))
-        with pytest.raises(ValueError):
-            ImbalanceProfile("exponential", 0.5, 10)
-        with pytest.raises(ValueError):
-            ImbalanceProfile("exponential", 20, 10)
-        with pytest.raises(ValueError):
-            ImbalanceProfile("zipf", 2, 10)
-
 
 def toy_pool(counts, d=4, seed=0):
     return gen_synthetic(len(counts), d, np.asarray(counts), 8.0, 0.5, seed)
@@ -123,10 +113,6 @@ class TestSplitKnownNovel:
 
     def test_rejects_bad_ratio_and_known_count(self):
         pool = toy_pool([5, 5])
-        with pytest.raises(ValueError):
-            split_known_novel(*pool, 1, 0.0, seed=0)
-        with pytest.raises(ValueError):
-            split_known_novel(*pool, 1, 1.5, seed=0)
         with pytest.raises(ValueError):
             split_known_novel(*pool, 3, 0.5, seed=0)
 
@@ -230,10 +216,6 @@ class TestGenSynthetic:
         train, _ = sample_from_means(means, np.array([5, 5, 5]), 1.0, seed=4)
         test, _ = sample_from_means(means, np.array([5, 5, 5]), 1.0, seed=4, stream=7)
         assert not np.allclose(train[0], test[0])
-
-    def test_rejects_low_dim(self):
-        with pytest.raises(ValueError):
-            gen_synthetic(2, 1, np.array([3, 3]), 5.0, 1.0, seed=0)
 
 
 class TestEmbeddingFiles:

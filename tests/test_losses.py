@@ -613,8 +613,3 @@ class TestSharedKernelProperties:
         W = rng.uniform(0.0, 1.0, size=(10, 10))
         with np.errstate(under="raise"):
             contrastive_objective(F, other, lab_cls, W, tau, LossWeights())
-
-
-def test_loss_weights_validation():
-    with pytest.raises(ValueError):
-        LossWeights(eta1=-0.1)

@@ -14,7 +14,7 @@ class TestEncode:
         p = small_params()
         for name in p.ENCODER_FIELDS:
             getattr(p, name)[...] = 0.0
-        z = nn.encode(p, np.ones(4))
+        z = nn.encode(p, np.ones((1, 4)))[0]
         assert np.all(z == 0.0)
 
     def test_identity_linear_limit(self):
@@ -33,7 +33,7 @@ class TestEncode:
             cls_w=np.eye(4),
         )
         x = np.array([0.3, -1.2, 2.0, 0.7])
-        assert np.abs(nn.encode(p, x) - x).max() < 1e-6
+        assert np.abs(nn.encode(p, x[None])[0] - x).max() < 1e-6
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -43,10 +43,10 @@ class TestEncode:
             u = rng.standard_normal(3)
 
             def probe(xv):
-                return float(u @ nn.encode(p, xv))
+                return float(u @ nn.encode(p, xv[None])[0])
 
-            _, cache = nn.encode_forward(p, x)
-            _, dx = nn.encode_backward(p, cache, u)
+            _, cache = nn.encode_forward(p, x[None])
+            _, dx = nn.encode_backward(p, cache, u[None])
             assert max_rel_err(dx.ravel(), central_fd(probe, x)) < 1e-4
 
     def test_param_gradients_match_finite_differences(self):
@@ -73,12 +73,12 @@ class TestEncode:
         assert max_rel_err(analytic, numeric) < 1e-4
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            nn.encode(small_params(), np.ones(5))
+        with pytest.raises(ValueError, match="dimension 4"):
+            nn.encode(small_params(), np.ones((1, 5)))
 
     def test_forward_deterministic_bitwise(self):
         p = small_params(seed=9)
-        x = np.linspace(-1, 1, 4)
+        x = np.linspace(-1, 1, 4)[None]
         assert np.array_equal(nn.encode(p, x), nn.encode(p, x))
 
 
@@ -97,9 +97,9 @@ class TestProject:
         p.proj_b1 = np.zeros(4)
         p.proj_w2 = np.eye(4) / eps
         p.proj_b2 = np.zeros(4)
-        z = np.array([0.4, -0.2, 0.9, 0.1])
-        u1 = nn.project(p, z)
-        u2 = nn.project(p, 3.0 * z)
+        z = np.array([[0.4, -0.2, 0.9, 0.1]])
+        u1 = nn.project(p, z)[0]
+        u2 = nn.project(p, 3.0 * z)[0]
         assert np.abs(u1 - u2).max() < 1e-6
 
     def test_zero_vector_falls_back_to_first_basis(self):
@@ -117,10 +117,10 @@ class TestProject:
         u = rng.standard_normal(3)
 
         def probe(zv):
-            return float(u @ nn.project(p, zv))
+            return float(u @ nn.project(p, zv[None])[0])
 
-        _, cache = nn.project_forward(p, z)
-        _, dz = nn.project_backward(p, cache, u)
+        _, cache = nn.project_forward(p, z[None])
+        _, dz = nn.project_backward(p, cache, u[None])
         assert max_rel_err(dz.ravel(), central_fd(probe, z)) < 1e-4
 
 
@@ -128,28 +128,28 @@ class TestClassify:
     def test_aligned_vector_hits_scale(self):
         p = small_params(scale=10.0)
         p.cls_w = np.array([[2.0, 0, 0], [0, 2.0, 0], [0, 0, 2.0], [1.0, 1.0, 0]])
-        z = p.cls_w[1] * 0.5
-        logits = nn.classify(p, z)
+        z = p.cls_w[1:2] * 0.5
+        logits = nn.classify(p, z)[0]
         assert logits[1] == pytest.approx(10.0)
 
     def test_positive_rescale_invariance(self):
         rng = np.random.default_rng(4)
         p = small_params(seed=7)
-        z = rng.standard_normal(3)
-        a = nn.classify(p, z)
-        b = nn.classify(p, 7.3 * z)
+        z = rng.standard_normal((1, 3))
+        a = nn.classify(p, z)[0]
+        b = nn.classify(p, 7.3 * z)[0]
         assert np.abs(a - b).max() < 1e-12
 
     def test_orthogonal_gives_zero(self):
         p = small_params()
         p.cls_w = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [1.0, 1.0, 0]])
-        logits = nn.classify(p, np.array([0.0, 0.0, 2.0]))
+        logits = nn.classify(p, np.array([[0.0, 0.0, 2.0]]))[0]
         assert logits[0] == pytest.approx(0.0, abs=1e-12)
         assert logits[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            nn.classify(small_params(), np.zeros(3))
+        with pytest.raises(ValueError, match="zero feature vector"):
+            nn.classify(small_params(), np.zeros((1, 3)))
 
     def test_logits_bounded_by_scale(self):
         rng = np.random.default_rng(8)
@@ -340,10 +340,3 @@ class TestBranchComposites:
             i += size
         assert max_rel_err(analytic, numeric) < 1e-4
         assert "cls_w" not in grads
-
-
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        nn.TrainSchedule(base_lr=0.1, total_epochs=10, batch_size=1, warmup_epochs=0)
-    with pytest.raises(ValueError):
-        nn.TrainSchedule(base_lr=0.1, total_epochs=10, batch_size=8, warmup_epochs=11)

@@ -57,10 +57,6 @@ class TestMakeBatches:
         sigma = np.sqrt(16 * frac * (1 - frac))
         assert abs(counts.mean() - expected) < 3 * sigma / np.sqrt(len(counts))
 
-    def test_batch_size_validation(self):
-        with pytest.raises(ValueError):
-            make_batches(toy_split(), 1, seed=0, epoch=0)
-
 
 def test_make_views_shapes_and_noise():
     rng = np.random.default_rng(0)
@@ -325,17 +321,3 @@ def test_run_rejects_empty_split():
     split.X, split.ids, split.y_lab = split.X[:0], split.ids[:0], split.y_lab[:0]
     with pytest.raises(ValueError):
         run(split, toy_model(), toy_config())
-
-
-def test_train_config_validation():
-    sched = nn.TrainSchedule(0.1, 4, 8, 1)
-    with pytest.raises(ValueError):
-        TrainConfig(schedule=sched, temperature=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(schedule=sched, smoothing_p=1.5)
-    with pytest.raises(ValueError):
-        TrainConfig(schedule=sched, reestimate_interval=0)
-    with pytest.raises(ValueError):
-        TrainConfig(schedule=sched, soft_mode="fuzzy")
-    with pytest.raises(ValueError):
-        TrainConfig(schedule=sched, metric="hamming")

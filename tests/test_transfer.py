@@ -7,7 +7,6 @@ from cobranch.losses import hard_indicator_weights, softmax
 from cobranch.transfer import (
     SIMILARITY_METRICS,
     PseudoLabelBatch,
-    SamplingConfig,
     build_positiveness_matrix,
     debias,
     one_hot,
@@ -85,15 +84,6 @@ class TestSamplingRates:
             sr = sampling_rates(pi, [], 0.0, 0.7)
             assert np.all(np.diff(sr) >= -1e-12)
             assert np.all(sr > 0) and np.all(sr <= 1.0 + 1e-12)
-
-    def test_rejects_bad_exponents(self):
-        pi = np.array([0.5, 0.5])
-        with pytest.raises(ValueError):
-            sampling_rates(pi, [], 1.5, 0.5)
-        with pytest.raises(ValueError):
-            sampling_rates(pi, [], 0.5, -0.1)
-        with pytest.raises(ValueError):
-            SamplingConfig(alpha=2.0)
 
 
 class TestSamplePseudolabels:
