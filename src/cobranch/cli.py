@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import nn, train as train_mod
 from ._rng import TEST
-from .config import ConfigError, load_config, read_json, to_train_objects
+from .config import ConfigError, effective_config, load_config, read_json, to_train_objects
 from .data import (
     UNLABELED_MARKER,
     DatasetSplit,
@@ -225,16 +226,35 @@ def evaluate_trained(cfg: dict, test: EvalSet, params: nn.ModelParams, eval_seed
 
 # --- checkpoints --------------------------------------------------------------------
 
+CHECKPOINT_FORMAT = "cobranch-checkpoint-v1"
+
+
+def config_hash(config: dict) -> str:
+    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def _params_dict(params: nn.ModelParams) -> dict:
+    arrays = {name: getattr(params, name) for name in params.array_fields()}
+    return {
+        "scale": params.scale,
+        "arrays": {name: {"shape": list(a.shape), "data": a.ravel().tolist()} for name, a in arrays.items()},
+    }
+
+
+def _sgd_dict(state: nn.SgdState) -> dict:
+    return {"momentum": state.momentum, "velocity": {k: v.tolist() for k, v in state.velocity.items()}}
+
+
 def checkpoint_dict(result: train_mod.TrainResult, cfg: dict, train_seed: int) -> dict:
     return {
-        "format": "cobranch-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "config": cfg,
-        "config_hash": nn.config_hash(cfg),
+        "config_hash": config_hash(cfg),
         "train_seed": train_seed,
         "epochs_done": result.epochs_done,
-        "params": nn.params_to_dict(result.params),
-        "opt_cls": result.opt_cls.to_dict(),
-        "opt_con": result.opt_con.to_dict(),
+        "params": _params_dict(result.params),
+        "opt_cls": _sgd_dict(result.opt_cls),
+        "opt_con": _sgd_dict(result.opt_con),
         "pi_e": result.pi_e.tolist(),
         "cluster_to_class": result.alignment.cluster_to_class.tolist(),
     }
@@ -246,43 +266,96 @@ def write_checkpoint(path: str, result: train_mod.TrainResult, cfg: dict, train_
     write_text_atomic(path, json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def load_checkpoint(path: str) -> dict:
+def _floats(values, shape: tuple, what: str) -> np.ndarray:
+    """`values` as a finite float array of `shape`; ValueError naming `what` if not."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"expected shape {shape} for {what}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} holds a non-finite value")
+    return arr
+
+
+def _count(value) -> int:
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _checked_config(cfg: dict) -> dict:
+    if effective_config(cfg) != cfg:
+        raise ValueError("not a complete effective config")
+    return cfg
+
+
+def _params(d: dict, template: nn.ModelParams) -> nn.ModelParams:
+    """`_params_dict`'s output, each array checked against the same field of `template`."""
+    if d["scale"] != template.scale:
+        raise ValueError(f"scale {d['scale']!r} disagrees with model.scale={template.scale!r}")
+    arrays = {}
+    for name in template.array_fields():
+        shape, spec = getattr(template, name).shape, d["arrays"][name]
+        if spec["shape"] != list(shape):
+            raise ValueError(f"{name}: shape {spec['shape']!r}, the config gives {list(shape)}")
+        arrays[name] = _floats(spec["data"], (math.prod(shape),), name).reshape(shape)
+    return nn.ModelParams(**arrays, scale=template.scale)
+
+
+def _sgd_state(d: dict, template: nn.ModelParams, momentum: float) -> nn.SgdState:
+    """`_sgd_dict`'s output, each velocity shaped like its parameter in `template`."""
+    if d["momentum"] != momentum:
+        raise ValueError(f"momentum {d['momentum']!r} disagrees with train.momentum={momentum!r}")
+    state = nn.SgdState(momentum)
+    for name, v in d["velocity"].items():
+        state.velocity[name] = _floats(v, getattr(template, name).shape, f"velocity {name}")
+    return state
+
+
+def _alignment(values, num_classes: int) -> AlignmentMap:
+    arr = np.asarray(values)
+    if arr.shape != (num_classes,) or arr.dtype.kind != "i":
+        raise ValueError(f"expected {num_classes} integers, got shape {arr.shape} of {arr.dtype}")
+    return AlignmentMap(arr)
+
+
+def load_checkpoint(path: str) -> tuple[dict, int, train_mod.TrainResult]:
+    """The inverse of `checkpoint_dict`: (config, train seed, training state).
+
+    The embedded config must be one `effective_config` accepts unchanged and
+    match its hash. Every array is checked against the shapes that config
+    gives. A fault raises ConfigError naming the path and the key.
+    """
     blob = read_json(path)
-    if blob.get("format") != "cobranch-checkpoint-v1":
-        raise ConfigError(f"{path}: not a checkpoint file")
-    if blob["config_hash"] != nn.config_hash(blob["config"]):
-        raise ConfigError(f"{path}: config hash mismatch (corrupt or edited)")
-    return blob
+    if blob.get("format") != CHECKPOINT_FORMAT:
+        raise ConfigError(f"{path}: not a checkpoint file (key 'format' is not {CHECKPOINT_FORMAT!r})")
 
+    def field(key: str, decode):
+        if key not in blob:
+            raise ConfigError(f"{path}: missing checkpoint key {key!r}")
+        try:
+            return decode(blob[key])
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:  # OverflowError: a huge int
+            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"{path}: checkpoint key {key!r}: {reason}") from exc
 
-def checkpoint_params(blob: dict) -> nn.ModelParams:
-    params = nn.params_from_dict(blob["params"])
-    m = blob["config"]["model"]
-    d_in = params.d_in
-    expected = {
-        "enc_w1": (d_in, m["d_hidden"]),
-        "enc_w2": (m["d_hidden"], m["d_feat"]),
-        "proj_w1": (m["d_feat"], m["d_proj_hidden"]),
-        "proj_w2": (m["d_proj_hidden"], m["d_proj"]),
-        "cls_w": (len(blob["pi_e"]), m["d_feat"]),
-    }
-    try:
-        nn.check_shapes(params, expected)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return params
+    def check_hash(value):
+        if value != config_hash(cfg):
+            raise ValueError("does not match the config (corrupt or edited)")
 
-
-def resume_state(blob: dict) -> train_mod.TrainResult:
-    """The inverse of `checkpoint_dict`: the training state a run resumes from."""
-    return train_mod.TrainResult(
-        params=checkpoint_params(blob),
-        pi_e=np.asarray(blob["pi_e"], dtype=float),
-        alignment=AlignmentMap(np.asarray(blob["cluster_to_class"], dtype=int)),
-        opt_cls=nn.SgdState.from_dict(blob["opt_cls"]),
-        opt_con=nn.SgdState.from_dict(blob["opt_con"]),
-        epochs_done=blob["epochs_done"],
+    cfg = field("config", _checked_config)
+    field("config_hash", check_hash)
+    C = cfg["dataset"]["num_classes"]
+    # the model block's keys are init_params' parameter names; only the shapes of its arrays are read
+    template = nn.init_params(cfg["dataset"]["d_in"], num_classes=C, seed=0, **cfg["model"])
+    state = train_mod.TrainResult(
+        params=field("params", lambda d: _params(d, template)),
+        opt_cls=field("opt_cls", lambda d: _sgd_state(d, template, cfg["train"]["momentum"])),
+        opt_con=field("opt_con", lambda d: _sgd_state(d, template, cfg["train"]["momentum"])),
+        pi_e=field("pi_e", lambda v: _floats(v, (C,), "the class distribution")),
+        alignment=field("cluster_to_class", lambda v: _alignment(v, C)),
+        epochs_done=field("epochs_done", _count),
     )
+    return cfg, field("train_seed", _count), state
 
 
 # --- subcommands ------------------------------------------------------------------
@@ -331,14 +404,13 @@ def cmd_train(args) -> int:
 
     resume = None
     if args.resume:
-        blob = load_checkpoint(args.resume)
-        if blob["config_hash"] != nn.config_hash(cfg):
+        resume_cfg, resume_seed, resume = load_checkpoint(args.resume)
+        if config_hash(resume_cfg) != config_hash(cfg):
             raise ConfigError("resume checkpoint was trained under a different config")
-        if blob["train_seed"] != args.seed:
+        if resume_seed != args.seed:
             raise ConfigError("resume checkpoint was trained under a different seed")
-        if blob["epochs_done"] >= cfg["train"]["total_epochs"]:
+        if resume.epochs_done >= cfg["train"]["total_epochs"]:
             raise ConfigError("checkpoint already covers total_epochs")
-        resume = resume_state(blob)
 
     every = cfg["train"]["checkpoint_every"]
     total = cfg["train"]["total_epochs"]
@@ -362,15 +434,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    blob = load_checkpoint(args.checkpoint)
-    cfg = blob["config"]
-    params = checkpoint_params(blob)
-    test = build_test_set(cfg, blob["train_seed"])
+    cfg, train_seed, state = load_checkpoint(args.checkpoint)
+    test = build_test_set(cfg, train_seed)
     os.makedirs(args.out, exist_ok=True)
 
     rows = []
     for seed in args.seeds:
-        report = evaluate_trained(cfg, test, params, seed)
+        report = evaluate_trained(cfg, test, state.params, seed)
         payload = {"config": cfg, "seed": seed, "report": report.to_dict()}
         write_json_atomic(os.path.join(args.out, f"report_seed{seed}.json"), payload)
         write_csv_atomic(
@@ -400,23 +470,20 @@ def cmd_eval(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    cfg = load_config(args.config, args.set) if (args.config or args.set) else None
-    params = None
     if args.checkpoint:
-        blob = load_checkpoint(args.checkpoint)
-        cfg = blob["config"]
-        params = checkpoint_params(blob)
-        data_seed = blob["train_seed"]
+        if args.config or args.set:
+            raise ConfigError("estimate --checkpoint runs on the checkpoint's config: drop --config and --set")
+        cfg, data_seed, state = load_checkpoint(args.checkpoint)
+        split = build_dataset(cfg, data_seed)
+        feats = nn.encode(state.params, split.X)
     else:
-        if cfg is None:
+        if not (args.config or args.set):
             raise ConfigError("estimate needs --checkpoint or --config")
-        data_seed = args.seed
-        if data_seed is None:
+        cfg = load_config(args.config, args.set)
+        if args.seed is None:
             raise ConfigError("estimate needs --seed when no checkpoint is given")
-    split = build_dataset(cfg, data_seed)
-    feats = split.X
-    if params is not None:
-        feats = nn.encode(params, feats)
+        split = build_dataset(cfg, args.seed)
+        feats = split.X
     result, amap, pi_e = estimate_round(
         feats,
         split.num_classes,

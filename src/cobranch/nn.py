@@ -1,5 +1,5 @@
 """Minimal differentiable core: encoder MLP, unit-norm projector, cosine
-classifier, SGD with momentum, cosine LR schedule, checkpoint (de)serialization.
+classifier, SGD with momentum, cosine LR schedule.
 
 Everything is float64 numpy with hand-written backward passes. Forward
 functions return caches consumed by the matching backward functions;
@@ -9,8 +9,6 @@ optimizer step can touch exactly one branch's parameters.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from dataclasses import dataclass, fields
 
@@ -55,10 +53,6 @@ class ModelParams:
     @property
     def d_feat(self) -> int:
         return self.enc_w2.shape[1]
-
-    @property
-    def num_classes(self) -> int:
-        return self.cls_w.shape[0]
 
     def array_fields(self) -> list[str]:
         return [f.name for f in fields(self) if f.name != "scale"]
@@ -166,12 +160,6 @@ def project_forward(params: ModelParams, z: np.ndarray):
     return U, (Z, G, Q, norms, fallback)
 
 
-def project(params: ModelParams, z: np.ndarray) -> np.ndarray:
-    """Unit-norm contrastive feature. Zero pre-normalization vectors fall
-    back to the first basis vector (see project_forward cache for the flag)."""
-    return project_forward(params, z)[0]
-
-
 def project_backward(params: ModelParams, cache, dU: np.ndarray):
     Z, G, Q, norms, fallback = cache
     dQ = np.zeros_like(Q)
@@ -272,18 +260,6 @@ class SgdState:
         self.momentum = momentum
         self.velocity: dict[str, np.ndarray] = {}
 
-    def to_dict(self) -> dict:
-        return {
-            "momentum": self.momentum,
-            "velocity": {k: v.tolist() for k, v in self.velocity.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SgdState":
-        state = cls(momentum=d["momentum"])
-        state.velocity = {k: np.asarray(v, dtype=float) for k, v in d["velocity"].items()}
-        return state
-
 
 def sgd_step(
     params: ModelParams,
@@ -309,39 +285,3 @@ def sgd_step(
             p -= lr * np.asarray(g)
     return params
 
-
-# --- checkpoints ---------------------------------------------------------------
-
-def config_hash(config: dict) -> str:
-    blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()
-
-
-def params_to_dict(params: ModelParams) -> dict:
-    return {
-        "scale": params.scale,
-        "arrays": {
-            name: {"shape": list(getattr(params, name).shape),
-                   "data": getattr(params, name).ravel().tolist()}
-            for name in params.array_fields()
-        },
-    }
-
-
-def params_from_dict(d: dict) -> ModelParams:
-    kw = {}
-    for name, spec in d["arrays"].items():
-        arr = np.asarray(spec["data"], dtype=float)
-        expected = int(np.prod(spec["shape"]))
-        if arr.size != expected:
-            raise ValueError(f"checkpoint array {name}: {arr.size} values for shape {spec['shape']}")
-        kw[name] = arr.reshape(spec["shape"])
-    return ModelParams(**kw, scale=float(d["scale"]))
-
-
-def check_shapes(params: ModelParams, expected: dict[str, tuple[int, ...]]) -> None:
-    """Reject a loaded checkpoint whose shapes do not match the config."""
-    for name, shape in expected.items():
-        actual = getattr(params, name).shape
-        if tuple(actual) != tuple(shape):
-            raise ValueError(f"checkpoint shape mismatch for {name}: {actual} != {tuple(shape)}")

@@ -15,7 +15,7 @@ contrastive step.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -195,16 +195,7 @@ def run(
     noise_std = cfg.view_noise * float(split.X.std())
 
     if resume is None:
-        params = nn.init_params(
-            d_in,
-            model_cfg.d_hidden,
-            model_cfg.d_feat,
-            model_cfg.d_proj_hidden,
-            model_cfg.d_proj,
-            split.num_classes,
-            seed=cfg.seed,
-            scale=model_cfg.scale,
-        )
+        params = nn.init_params(d_in, num_classes=split.num_classes, seed=cfg.seed, **asdict(model_cfg))
         result = TrainResult(params, opt_cls=nn.SgdState(cfg.momentum), opt_con=nn.SgdState(cfg.momentum))
     else:
         result = replace(resume, telemetry=[])

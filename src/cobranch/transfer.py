@@ -83,11 +83,12 @@ def sampling_rates(
     if np.any(pi <= 0):
         raise ValueError("estimated distribution must be strictly positive")
     ratio = pi / pi.min()
+    labels = np.asarray(batch_known_labels, dtype=int)
+    outside = labels[(labels < 0) | (labels >= pi.size)]
+    if outside.size:
+        raise ValueError(f"batch label {outside[0]} outside the class range")
     in_batch = np.zeros(pi.size, dtype=bool)
-    for c in set(int(c) for c in batch_known_labels):
-        if not 0 <= c < pi.size:
-            raise ValueError(f"batch label {c} outside the class range")
-        in_batch[c] = True
+    in_batch[labels] = True
     exponent = np.where(in_batch, alpha, beta)
     return ratio ** (-exponent)
 
@@ -98,14 +99,13 @@ def sample_pseudolabels(batch: PseudoLabelBatch, rates: np.ndarray) -> PseudoLab
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0) or np.any(rates > 1):
         raise ValueError("sampling rates must lie in [0, 1]")
-    mask = np.zeros(batch.probs.shape[0], dtype=bool)
-    for c in np.unique(batch.pred_class):
-        members = np.flatnonzero(batch.pred_class == c)
-        take = math.ceil(rates[c] * members.size)
-        if take <= 0:
-            continue
-        order = members[np.lexsort((batch.ids[members], -batch.confidence[members]))]
-        mask[order[:take]] = True
+    pred = batch.pred_class
+    order = np.lexsort((batch.ids, -batch.confidence, pred))  # by class, then most confident, then lower id
+    counts = np.bincount(pred, minlength=rates.size)
+    ranked = pred[order]
+    rank = np.arange(pred.size) - (np.cumsum(counts) - counts)[ranked]  # position within its class
+    mask = np.zeros(pred.size, dtype=bool)
+    mask[order] = rank < np.ceil(rates * counts)[ranked]
     return replace(batch, mask=mask)
 
 

@@ -7,7 +7,8 @@ distances and per-cluster loops instead of the GEMM k-means, projected
 gradient descent instead of the closed-form optimum, nearest-mean
 classification instead of the encoder, a per-anchor loop over positive-set
 lists and one softmax per term instead of the shared contrastive kernel,
-one `float()` call per value instead of the one-pass CSV parser. The
+one `float()` call per value instead of the one-pass CSV parser, one sort
+per predicted class instead of one batch-wide pseudo-label ranking. The
 parameter-vector and two-vector positiveness helpers only reshape what the
 library computes; the package itself has no use for them, nor for the
 synthetic pool and the inverse alignment kept here for tests.
@@ -427,6 +428,21 @@ def vector_to_params(template: ModelParams, vec: np.ndarray) -> ModelParams:
     if i != vec.size:
         raise ValueError("vector length does not match parameter count")
     return out
+
+
+def loop_pseudolabel_mask(pred_class, confidence, ids, rates) -> np.ndarray:
+    """The sampled pseudo-label mask, one predicted class at a time: keep the
+    ceil(rates[c] * m_c) most confident of class c's m_c rows, ties to the
+    lower id."""
+    mask = np.zeros(len(pred_class), dtype=bool)
+    for c in np.unique(pred_class):
+        members = np.flatnonzero(pred_class == c)
+        take = math.ceil(rates[c] * members.size)
+        if take <= 0:
+            continue
+        order = members[np.lexsort((ids[members], -confidence[members]))]
+        mask[order[:take]] = True
+    return mask
 
 
 def positiveness(p: np.ndarray, q: np.ndarray, metric: str = "dot") -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cobranch
-from cobranch.cli import main, run_experiment
+from cobranch.cli import config_hash, main, run_experiment
 from cobranch.config import DEFAULTS, ConfigError, effective_config, load_config, to_train_objects
 
 SMALL = [
@@ -609,6 +609,126 @@ class TestTrainEval:
             sha(tmp_path / "b" / "eval" / "report_seed0.json")
 
 
+@pytest.fixture(scope="module")
+def two_epoch_run(tmp_path_factory):
+    """A finished 2-epoch run with a checkpoint after each epoch, and the train argv that made it."""
+    out = tmp_path_factory.mktemp("two_epoch_run")
+    argv = ["train", "--seed", "4", *SMALL, "--set", "train.total_epochs=2", "--set", "train.checkpoint_every=1"]
+    assert main([*argv, "--out", str(out)]) == 0
+    return out, argv
+
+
+def _format_only(blob):
+    for key in [k for k in blob if k != "format"]:
+        del blob[key]
+
+
+def _drop(key):
+    def edit(blob):
+        del blob[key]
+    return edit
+
+
+def _put(key, value):
+    def edit(blob):
+        blob[key] = value
+    return edit
+
+
+def _short_enc_b1(blob):
+    blob["params"]["arrays"]["enc_b1"]["data"] = [0.0]
+
+
+def _short_pi_e(blob):
+    blob["pi_e"] = blob["pi_e"][:-1]
+
+
+def _bad_velocity(blob):
+    blob["opt_con"]["velocity"]["proj_w1"] = [[0.0]]
+
+
+def _nan_cls_w(blob):
+    blob["params"]["arrays"]["cls_w"]["data"][0] = float("nan")
+
+
+def _string_scale(blob):
+    blob["params"]["scale"] = "10"
+
+
+def _other_momentum(blob):
+    blob["opt_cls"]["momentum"] = 0.5
+
+
+def _repeated_cluster(blob):
+    blob["cluster_to_class"][0] = blob["cluster_to_class"][1]
+
+
+def _float_clusters(blob):
+    blob["cluster_to_class"] = [float(c) for c in blob["cluster_to_class"]]
+
+
+def _huge_pi_e(blob):
+    blob["pi_e"][0] = 10**400  # beyond float range
+
+
+def _stale_hash(blob):
+    blob["config"]["train"]["base_lr"] = 0.5
+
+
+def _config_value(block, key, value):
+    def edit(blob):  # a hand edit that recomputes the hash, so only the value check can catch it
+        blob["config"][block][key] = value
+        blob["config_hash"] = config_hash(blob["config"])
+    return edit
+
+
+# (command, edit, what the error names besides the path); eval reads the
+# final checkpoint, --resume the epoch-1 one
+CHECKPOINT_FAULTS = [
+    pytest.param("eval", _put("format", "cobranch-checkpoint-v0"), ["not a checkpoint file", "'format'"],
+                 id="wrong-format"),
+    pytest.param("eval", _format_only, ["'config'"], id="format-only"),
+    *[pytest.param("eval", _drop(key), [repr(key)], id=f"no-{key}")
+      for key in ("params", "pi_e", "train_seed", "cluster_to_class")],
+    pytest.param("eval", _put("params", "x"), ["'params'"], id="params-string"),
+    pytest.param("eval", _short_enc_b1, ["'params'", "enc_b1"], id="short-enc_b1"),
+    pytest.param("eval", _short_pi_e, ["'pi_e'"], id="short-pi_e"),
+    pytest.param("eval", _nan_cls_w, ["'params'", "cls_w holds a non-finite value"], id="nan-cls_w"),
+    pytest.param("eval", _string_scale, ["'params'", "model.scale"], id="scale-string"),
+    pytest.param("eval", _repeated_cluster, ["'cluster_to_class'", "permutation"], id="cluster_to_class-repeat"),
+    pytest.param("eval", _float_clusters, ["'cluster_to_class'", "integers"], id="cluster_to_class-floats"),
+    pytest.param("eval", _huge_pi_e, ["'pi_e'"], id="pi_e-huge-int"),
+    pytest.param("eval", _stale_hash, ["'config_hash'", "does not match"], id="stale-hash"),
+    pytest.param("eval", _config_value("eval", "kmeans_n_init", 0), ["'config'", "eval.kmeans_n_init"],
+                 id="config-kmeans_n_init-0"),
+    pytest.param("eval", _config_value("dataset", "num_classes", "5"), ["'config'", "dataset.num_classes"],
+                 id="config-num_classes-string"),
+    pytest.param("resume", _drop("epochs_done"), ["'epochs_done'"], id="resume-no-epochs_done"),
+    pytest.param("resume", _drop("train_seed"), ["'train_seed'"], id="resume-no-train_seed"),
+    pytest.param("resume", _put("epochs_done", "1"), ["'epochs_done'"], id="resume-epochs_done-string"),
+    pytest.param("resume", _bad_velocity, ["'opt_con'", "velocity proj_w1"], id="resume-velocity-shape"),
+    pytest.param("resume", _other_momentum, ["'opt_cls'", "train.momentum"], id="resume-momentum"),
+]
+
+
+@pytest.mark.parametrize("command, edit, names", CHECKPOINT_FAULTS)
+def test_bad_checkpoint_exit_2(two_epoch_run, tmp_path, capsys, command, edit, names):
+    run, train_argv = two_epoch_run
+    source = run / ("checkpoint.json" if command == "eval" else "checkpoint_epoch0001.json")
+    blob = json.loads(source.read_text())
+    edit(blob)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(blob))
+    if command == "eval":
+        rc = main(["eval", "--checkpoint", str(path), "--seeds", "0", "--out", str(tmp_path / "out")])
+    else:
+        rc = main([*train_argv, "--out", str(tmp_path / "out"), "--resume", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert f"error: {path}: " in err and all(name in err for name in names), err
+    assert "Traceback" not in err
+
+
 class TestEstimateCommand:
     def test_raw_estimate_diagnostics(self, tmp_path):
         rc = main(["estimate", "--seed", "2", "--out", str(tmp_path), *SMALL])
@@ -634,6 +754,18 @@ class TestEstimateCommand:
         assert rc == 0
         rec = json.loads((tmp_path / "estimate.json").read_text())
         assert abs(sum(rec["pi_e"]) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("extra", [["--set", "train.kmeans_n_init=3"], ["--config", "config.json"]])
+    def test_checkpoint_with_config_exit_2(self, two_epoch_run, tmp_path, capsys, extra):
+        # the checkpoint's own config would silently replace the given one
+        run, _ = two_epoch_run
+        (tmp_path / "config.json").write_text("{}\n")
+        extra = [str(tmp_path / a) if a == "config.json" else a for a in extra]
+        rc = main(["estimate", "--checkpoint", str(run / "checkpoint.json"), "--seed", "0",
+                   "--out", str(tmp_path), *extra])
+        assert rc == 2
+        assert "--checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "estimate.json").exists()
 
 
 class TestAblate:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from cobranch import nn
+from cobranch import cli, nn
+from cobranch.config import ConfigError, effective_config
+from cobranch.estimate import AlignmentMap
+from cobranch.train import TrainResult
 from oracles import central_fd, grad_check, max_rel_err, params_to_vector, vector_to_params
 
 
@@ -87,7 +90,7 @@ class TestProject:
         rng = np.random.default_rng(2)
         p = small_params(seed=4)
         Z = rng.standard_normal((6, 3))
-        U = nn.project(p, Z)
+        U = nn.project_forward(p, Z)[0]
         assert np.abs(np.linalg.norm(U, axis=1) - 1.0).max() < 1e-9
 
     def test_positive_scale_invariance_linear_projector(self):
@@ -98,8 +101,8 @@ class TestProject:
         p.proj_w2 = np.eye(4) / eps
         p.proj_b2 = np.zeros(4)
         z = np.array([[0.4, -0.2, 0.9, 0.1]])
-        u1 = nn.project(p, z)[0]
-        u2 = nn.project(p, 3.0 * z)[0]
+        u1 = nn.project_forward(p, z)[0][0]
+        u2 = nn.project_forward(p, 3.0 * z)[0][0]
         assert np.abs(u1 - u2).max() < 1e-6
 
     def test_zero_vector_falls_back_to_first_basis(self):
@@ -117,7 +120,7 @@ class TestProject:
         u = rng.standard_normal(3)
 
         def probe(zv):
-            return float(u @ nn.project(p, zv[None])[0])
+            return float(u @ nn.project_forward(p, zv[None])[0][0])
 
         _, cache = nn.project_forward(p, z[None])
         _, dz = nn.project_backward(p, cache, u[None])
@@ -262,23 +265,46 @@ class TestGradCheckUtility:
 
 
 class TestCheckpointRoundTrip:
-    def test_round_trip_exact(self):
+    """`cli.load_checkpoint` restores what `cli.checkpoint_dict` stores and
+    checks it against the shapes the embedded config gives."""
+
+    def write(self, tmp_path, params, edit=lambda blob: None):
+        cfg = effective_config({"dataset": {"num_classes": 4, "num_known": 2, "d_in": 4},
+                                "model": {"d_hidden": 5, "d_feat": 3, "d_proj_hidden": 4, "d_proj": 3}})
+        opt_cls = nn.SgdState(cfg["train"]["momentum"])
+        opt_cls.velocity["enc_b1"] = np.linspace(-1.0, 1.0, 5)
+        result = TrainResult(params, opt_cls, nn.SgdState(cfg["train"]["momentum"]), pi_e=np.full(4, 0.25),
+                             alignment=AlignmentMap(np.array([1, 0, 3, 2])), epochs_done=3)
+        blob = cli.checkpoint_dict(result, cfg, 5)
+        edit(blob)
+        path = str(tmp_path / "checkpoint.json")
+        cli.write_json_atomic(path, blob)
+        return path, cfg, result
+
+    def test_round_trip_exact(self, tmp_path):
         p = small_params(seed=12)
-        q = nn.params_from_dict(nn.params_to_dict(p))
-        assert np.array_equal(params_to_vector(p), params_to_vector(q))
-        assert q.scale == p.scale
+        path, cfg, result = self.write(tmp_path, p)
+        cfg_back, seed, q = cli.load_checkpoint(path)
+        assert cfg_back == cfg and seed == 5 and q.epochs_done == 3
+        assert np.array_equal(params_to_vector(p), params_to_vector(q.params))
+        assert q.params.scale == p.scale
+        assert np.array_equal(q.opt_cls.velocity["enc_b1"], result.opt_cls.velocity["enc_b1"])
+        assert q.opt_con.velocity == {} and q.opt_cls.momentum == 0.9
+        assert np.array_equal(q.pi_e, result.pi_e)
+        assert np.array_equal(q.alignment.cluster_to_class, [1, 0, 3, 2])
 
-    def test_shape_check_rejects_mismatch(self):
-        p = small_params()
-        with pytest.raises(ValueError):
-            nn.check_shapes(p, {"cls_w": (7, 3)})
+    def test_shape_check_rejects_mismatch(self, tmp_path):
+        path, _, _ = self.write(tmp_path, small_params(C=7))
+        with pytest.raises(ConfigError, match="cls_w: shape"):
+            cli.load_checkpoint(path)
 
-    def test_corrupt_array_length_rejected(self):
-        p = small_params()
-        blob = nn.params_to_dict(p)
-        blob["arrays"]["enc_b1"]["data"] = [1.0]
-        with pytest.raises(ValueError):
-            nn.params_from_dict(blob)
+    def test_corrupt_array_length_rejected(self, tmp_path):
+        def shorten(blob):
+            blob["params"]["arrays"]["enc_b1"]["data"] = [1.0]
+
+        path, _, _ = self.write(tmp_path, small_params(), shorten)
+        with pytest.raises(ConfigError, match="expected shape .* for enc_b1"):
+            cli.load_checkpoint(path)
 
 
 class TestBranchComposites:
@@ -324,7 +350,7 @@ class TestBranchComposites:
 
         def loss_at(vec):
             q = vector_to_params(p, vec)
-            return float((v * nn.project(q, nn.encode(q, X))).sum())
+            return float((v * nn.project_forward(q, nn.encode(q, X))[0]).sum())
 
         U, cache = nn.contrastive_branch_forward(p, X)
         grads = nn.contrastive_branch_backward(p, cache, v)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobranch.losses import hard_indicator_weights, softmax
 from cobranch.transfer import (
@@ -13,7 +15,7 @@ from cobranch.transfer import (
     sample_pseudolabels,
     sampling_rates,
 )
-from oracles import positiveness
+from oracles import loop_pseudolabel_mask, positiveness
 
 
 class TestDebias:
@@ -85,6 +87,11 @@ class TestSamplingRates:
             assert np.all(np.diff(sr) >= -1e-12)
             assert np.all(sr > 0) and np.all(sr <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("labels, bad", [([0, 3], 3), ([-1, 1], -1)])
+    def test_rejects_label_outside_class_range(self, labels, bad):
+        with pytest.raises(ValueError, match=f"batch label {bad} outside the class range"):
+            sampling_rates(np.array([0.5, 0.3, 0.2]), labels, 0.8, 0.5)
+
 
 class TestSamplePseudolabels:
     def probs_for(self, confidences, cls, C=3):
@@ -137,6 +144,17 @@ class TestSamplePseudolabels:
                 assert took.sum() == math.ceil(rates[c] * members.size)
                 if took.any() and (~took).any():
                     assert out.confidence[members][took].min() >= out.confidence[members][~took].max() - 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(0, 40), C=st.integers(1, 6))
+    def test_matches_per_class_loop(self, data, n, C):
+        # few distinct confidences and repeated ids force ties; zero rates keep none of a class
+        pred = np.array(data.draw(st.lists(st.integers(0, C - 1), min_size=n, max_size=n)), dtype=int)
+        conf = np.array(data.draw(st.lists(st.sampled_from([0.25, 0.5, 0.75]), min_size=n, max_size=n)))
+        ids = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)), dtype=int)
+        rates = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.1, 1 / 3, 0.5, 1.0]), min_size=C, max_size=C)))
+        batch = PseudoLabelBatch(np.zeros((n, C)), pred, conf, np.zeros(n, dtype=bool), ids)
+        assert np.array_equal(sample_pseudolabels(batch, rates).mask, loop_pseudolabel_mask(pred, conf, ids, rates))
 
     def test_rejects_out_of_range_rates(self):
         batch = PseudoLabelBatch.from_probs(np.full((2, 2), 0.5))
