@@ -398,19 +398,18 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
-    os.makedirs(args.out, exist_ok=True)
-    split = build_dataset(cfg, args.seed)
-    model_cfg, train_cfg = to_train_objects(cfg, args.seed)
-
     resume = None
     if args.resume:
         resume_cfg, resume_seed, resume = load_checkpoint(args.resume)
-        if config_hash(resume_cfg) != config_hash(cfg):
+        if resume_cfg != cfg:
             raise ConfigError("resume checkpoint was trained under a different config")
         if resume_seed != args.seed:
             raise ConfigError("resume checkpoint was trained under a different seed")
         if resume.epochs_done >= cfg["train"]["total_epochs"]:
             raise ConfigError("checkpoint already covers total_epochs")
+    os.makedirs(args.out, exist_ok=True)
+    split = build_dataset(cfg, args.seed)
+    model_cfg, train_cfg = to_train_objects(cfg, args.seed)
 
     every = cfg["train"]["checkpoint_every"]
     total = cfg["train"]["total_epochs"]

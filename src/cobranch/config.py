@@ -108,10 +108,10 @@ def effective_config(raw: dict | None) -> dict:
 
 
 def _check_types(cfg: dict) -> None:
-    """Each value has its default's type: an int also serves a float key, a
-    bool is never a number, and NaN and infinities are never allowed. Where the
-    default is null, null is allowed, and otherwise a string for the paths and
-    an int for the rest."""
+    """Each value has its default's type: an int within float range also
+    serves a float key, a bool is never a number, and NaN and infinities are
+    never allowed. Where the default is null, null is allowed, and otherwise a
+    string for the paths and an int for the rest."""
     for block, defaults in DEFAULTS.items():
         for key, default in defaults.items():
             value, nullable = cfg[block][key], default is None
@@ -121,8 +121,14 @@ def _check_types(cfg: dict) -> None:
             if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
                 null = " or null" if nullable else ""
                 raise ConfigError(f"{block}.{key} must be {want.__name__}{null}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{block}.{key} must be finite, got {value!r}")
+            if want is float:
+                try:
+                    number = float(value)
+                except OverflowError:  # an int beyond float range
+                    raise ConfigError(f"{block}.{key} must be within float range, got a "
+                                      f"{value.bit_length()}-bit int") from None
+                if not math.isfinite(number):
+                    raise ConfigError(f"{block}.{key} must be finite, got {value!r}")
 
 
 def _validate(cfg: dict) -> None:

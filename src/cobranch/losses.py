@@ -236,24 +236,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return E / E.sum(axis=-1, keepdims=True)
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    L = np.asarray(logits, dtype=float)
-    m = L.max(axis=-1, keepdims=True)
-    return (L - m) - np.log(np.exp(L - m).sum(axis=-1, keepdims=True))
-
-
-def _mean_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean CE and its gradient w.r.t. the logits."""
-    n = logits.shape[0]
-    log_p = _log_softmax(logits)
-    idx = np.arange(n)
-    loss = float(-log_p[idx, labels].mean())
-    grad = softmax(logits)
-    grad[idx, labels] -= 1.0
-    grad /= n
-    return loss, grad
-
-
 # --- pseudo-labeling branch objective --------------------------------------------
 
 @dataclass
@@ -262,11 +244,8 @@ class ClassificationLoss:
     l_s: float
     l_u: float
     l_reg: float
-    grad_labeled: np.ndarray
-    grad_unl_v1: np.ndarray
-    grad_unl_v2: np.ndarray
+    grad: np.ndarray  # w.r.t. the stacked [labeled; unlabeled view 1; unlabeled view 2] logit rows
     n_gated: int
-    l_s_omitted: bool
 
 
 def classification_objective(
@@ -287,70 +266,59 @@ def classification_objective(
          view's confidence clears `conf_gate`, normalized by 2 * n_unlabeled.
     L_reg: KL between the mean softmax prediction over every row passed in
          and the smoothed target distribution.
+
+    The blocks are stacked and normalized once, and every term reads rows of
+    that softmax; `grad` covers the stacked rows.
     """
-    labeled_logits = np.asarray(labeled_logits, dtype=float).reshape(-1, len(target_dist))
-    unl_logits_v1 = np.asarray(unl_logits_v1, dtype=float).reshape(-1, len(target_dist))
-    unl_logits_v2 = np.asarray(unl_logits_v2, dtype=float).reshape(-1, len(target_dist))
-    if unl_logits_v1.shape != unl_logits_v2.shape:
+    C = len(target_dist)
+    blocks = [np.asarray(a, dtype=float).reshape(-1, C) for a in (labeled_logits, unl_logits_v1, unl_logits_v2)]
+    if blocks[1].shape != blocks[2].shape:
         raise ValueError("the two unlabeled views must pair up")
-    n_l, n_u = labeled_logits.shape[0], unl_logits_v1.shape[0]
+    n_l, n_u = blocks[0].shape[0], blocks[1].shape[0]
+    L = np.concatenate(blocks, axis=0)
+    if L.shape[0] == 0:
+        raise ValueError("classification objective needs at least one logit row")
+    shifted = L - L.max(axis=1, keepdims=True)
+    E = np.exp(shifted)
+    mass = E.sum(axis=1, keepdims=True)
+    P = E / mass
+    log_P = shifted - np.log(mass)
+    grad = np.zeros_like(L)
 
-    grad_lab = np.zeros_like(labeled_logits)
-    grad_v1 = np.zeros_like(unl_logits_v1)
-    grad_v2 = np.zeros_like(unl_logits_v2)
+    def cross_entropy(rows, y, weight, norm):
+        """Adds weight / norm times the cross-entropy gradient of `rows`
+        toward classes `y` to `grad`; returns their log-probabilities of `y`."""
+        g = P[rows]
+        g[np.arange(rows.size), y] -= 1.0
+        grad[rows] += weight * g / norm
+        return log_P[rows, y]
 
-    l_s_omitted = n_l == 0
-    if l_s_omitted:
+    if n_l == 0:
         logger.warning("classification objective: empty labeled batch, L_s omitted")
         l_s = 0.0
     else:
-        l_s, g = _mean_cross_entropy(labeled_logits, np.asarray(labels, dtype=int))
-        grad_lab += g
+        l_s = float(-cross_entropy(np.arange(n_l), np.asarray(labels, dtype=int), 1.0, n_l).mean())
 
     l_u = 0.0
     n_gated = 0
-    p1 = softmax(unl_logits_v1)
-    p2 = softmax(unl_logits_v2)
     norm = 2.0 * n_u
-    # view 2 supervised by view 1's pseudo-label, and vice versa
-    for p_src, p_dst, logits_dst, grad_dst in (
-        (p1, p2, unl_logits_v2, grad_v2),
-        (p2, p1, unl_logits_v1, grad_v1),
-    ):
+    # view 2 (rows from n_l + n_u) supervised by view 1's (rows from n_l) pseudo-label, and vice versa
+    for src, dst in ((n_l, n_l + n_u), (n_l + n_u, n_l)):
+        p_src = P[src : src + n_u]
         gated = np.flatnonzero(p_src.max(axis=1) >= conf_gate)
-        y = p_src[gated].argmax(axis=1)
-        l_u += (-_log_softmax(logits_dst)[gated, y] / norm).sum()
-        g = p_dst[gated]
-        g[np.arange(gated.size), y] -= 1.0
-        grad_dst[gated] += weights.eta1 * g / norm
+        l_u += (-cross_entropy(dst + gated, p_src[gated].argmax(axis=1), weights.eta1, norm) / norm).sum()
         n_gated += gated.size
 
-    all_logits = np.concatenate([labeled_logits, unl_logits_v1, unl_logits_v2], axis=0)
-    if all_logits.shape[0] == 0:
-        raise ValueError("classification objective needs at least one logit row")
-    P = softmax(all_logits)
     mean_pred = P.mean(axis=0)
     l_reg, g_mean = kl_regularizer(mean_pred, target_dist, smoothing_p)
     # chain through softmax and the row mean
-    g_rows = (P * (g_mean[None, :] - (P @ g_mean)[:, None])) / all_logits.shape[0]
+    g_rows = (P * (g_mean[None, :] - (P @ g_mean)[:, None])) / L.shape[0]
     g_rows *= weights.eta2
-    grad_lab += g_rows[:n_l]
-    grad_v1 += g_rows[n_l : n_l + n_u]
-    grad_v2 += g_rows[n_l + n_u :]
+    grad += g_rows
 
     l_u = float(l_u)
     total = float(l_s + weights.eta1 * l_u + weights.eta2 * l_reg)
-    return ClassificationLoss(
-        total=total,
-        l_s=l_s,
-        l_u=l_u,
-        l_reg=l_reg,
-        grad_labeled=grad_lab,
-        grad_unl_v1=grad_v1,
-        grad_unl_v2=grad_v2,
-        n_gated=n_gated,
-        l_s_omitted=l_s_omitted,
-    )
+    return ClassificationLoss(total=total, l_s=l_s, l_u=l_u, l_reg=l_reg, grad=grad, n_gated=n_gated)
 
 
 # --- contrastive branch objective --------------------------------------------------

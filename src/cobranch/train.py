@@ -73,8 +73,8 @@ class TrainResult:
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when estimation fails or a batch step fails numerically: a
-    non-finite loss or gradient, or a ValueError from an objective."""
+    """Raised when estimation, the view-noise scale or a batch step fails
+    numerically: a non-finite value or loss, or a ValueError from an objective."""
 
 
 def make_batches(split: DatasetSplit, batch_size: int, seed: int, epoch: int):
@@ -123,15 +123,15 @@ def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epo
 
 
 @contextlib.contextmanager
-def _named_abort(phase: str, epoch: int, batch_id: int):
-    """A numerical failure inside one batch's step of a branch, re-raised as
-    a TrainingAborted that names the phase, the epoch and the batch. An
-    overflow, an invalid operation or a division by zero is such a failure."""
+def _named_abort(where: str):
+    """Re-raises a numerical failure inside the block (an overflow, an invalid
+    operation, a division by zero or a ValueError) as a TrainingAborted that
+    names `where`: the phase, and for a batch step the epoch and the batch."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
     except (ValueError, FloatingPointError) as exc:
-        raise TrainingAborted(f"{phase} step, epoch {epoch} batch {batch_id}: {exc}") from exc
+        raise TrainingAborted(f"{where}: {exc}") from exc
 
 
 def _other_view(*group_sizes: int) -> np.ndarray:
@@ -192,7 +192,8 @@ def run(
         raise ValueError("empty split")
     n_lab = split.y_lab.size
     # view noise scales with the global scalar std of the pool's features
-    noise_std = cfg.view_noise * float(split.X.std())
+    with _named_abort("view-noise scale (train.view_noise times the feature std)"):
+        noise_std = cfg.view_noise * float(split.X.std())
 
     if resume is None:
         params = nn.init_params(d_in, num_classes=split.num_classes, seed=cfg.seed, **asdict(model_cfg))
@@ -227,7 +228,8 @@ def run(
             lab_v1, lab_v2 = make_views(X_lab, rng_views, noise_std, cfg.view_dropout)
             unl_v1, unl_v2 = make_views(X_unl, rng_views, noise_std, cfg.view_dropout)
 
-            with _named_abort("classification", epoch, batch_id):
+            at = f"epoch {epoch} batch {batch_id}"
+            with _named_abort(f"classification step, {at}"):
                 stacked = np.concatenate([lab_v1, unl_v1, unl_v2], axis=0)
                 logits, cache = nn.classifier_branch_forward(params, stacked)
                 cls = losses.classification_objective(
@@ -242,14 +244,13 @@ def run(
                 )
                 if not np.isfinite(cls.total):
                     raise FloatingPointError("non-finite loss")
-                dlogits = np.concatenate([cls.grad_labeled, cls.grad_unl_v1, cls.grad_unl_v2], axis=0)
-                cls_grads = nn.classifier_branch_backward(params, cache, dlogits)
+                cls_grads = nn.classifier_branch_backward(params, cache, cls.grad)
                 if cfg.aux_encoder_weight != 1.0:
                     for name in params.ENCODER_FIELDS:
                         cls_grads[name] = cfg.aux_encoder_weight * cls_grads[name]
                 nn.sgd_step(params, cls_grads, lr, opt_cls)
 
-            with _named_abort("contrastive", epoch, batch_id):
+            with _named_abort(f"contrastive step, {at}"):
                 sel, W_views = np.zeros(0, dtype=int), None
                 if soft_on:
                     sel, P = _soft_probs(params, cfg, X_unl, unl_idx, y, result.pi_e, n_total)

@@ -7,8 +7,10 @@ distances and per-cluster loops instead of the GEMM k-means, projected
 gradient descent instead of the closed-form optimum, nearest-mean
 classification instead of the encoder, a per-anchor loop over positive-set
 lists and one softmax per term instead of the shared contrastive kernel,
-one `float()` call per value instead of the one-pass CSV parser, one sort
-per predicted class instead of one batch-wide pseudo-label ranking. The
+one softmax per logit block instead of the stacked pseudo-labeling
+objective, one `float()` call per value instead of the one-pass CSV
+parser, one sort per predicted class instead of one batch-wide pseudo-label
+ranking. The
 parameter-vector and two-vector positiveness helpers only reshape what the
 library computes; the package itself has no use for them, nor for the
 synthetic pool and the inverse alignment kept here for tests.
@@ -333,6 +335,68 @@ def per_term_contrastive_objective(features, other_view, labeled_classes, soft_w
         l_soft, g, n_excluded = per_term_contrastive_loss(F[:m], soft_weights, temperature)
         grad[:m] += weights.gamma2 * g
     return l_unsup, l_sup, l_soft, grad, n_excluded
+
+
+def _ref_softmax(logits: np.ndarray) -> np.ndarray:
+    m = logits.max(axis=-1, keepdims=True)
+    E = np.exp(logits - m)
+    return E / E.sum(axis=-1, keepdims=True)
+
+
+def _ref_log_softmax(logits: np.ndarray) -> np.ndarray:
+    m = logits.max(axis=-1, keepdims=True)
+    return (logits - m) - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
+
+
+def three_block_classification_objective(lab, labels, v1, v2, target, weights, smoothing_p, conf_gate=0.5):
+    """The pseudo-labeling objective as the package computed it before its
+    blocks shared one softmax: each block normalized on its own, each term
+    normalizing again, three gradients concatenated at the end. The KL term
+    is written out here too. Returns (total, l_s, l_u, l_reg, grad, n_gated),
+    grad over the [labeled; view 1; view 2] rows."""
+    C = len(target)
+    lab, v1, v2 = (np.asarray(a, dtype=float).reshape(-1, C) for a in (lab, v1, v2))
+    n_l, n_u = lab.shape[0], v1.shape[0]
+    grad_lab, grad_v1, grad_v2 = np.zeros_like(lab), np.zeros_like(v1), np.zeros_like(v2)
+
+    l_s = 0.0
+    if n_l:
+        idx, labels = np.arange(n_l), np.asarray(labels, dtype=int)
+        l_s = float(-_ref_log_softmax(lab)[idx, labels].mean())
+        g = _ref_softmax(lab)
+        g[idx, labels] -= 1.0
+        g /= n_l
+        grad_lab += g
+
+    l_u, n_gated, norm = 0.0, 0, 2.0 * n_u
+    p1, p2 = _ref_softmax(v1), _ref_softmax(v2)
+    for p_src, p_dst, logits_dst, grad_dst in ((p1, p2, v2, grad_v2), (p2, p1, v1, grad_v1)):
+        gated = np.flatnonzero(p_src.max(axis=1) >= conf_gate)
+        y = p_src[gated].argmax(axis=1)
+        l_u += (-_ref_log_softmax(logits_dst)[gated, y] / norm).sum()
+        g = p_dst[gated]
+        g[np.arange(gated.size), y] -= 1.0
+        grad_dst[gated] += weights.eta1 * g / norm
+        n_gated += gated.size
+
+    all_logits = np.concatenate([lab, v1, v2], axis=0)
+    P = _ref_softmax(all_logits)
+    m = P.mean(axis=0)
+    t = np.asarray(target, dtype=float) ** smoothing_p
+    st = t / t.sum()
+    pos = m > 0
+    l_reg = float((m[pos] * np.log(m[pos] / st[pos])).sum())
+    g_mean = np.zeros_like(m)
+    g_mean[pos] = np.log(m[pos] / st[pos]) + 1.0
+    g_rows = (P * (g_mean[None, :] - (P @ g_mean)[:, None])) / all_logits.shape[0]
+    g_rows *= weights.eta2
+    grad_lab += g_rows[:n_l]
+    grad_v1 += g_rows[n_l : n_l + n_u]
+    grad_v2 += g_rows[n_l + n_u :]
+
+    l_u = float(l_u)
+    total = float(l_s + weights.eta1 * l_u + weights.eta2 * l_reg)
+    return total, l_s, l_u, l_reg, np.concatenate([grad_lab, grad_v1, grad_v2], axis=0), n_gated
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -95,6 +95,7 @@ class TestConfig:
         "eval.kmeans_n_init=0",
         "train.base_lr=NaN",
         "train.base_lr=Infinity",
+        pytest.param("train.base_lr=1" + "0" * 400, id="train.base_lr=int-beyond-float-range"),
         "train.temperature=NaN",
         "train.momentum=NaN",
         "dataset.seed=-1",
@@ -321,6 +322,13 @@ class TestTrainEval:
         assert re.search(r"numerical abort: classification step, epoch 0 batch \d+: overflow", out.stderr), out.stderr
         assert "Warning" not in out.stderr and "Traceback" not in out.stderr
         assert not (tmp_path / "checkpoint.json").exists()
+
+    def test_view_noise_overflow_named(self, tmp_path):
+        # the features' std overflows: the run names the view-noise scale, not a later batch step
+        out = self.train_in_child(tmp_path, "dataset.class_separation=1e200")
+        assert out.returncode == 1
+        assert "numerical abort: view-noise scale" in out.stderr, out.stderr
+        assert "Warning" not in out.stderr and "Traceback" not in out.stderr
 
     def test_missing_data_file_exit_2(self, tmp_path, capsys):
         rc = main([
@@ -727,6 +735,7 @@ def test_bad_checkpoint_exit_2(two_epoch_run, tmp_path, capsys, command, edit, n
     assert rc == 2, err
     assert f"error: {path}: " in err and all(name in err for name in names), err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # checked before any output or data is touched
 
 
 class TestEstimateCommand:

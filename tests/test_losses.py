@@ -6,7 +6,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cobranch
@@ -29,6 +29,7 @@ from oracles import (
     per_term_contrastive_objective,
     pgd_anchor_minimizer,
     positive_set_contrastive_loss,
+    three_block_classification_objective,
 )
 
 
@@ -441,7 +442,7 @@ class TestClassificationObjective:
             np.zeros((0, 4)), np.zeros(0, dtype=int), v1, v2,
             np.full(4, 0.25), LossWeights(), 0.5,
         )
-        assert res.l_s_omitted
+        assert "L_s omitted" in caplog.text
         assert res.l_s == 0.0
 
     def test_composite_equals_weighted_parts(self):
@@ -469,10 +470,7 @@ class TestClassificationObjective:
 
             res = classification_objective(lab, labels, v1, v2, target, w, 0.5)
             flat = np.concatenate([lab.ravel(), v1.ravel(), v2.ravel()])
-            analytic = np.concatenate(
-                [res.grad_labeled.ravel(), res.grad_unl_v1.ravel(), res.grad_unl_v2.ravel()]
-            )
-            assert max_rel_err(analytic, central_fd(f, flat)) < 1e-4
+            assert max_rel_err(res.grad.ravel(), central_fd(f, flat)) < 1e-4
 
     def test_no_unlabeled_rows(self):
         # zero-row unlabeled views: no pseudo terms, L_reg over the labeled rows alone
@@ -483,13 +481,13 @@ class TestClassificationObjective:
         w = LossWeights(eta1=0.8, eta2=1.1)
         res = classification_objective(lab, labels, empty, empty, target, w, 0.5)
         assert res.l_u == 0.0 and res.n_gated == 0
-        assert res.grad_unl_v1.shape == res.grad_unl_v2.shape == (0, 4)
+        assert res.grad.shape == (3, 4)
         assert res.l_reg == kl_regularizer(softmax(lab).mean(axis=0), target, 0.5)[0]
 
         def f(flat):
             return classification_objective(flat.reshape(3, 4), labels, empty, empty, target, w, 0.5).total
 
-        assert max_rel_err(res.grad_labeled.ravel(), central_fd(f, lab.ravel())) < 1e-4
+        assert max_rel_err(res.grad.ravel(), central_fd(f, lab.ravel())) < 1e-4
 
     def test_confidence_gate_suppresses_low_confidence(self):
         # uniform view probabilities stay under a 0.9 gate: no pseudo terms
@@ -500,6 +498,45 @@ class TestClassificationObjective:
         )
         assert res.n_gated == 0
         assert res.l_u == 0.0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n_l=st.integers(0, 5), n_u=st.integers(0, 5), C=st.integers(2, 50),
+        gate=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        scale=st.sampled_from([0.1, 1.0, 10.0, 100.0]), p=st.floats(0.0, 1.0),
+        etas=st.tuples(*[st.sampled_from([0.0, 0.6, 1.0, 1.7])] * 2), seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_l=0, n_u=3, C=2, gate=1.0, scale=100.0, p=0.5, etas=(1.0, 1.0), seed=0)
+    @example(n_l=4, n_u=0, C=50, gate=0.0, scale=1.0, p=1.0, etas=(1.0, 1.0), seed=1)
+    @example(n_l=2, n_u=5, C=50, gate=0.0, scale=10.0, p=0.0, etas=(0.6, 1.7), seed=2)
+    @example(n_l=3, n_u=4, C=2, gate=1.0, scale=100.0, p=0.3, etas=(1.7, 0.6), seed=3)
+    def test_matches_three_block_oracle_exactly(self, n_l, n_u, C, gate, scale, p, etas, seed):
+        # one stacked softmax, same per-row formulas and the same order of
+        # accumulation as the per-block reference: equal to the last bit
+        assume(n_l + n_u >= 1)
+        rng = np.random.default_rng(seed)
+        lab, v1, v2 = (scale * rng.standard_normal((n, C)) for n in (n_l, n_u, n_u))
+        labels = rng.integers(0, C, size=n_l)
+        target = rng.dirichlet(np.ones(C)) + 0.01
+        target /= target.sum()
+        w = LossWeights(eta1=etas[0], eta2=etas[1])
+        res = classification_objective(lab, labels, v1, v2, target, w, p, gate)
+        total, l_s, l_u, l_reg, grad, n_gated = three_block_classification_objective(
+            lab, labels, v1, v2, target, w, p, gate
+        )
+        assert (res.total, res.l_s, res.l_u, res.l_reg, res.n_gated) == (total, l_s, l_u, l_reg, n_gated)
+        assert np.array_equal(res.grad, grad)
+
+    @pytest.mark.parametrize("n_l, n_u1, n_u2, match", [
+        (0, 0, 0, "at least one logit row"),
+        (2, 3, 2, "must pair up"),
+    ])
+    def test_rejects_no_rows_and_unpaired_views(self, n_l, n_u1, n_u2, match):
+        with pytest.raises(ValueError, match=match):
+            classification_objective(
+                np.zeros((n_l, 3)), np.zeros(n_l, dtype=int), np.zeros((n_u1, 3)), np.zeros((n_u2, 3)),
+                np.full(3, 1 / 3), LossWeights(), 0.5,
+            )
 
 
 def build_views_batch(rng, n_l, n_u, d):

@@ -292,7 +292,7 @@ class TestGradientIsolation:
             logits, y, np.zeros((0, split.num_classes)), np.zeros((0, split.num_classes)),
             np.full(split.num_classes, 1 / split.num_classes), losses.LossWeights(), 0.5,
         )
-        nn.sgd_step(params, nn.classifier_branch_backward(params, cache, res.grad_labeled), 0.1)
+        nn.sgd_step(params, nn.classifier_branch_backward(params, cache, res.grad), 0.1)
         for name, before in zip(params.PROJECTOR_FIELDS, before_proj):
             assert np.array_equal(getattr(params, name), before)
         assert not np.array_equal(params.cls_w, before_cls)
