@@ -109,9 +109,9 @@ def effective_config(raw: dict | None) -> dict:
 
 def _check_types(cfg: dict) -> None:
     """Each value has its default's type: an int within float range also
-    serves a float key, a bool is never a number, and NaN and infinities are
-    never allowed. Where the default is null, null is allowed, and otherwise a
-    string for the paths and an int for the rest."""
+    serves a float key, an int key takes an int64, a bool is never a number,
+    and NaN and infinities are never allowed. Where the default is null, null
+    is allowed, and otherwise a string for the paths and an int for the rest."""
     for block, defaults in DEFAULTS.items():
         for key, default in defaults.items():
             value, nullable = cfg[block][key], default is None
@@ -121,6 +121,8 @@ def _check_types(cfg: dict) -> None:
             if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
                 null = " or null" if nullable else ""
                 raise ConfigError(f"{block}.{key} must be {want.__name__}{null}, got {value!r}")
+            if want is int and not -(2**63) <= value < 2**63:
+                raise ConfigError(f"{block}.{key} must be within int64 range, got a {value.bit_length()}-bit int")
             if want is float:
                 try:
                     number = float(value)
@@ -203,7 +205,7 @@ def read_json(path: str) -> dict:
         doc = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 ({exc})") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int over Python's digit limit
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: expected a JSON object, got {type(doc).__name__}")
@@ -223,7 +225,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
         key, _, value = item.partition("=")
         try:
             parsed = json.loads(value)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an int over Python's digit limit
             parsed = value
         node = raw
         parts = key.split(".")

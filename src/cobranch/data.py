@@ -9,13 +9,16 @@ retained for evaluation but must never be read by training code.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
+import itertools
 import math
 import os
 import re
 import warnings
 import zipfile
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +32,11 @@ UNLABELED_MARKER = -1
 # A cache beside each embedding file: the parsed arrays and the sha256 of the
 # bytes they were parsed from.
 SIDECAR_SUFFIX = ".parsed.npz"
+# A load reads the file in blocks of whole lines of about this many bytes,
+# and converts this many rows per `np.loadtxt` call, so what it holds besides
+# its result arrays is bounded by a block, not by the file.
+_BLOCK_BYTES = 1 << 16
+_BLOCK_ROWS = 128
 
 
 class EmbeddingFormatError(ValueError):
@@ -282,11 +290,10 @@ def save_embeddings(ids: np.ndarray, labels: np.ndarray, X: np.ndarray, path: st
         raise ValueError("refusing to write an empty pool")
     if X.ndim != 2 or len(ids) != len(X) or len(labels) != len(X):
         raise ValueError(f"ids {len(ids)}, labels {len(labels)} and X {X.shape} disagree")
-    lines = [_header(X.shape[1])]
-    for sid, label, row in zip(ids.tolist(), labels.tolist(), X):
-        lines.append(f"{sid},{label}," + ",".join(map(repr, row.tolist())))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_header(X.shape[1]) + "\n")
+        fh.writelines(f"{sid},{label}," + ",".join(map(repr, row.tolist())) + "\n"
+                      for sid, label, row in zip(ids.tolist(), labels.tolist(), X))
 
 
 def _first(mask: np.ndarray) -> int:
@@ -294,7 +301,7 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else mask.size
 
 
-def _parse_rows(rows: list[str], dtype: np.dtype) -> np.ndarray:
+def _parse_rows(rows: tuple[str, ...], dtype: np.dtype) -> np.ndarray:
     """`rows` as one structured array. An integer field spelled as a float is
     a ValueError on every NumPy: older ones only warn and truncate it."""
     if not rows:
@@ -323,53 +330,87 @@ def _first_fault(ids: np.ndarray, labels: np.ndarray, X: np.ndarray, num_classes
     return min(((_first(mask), say) for mask, say in checks), key=lambda c: c[0])
 
 
-def _parse(path: str, lines: list[str], num_classes: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`load_embeddings` on the file's lines, with no cache."""
-    if not lines:
+def _parse(path: str, lines: Iterable[str], num_classes: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`load_embeddings` on the file's lines, with no cache, converted
+    `_BLOCK_ROWS` rows at a time straight into the result arrays."""
+    lines = iter(lines)
+    first = next(lines, None)
+    if first is None:
         raise EmbeddingFormatError(f"{path}: empty file")
-    header = lines[0].split(",")
+    header = first.split(",")
     if len(header) < 3 or header[0] != "id" or header[1] != "label":
-        raise EmbeddingFormatError(f"{path}:1: bad header {lines[0]!r}")
+        raise EmbeddingFormatError(f"{path}:1: bad header {first!r}")
     d = len(header) - 2
     for i, name in enumerate(header[2:]):
         if name != f"f{i}":
             raise EmbeddingFormatError(f"{path}:1: expected column f{i}, got {name!r}")
 
-    lineno = [i for i, line in enumerate(lines[1:], start=2) if line.strip()]
-    rows = [lines[i - 1] for i in lineno]
-    if not rows:
+    dtype = np.dtype([("id", np.int64), ("label", np.int64), ("x", np.float64, (d,))])
+    ids, labels, lineno, X = np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, d))
+    numbered = ((i, line) for i, line in enumerate(lines, start=2) if line.strip())
+    # Rows [0, n) parse; row n, if `fault` says why, is the first with a wrong
+    # field count or an unparsable value, and a fault above it is reported first.
+    n, fault = 0, ""
+    while not fault and (block := list(itertools.islice(numbered, _BLOCK_ROWS))):
+        at, rows = zip(*block)
+        fields = np.array([row.count(",") for row in rows]) + 1
+        end = _first(fields != d + 2)
+        fault = f"expected {d + 2} fields, got {fields[end]}" if end < len(rows) else ""
+        try:
+            table = _parse_rows(rows[:end], dtype)
+        except ValueError as exc:
+            # NumPy names the row as a 0-based index into the rows passed.
+            where = re.search(r" at row (\d+)", str(exc))
+            if where is None:
+                raise EmbeddingFormatError(f"{path}: {exc}") from exc
+            end, fault = int(where.group(1)), str(exc).replace(where.group(0), "")
+            table = _parse_rows(rows[:end], dtype)
+        for array in (ids, labels, lineno, X):  # in place: no view of them outlives a statement
+            array.resize((n + len(rows), *array.shape[1:]), refcheck=False)
+        lineno[n:], ids[n : n + end], labels[n : n + end], X[n : n + end] = at, table["id"], table["label"], table["x"]
+        n += end
+    if not n and not fault:
         raise EmbeddingFormatError(f"{path}: no data rows")
 
-    # Rows [0, end) parse; row `end`, if any, is the first with a wrong field
-    # count or an unparsable value, and a fault above it is reported first.
-    fields = np.array([row.count(",") for row in rows]) + 1
-    end = _first(fields != d + 2)
-    fault = f"expected {d + 2} fields, got {fields[end]}" if end < len(rows) else ""
-    dtype = np.dtype([("id", np.int64), ("label", np.int64), ("x", np.float64, (d,))])
-    try:
-        table = _parse_rows(rows[:end], dtype)
-    except ValueError as exc:
-        # NumPy names the row as a 0-based index into the rows passed.
-        at = re.search(r" at row (\d+)", str(exc))
-        if at is None:
-            raise EmbeddingFormatError(f"{path}: {exc}") from exc
-        end, fault = int(at.group(1)), str(exc).replace(at.group(0), "")
-        table = _parse_rows(rows[:end], dtype)
-
-    # copies, so the parsed table is freed on return
-    ids, labels, X = (np.ascontiguousarray(table[name]) for name in ("id", "label", "x"))
-    row, message = _first_fault(ids, labels, X, num_classes)
-    if row < end:
+    row, message = _first_fault(ids[:n], labels[:n], X[:n], num_classes)
+    if row < n:
         raise EmbeddingFormatError(f"{path}:{lineno[row]}: {message(row, lineno)}")
     if fault:
-        raise EmbeddingFormatError(f"{path}:{lineno[end]}: {fault}")
+        raise EmbeddingFormatError(f"{path}:{lineno[n]}: {fault}")
     return ids, labels, X
+
+
+def _blocks(fh) -> Iterator[bytes]:
+    """The rest of `fh` in blocks of whole lines of about `_BLOCK_BYTES`
+    each; only the last block may end without b"\\n"."""
+    while block := fh.read(_BLOCK_BYTES):
+        yield block if block.endswith(b"\n") else block + fh.readline()
+
+
+def _lines(path: str, fh, digest) -> Iterator[str]:
+    """The text lines of `fh` from its start, decoded block by block after
+    each block's bytes go into `digest`. A block ends after a b"\\n", so its
+    lines are those the whole text splits into there."""
+    offset = newlines = 0
+    for block in _blocks(fh):
+        digest.update(block)
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:  # worded as a decode of the whole file would word it
+            start, last = offset + exc.start, offset + exc.end - 1
+            what = f"byte 0x{block[exc.start]:02x} in position {start}" if start == last else \
+                f"bytes in position {start}-{last}"
+            line = newlines + block.count(b"\n", 0, exc.start) + 1
+            raise EmbeddingFormatError(
+                f"{path}:{line}: not UTF-8 ('utf-8' codec can't decode {what}: {exc.reason})") from exc
+        offset, newlines = offset + len(block), newlines + block.count(b"\n")
+        yield from text.splitlines()
 
 
 def _read_sidecar(side: str, digest: str, raw: bytes, num_classes: int | None):
     """The arrays cached in `side`, if they were parsed from bytes with this
-    digest and pass again every check the parser makes on `raw`'s header
-    width and on arrays; else None."""
+    digest and pass again every check the parser makes on the header width
+    (in `raw`, the file's leading bytes) and on arrays; else None."""
     try:
         with open(side, "rb") as fh, np.load(fh, allow_pickle=False) as z:
             if str(z["sha256"]) != digest:
@@ -412,25 +453,25 @@ def load_embeddings(path: str, num_classes: int | None = None) -> tuple[np.ndarr
     `path:line`.
 
     A clean parse is cached in `<path>.parsed.npz` with the sha256 of the
-    file's bytes. A later load of the same bytes takes the arrays from there
+    bytes parsed. A later load of the same bytes takes the arrays from there
     if they pass the array checks again; otherwise the file is parsed, so
-    every error comes from the parser.
+    every error comes from the parser. Both read the file block by block.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
     side = f"{path}{SIDECAR_SUFFIX}"
-    cached = _read_sidecar(side, digest, raw, num_classes)
-    if cached is not None:
-        return cached
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
-        raise EmbeddingFormatError(f"{path}:{line}: not UTF-8 ({exc})") from exc
-    del raw  # one copy of the file at a time, so a miss peaks no higher than a parse alone
-    lines = text.splitlines()
-    del text
-    ids, labels, X = _parse(path, lines, num_classes)
-    _write_sidecar(side, digest, ids, labels, X)
+    with open(path, "rb") as fh:
+        digest, head = hashlib.sha256(), b""
+        for block in _blocks(fh):
+            digest.update(block)
+            head = head or block
+        cached = _read_sidecar(side, digest.hexdigest(), head, num_classes)
+        if cached is not None:
+            return cached
+        fh.seek(0)
+        parsed = hashlib.sha256()  # the file may have changed since it was hashed
+        lines = _lines(path, fh, parsed)
+        try:
+            ids, labels, X = _parse(path, lines, num_classes)
+        finally:  # decode the rest: a byte that is not UTF-8 outranks a parse fault
+            collections.deque(lines, maxlen=0)
+    _write_sidecar(side, parsed.hexdigest(), ids, labels, X)
     return ids, labels, X

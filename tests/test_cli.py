@@ -96,6 +96,9 @@ class TestConfig:
         "train.base_lr=NaN",
         "train.base_lr=Infinity",
         pytest.param("train.base_lr=1" + "0" * 400, id="train.base_lr=int-beyond-float-range"),
+        pytest.param("train.base_lr=1" + "0" * 5000, id="train.base_lr=int-over-digit-limit"),
+        pytest.param("dataset.n_max=1" + "0" * 400, id="dataset.n_max=int-beyond-int64"),
+        pytest.param(f"dataset.seed={2**63}", id="dataset.seed=2**63"),
         "train.temperature=NaN",
         "train.momentum=NaN",
         "dataset.seed=-1",
@@ -144,6 +147,14 @@ class TestConfig:
         assert rc == 2
         assert f"error: {override.partition('=')[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "telemetry.jsonl").exists()
+
+    def test_int_over_digit_limit_in_config_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"train": {"base_lr": 1' + "0" * 5000 + "}}")
+        rc = main(["train", "--seed", "0", "--out", str(tmp_path / "run"), "--config", str(path), *SMALL])
+        assert rc == 2
+        assert f"error: {path}: invalid JSON (" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("train.metric", "hamming"),

@@ -1,6 +1,9 @@
 import hashlib
 import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cobranch
 from cobranch import data
 from cobranch.data import (
     SIDECAR_SUFFIX,
@@ -387,6 +391,24 @@ class TestLoaderAgainstOracle:
         where = loader_error(reference_load_embeddings, path)
         assert loader_error(load_embeddings, path) == where == f"{path}:2"
 
+    @pytest.mark.parametrize("head,rows", [
+        ("id,label,x0,x1", GOOD),
+        ("id,label,f0,f1", ["0,0,oops,2.0", *GOOD[1:]]),
+        ("id,label,f0,f1", [GOOD[0], "0,0,1.0", *GOOD[2:]]),
+        ("id,label,f0,f1", [GOOD[0], "0,-1,0.5,-0.0", *GOOD[2:]]),
+    ], ids=["header", "oops", "fields", "repeated-id"])
+    def test_a_byte_that_is_not_utf8_outranks_every_parse_fault(self, tmp_path, head, rows):
+        raw = ("\r\n".join([head, *rows, ""]) + "\n4,0,1.0,2.0\n5,0,\u00e9").encode() + b"\xff,1.0\n"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(raw)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            raw.decode("utf-8")
+        line = raw.count(b"\n", 0, whole.value.start) + 1
+        with pytest.raises(EmbeddingFormatError) as info:
+            load_embeddings(str(path))
+        assert str(info.value) == f"{path}:{line}: not UTF-8 ({whole.value})"
+        assert os.listdir(tmp_path) == ["bad.csv"]
+
     def test_test_pool_labels_name_the_line(self, tmp_path):
         path = tmp_path / "test.csv"
         path.write_text("id,label,f0,f1\n0,0,1,2\n\n1,99,1,2\n")
@@ -540,6 +562,88 @@ class TestSidecar:
         monkeypatch.undo()
         load_embeddings(path)
         assert sorted(os.listdir(tmp_path)) == ["pool.csv", "pool.csv" + SIDECAR_SUFFIX]
+
+    @pytest.mark.parametrize("edit", ["same-size", "longer"])
+    def test_file_rewritten_between_hash_and_parse(self, tmp_path, monkeypatch, edit):
+        # A load hashes the file, then reads it again to parse it. Whatever
+        # the second read returns, the sidecar pairs its arrays with the
+        # digest of the bytes they were parsed from.
+        path = self.pool(tmp_path)
+        old = self.TEXT.encode()
+        new = old.replace(b"-8,2", b"-9,1") if edit == "same-size" else old + b"11,1,0.5,0.25\r\n"
+        real = data._read_sidecar
+
+        def rewrite_then_read(*args):
+            with open(path, "r+b") as fh:  # the same file, which the load holds open
+                fh.write(new)
+            return real(*args)
+
+        monkeypatch.setattr(data, "_read_sidecar", rewrite_then_read)
+        got = load_embeddings(path)
+        monkeypatch.undo()
+        with np.load(path + SIDECAR_SUFFIX) as z:
+            digest, cached = str(z["sha256"]), (z["ids"], z["labels"], z["X"])
+        source = {hashlib.sha256(raw).hexdigest(): raw for raw in (old, new)}[digest]
+        twin = tmp_path / "twin.csv"
+        twin.write_bytes(source)
+        self.assert_same(cached, got)
+        self.assert_same(got, reference_load_embeddings(str(twin)))
+        self.assert_same(load_embeddings(path), reference_load_embeddings(path))
+
+
+@pytest.fixture(params=[(1, 1), (5, 3)], ids=["1-byte-1-row", "5-bytes-3-rows"])
+def small_blocks(request, monkeypatch):
+    """I/O blocks of one or a few lines and parse blocks of one or three rows,
+    so that faults, blank lines and CRLF fall on block edges."""
+    monkeypatch.setattr(data, "_BLOCK_BYTES", request.param[0])
+    monkeypatch.setattr(data, "_BLOCK_ROWS", request.param[1])
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoaderAgainstOracleInSmallBlocks(TestLoaderAgainstOracle):
+    pass
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestSidecarInSmallBlocks(TestSidecar):
+    pass
+
+
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_csv_io_peak_memory_is_bounded_by_a_block(tmp_path):
+    # Peak-RSS growth of one call, each in a new process, on a 7.6 MB file of
+    # 6,000 x 64 values whose arrays take 3.1 MB. Block-wise I/O reads about
+    # +0.2 MB to write it, +7.0 MB to parse it (3 MB of that is the sidecar
+    # write) and +3.8 MB to load it from the sidecar; holding the whole file
+    # reads +21.9, +14.4 and +11.1 MB.
+    # VmHWM, because ru_maxrss also counts the peak of the process that
+    # started this one.
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from cobranch.data import load_embeddings, save_embeddings
+        def peak_kb():
+            with open("/proc/self/status") as fh:
+                return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+        path, step = sys.argv[1:]
+        if step == "save":
+            rng = np.random.default_rng(0)
+            ids, labels, X = np.arange(6000), rng.integers(-1, 10, 6000), rng.standard_normal((6000, 64))
+        before = peak_kb()
+        if step == "save":
+            save_embeddings(ids, labels, X, path)
+        else:
+            load_embeddings(path)
+        print((peak_kb() - before) / 1024)
+    """)
+    src = os.path.dirname(os.path.dirname(cobranch.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    path = str(tmp_path / "pool.csv")
+    for step, bound_mb in [("save", 2.0), ("miss", 10.0), ("hit", 6.0)]:
+        out = subprocess.run([sys.executable, "-c", code, path, step], env=env, capture_output=True,
+                             text=True, check=True)
+        assert float(out.stdout) < bound_mb, step
+    assert os.path.isfile(path + SIDECAR_SUFFIX)
 
 
 def test_split_validate_catches_count_mismatch():
