@@ -439,7 +439,8 @@ def cmd_eval(args) -> int:
 
     rows = []
     for seed in args.seeds:
-        report = evaluate_trained(cfg, test, state.params, seed)
+        with train_mod._named_abort(f"eval seed {seed}"):
+            report = evaluate_trained(cfg, test, state.params, seed)
         payload = {"config": cfg, "seed": seed, "report": report.to_dict()}
         write_json_atomic(os.path.join(args.out, f"report_seed{seed}.json"), payload)
         write_csv_atomic(
@@ -474,7 +475,6 @@ def cmd_estimate(args) -> int:
             raise ConfigError("estimate --checkpoint runs on the checkpoint's config: drop --config and --set")
         cfg, data_seed, state = load_checkpoint(args.checkpoint)
         split = build_dataset(cfg, data_seed)
-        feats = nn.encode(state.params, split.X)
     else:
         if not (args.config or args.set):
             raise ConfigError("estimate needs --checkpoint or --config")
@@ -482,18 +482,18 @@ def cmd_estimate(args) -> int:
         if args.seed is None:
             raise ConfigError("estimate needs --seed when no checkpoint is given")
         split = build_dataset(cfg, args.seed)
-        feats = split.X
-    result, amap, pi_e = estimate_round(
-        feats,
-        split.num_classes,
-        np.arange(split.y_lab.size),
-        split.y_lab,
-        split.num_known,
-        seed=args.seed if args.seed is not None else 0,
-        max_iter=cfg["train"]["kmeans_max_iter"],
-        tol=cfg["train"]["kmeans_tol"],
-        n_init=cfg["train"]["kmeans_n_init"],
-    )
+    with train_mod._named_abort("estimate round"):
+        result, amap, pi_e = estimate_round(
+            nn.encode(state.params, split.X) if args.checkpoint else split.X,
+            split.num_classes,
+            np.arange(split.y_lab.size),
+            split.y_lab,
+            split.num_known,
+            seed=args.seed if args.seed is not None else 0,
+            max_iter=cfg["train"]["kmeans_max_iter"],
+            tol=cfg["train"]["kmeans_tol"],
+            n_init=cfg["train"]["kmeans_n_init"],
+        )
     record = {
         "config": cfg,
         "assignments": result.assignments.tolist(),

@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import fields
 
+import numpy as np
+
 from . import losses, nn, transfer
 from .train import ModelConfig, TrainConfig
 
@@ -133,6 +135,24 @@ def _check_types(cfg: dict) -> None:
                     raise ConfigError(f"{block}.{key} must be finite, got {value!r}")
 
 
+def _check_sizes(cfg: dict) -> None:
+    """Each array the config implies has an element count that fits in
+    np.intp: the weight matrices, the class-mean differences, and the
+    synthetic train and test pools (at most num_classes times n_max or
+    test_per_class rows) in each width they pass through."""
+    C = ("dataset", "num_classes")
+    widths = [("dataset", "d_in"), *(("model", key) for key in ("d_hidden", "d_feat", "d_proj_hidden", "d_proj"))]
+    counts = [[*pair] for pair in zip(widths, widths[1:])] + [[C, ("model", "d_feat")]]
+    if cfg["dataset"]["kind"] == "synthetic":
+        counts.append([C, C, ("dataset", "d_in")])
+        counts += [[C, ("dataset", rows), width] for rows in ("n_max", "test_per_class") for width in [*widths, C]]
+    limit = int(np.iinfo(np.intp).max)
+    for keys in counts:
+        if math.prod(cfg[block][key] for block, key in keys) > limit:
+            product = " * ".join(f"{block}.{key}={cfg[block][key]!r}" for block, key in keys)
+            raise ConfigError(f"{product} elements do not fit in np.intp (at most {limit})")
+
+
 def _validate(cfg: dict) -> None:
     _check_types(cfg)
     ds = cfg["dataset"]
@@ -168,6 +188,7 @@ def _validate(cfg: dict) -> None:
     for block, key, low in lows:
         if cfg[block][key] is not None and cfg[block][key] < low:
             raise ConfigError(f"{block}.{key} must be >= {low}, got {cfg[block][key]!r}")
+    _check_sizes(cfg)
     if tr["warmup_epochs"] is not None and not 0 <= tr["warmup_epochs"] <= tr["total_epochs"]:
         raise ConfigError(
             f"train.warmup_epochs must be in [0, train.total_epochs={tr['total_epochs']}], "

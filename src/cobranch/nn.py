@@ -115,12 +115,32 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
     return x
 
 
+# --- shared pieces -------------------------------------------------------------
+
+def _mlp_forward(X: np.ndarray, w1, b1, w2, b2):
+    """`tanh(X w1 + b1) w2 + b2` and the hidden activations."""
+    H = np.tanh(X @ w1 + b1)
+    return H @ w2 + b2, H
+
+
+def _mlp_backward(X: np.ndarray, H: np.ndarray, w1, w2, dY: np.ndarray):
+    """Returns (dw1, db1, dw2, db2, gradient w.r.t. X) of `_mlp_forward`."""
+    dw2, db2 = H.T @ dY, dY.sum(axis=0)
+    dA = (dY @ w2.T) * (1.0 - H**2)
+    return X.T @ dA, dA.sum(axis=0), dw2, db2, dA @ w1.T
+
+
+def _unit_row_backward(dU: np.ndarray, U: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the rows whose unit rows are `U` and norms `norms`."""
+    inner = (dU * U).sum(axis=1, keepdims=True)
+    return (dU - inner * U) / norms[:, None]
+
+
 # --- encoder ---------------------------------------------------------------
 
 def encode_forward(params: ModelParams, x: np.ndarray):
     X = _as_batch(x, params.d_in, "encode")
-    H = np.tanh(X @ params.enc_w1 + params.enc_b1)
-    Z = H @ params.enc_w2 + params.enc_b2
+    Z, H = _mlp_forward(X, params.enc_w1, params.enc_b1, params.enc_w2, params.enc_b2)
     return Z, (X, H)
 
 
@@ -130,55 +150,30 @@ def encode(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def encode_backward(params: ModelParams, cache, dZ: np.ndarray):
     """Returns (param grads dict, gradient w.r.t. the input)."""
-    X, H = cache
-    grads = {
-        "enc_w2": H.T @ dZ,
-        "enc_b2": dZ.sum(axis=0),
-    }
-    dH = dZ @ params.enc_w2.T
-    dA = dH * (1.0 - H**2)
-    grads["enc_w1"] = X.T @ dA
-    grads["enc_b1"] = dA.sum(axis=0)
-    dX = dA @ params.enc_w1.T
-    return grads, dX
+    *grads, dX = _mlp_backward(*cache, params.enc_w1, params.enc_w2, dZ)
+    return dict(zip(params.ENCODER_FIELDS, grads)), dX
 
 
 # --- projector ---------------------------------------------------------------
 
 def project_forward(params: ModelParams, z: np.ndarray):
     Z = _as_batch(z, params.d_feat, "project")
-    G = np.tanh(Z @ params.proj_w1 + params.proj_b1)
-    Q = G @ params.proj_w2 + params.proj_b2
+    Q, G = _mlp_forward(Z, params.proj_w1, params.proj_b1, params.proj_w2, params.proj_b2)
     norms = np.linalg.norm(Q, axis=1)
     fallback = norms <= _ZERO_NORM_EPS
-    U = np.empty_like(Q)
-    ok = ~fallback
-    U[ok] = Q[ok] / norms[ok, None]
-    if fallback.any():
-        U[fallback] = 0.0
-        U[fallback, 0] = 1.0
+    U = np.zeros_like(Q)
+    U[~fallback] = Q[~fallback] / norms[~fallback, None]
+    U[fallback, 0] = 1.0
     return U, (Z, G, Q, norms, fallback)
 
 
 def project_backward(params: ModelParams, cache, dU: np.ndarray):
     Z, G, Q, norms, fallback = cache
+    ok = ~fallback  # a fallback row has no usable direction: its gradient is dropped
     dQ = np.zeros_like(Q)
-    ok = ~fallback
-    if ok.any():
-        u = Q[ok] / norms[ok, None]
-        inner = (dU[ok] * u).sum(axis=1, keepdims=True)
-        dQ[ok] = (dU[ok] - inner * u) / norms[ok, None]
-    # fallback rows have no usable direction: gradient dropped
-    grads = {
-        "proj_w2": G.T @ dQ,
-        "proj_b2": dQ.sum(axis=0),
-    }
-    dG = dQ @ params.proj_w2.T
-    dA = dG * (1.0 - G**2)
-    grads["proj_w1"] = Z.T @ dA
-    grads["proj_b1"] = dA.sum(axis=0)
-    dZ = dA @ params.proj_w1.T
-    return grads, dZ
+    dQ[ok] = _unit_row_backward(dU[ok], Q[ok] / norms[ok, None], norms[ok])
+    *grads, dZ = _mlp_backward(Z, G, params.proj_w1, params.proj_w2, dQ)
+    return dict(zip(params.PROJECTOR_FIELDS, grads)), dZ
 
 
 # --- cosine classifier -------------------------------------------------------
@@ -205,12 +200,8 @@ def classify(params: ModelParams, z: np.ndarray) -> np.ndarray:
 def classify_backward(params: ModelParams, cache, dL: np.ndarray):
     Z, z_norms, Zh, Wh, w_norms = cache
     s = params.scale
-    dZh = s * (dL @ Wh)
-    inner = (dZh * Zh).sum(axis=1, keepdims=True)
-    dZ = (dZh - inner * Zh) / z_norms[:, None]
-    dWh = s * (dL.T @ Zh)
-    winner = (dWh * Wh).sum(axis=1, keepdims=True)
-    dW = (dWh - winner * Wh) / w_norms[:, None]
+    dZ = _unit_row_backward(s * (dL @ Wh), Zh, z_norms)
+    dW = _unit_row_backward(s * (dL.T @ Zh), Wh, w_norms)
     return {"cls_w": dW}, dZ
 
 

@@ -10,7 +10,8 @@ lists and one softmax per term instead of the shared contrastive kernel,
 one softmax per logit block instead of the stacked pseudo-labeling
 objective, one `float()` call per value instead of the one-pass CSV
 parser, one sort per predicted class instead of one batch-wide pseudo-label
-ranking. The
+ranking, each backward pass of the network written out in full instead of
+the shared two-layer block and unit-row step. The
 parameter-vector and two-vector positiveness helpers only reshape what the
 library computes; the package itself has no use for them, nor for the
 synthetic pool and the inverse alignment kept here for tests.
@@ -475,6 +476,58 @@ def optimal_soft_logits(w_row: np.ndarray) -> np.ndarray:
     if s <= 0:
         raise ValueError("weight row sums to zero")
     return w / s
+
+
+def written_out_encode_backward(params: ModelParams, cache, dZ: np.ndarray):
+    """The encoder's backward pass spelled out layer by layer, operation for
+    operation as `nn.encode_backward` must compute it."""
+    X, H = cache
+    grads = {
+        "enc_w2": H.T @ dZ,
+        "enc_b2": dZ.sum(axis=0),
+    }
+    dH = dZ @ params.enc_w2.T
+    dA = dH * (1.0 - H**2)
+    grads["enc_w1"] = X.T @ dA
+    grads["enc_b1"] = dA.sum(axis=0)
+    dX = dA @ params.enc_w1.T
+    return grads, dX
+
+
+def written_out_project_backward(params: ModelParams, cache, dU: np.ndarray):
+    """The projector's backward pass spelled out: the unit-norm step of each
+    row with a direction, then both layers; fallback rows get no gradient."""
+    Z, G, Q, norms, fallback = cache
+    dQ = np.zeros_like(Q)
+    ok = ~fallback
+    if ok.any():
+        u = Q[ok] / norms[ok, None]
+        inner = (dU[ok] * u).sum(axis=1, keepdims=True)
+        dQ[ok] = (dU[ok] - inner * u) / norms[ok, None]
+    grads = {
+        "proj_w2": G.T @ dQ,
+        "proj_b2": dQ.sum(axis=0),
+    }
+    dG = dQ @ params.proj_w2.T
+    dA = dG * (1.0 - G**2)
+    grads["proj_w1"] = Z.T @ dA
+    grads["proj_b1"] = dA.sum(axis=0)
+    dZ = dA @ params.proj_w1.T
+    return grads, dZ
+
+
+def written_out_classify_backward(params: ModelParams, cache, dL: np.ndarray):
+    """The cosine classifier's backward pass spelled out: the unit-norm step
+    of the feature rows, then of the classifier rows."""
+    Z, z_norms, Zh, Wh, w_norms = cache
+    s = params.scale
+    dZh = s * (dL @ Wh)
+    inner = (dZh * Zh).sum(axis=1, keepdims=True)
+    dZ = (dZh - inner * Zh) / z_norms[:, None]
+    dWh = s * (dL.T @ Zh)
+    winner = (dWh * Wh).sum(axis=1, keepdims=True)
+    dW = (dWh - winner * Wh) / w_norms[:, None]
+    return {"cls_w": dW}, dZ
 
 
 def params_to_vector(params: ModelParams) -> np.ndarray:

@@ -29,6 +29,15 @@ SMALL = [
 ]
 
 
+def cli_in_child(*argv):
+    """The CLI's result in a child process, where pytest does not turn NumPy's
+    overflow warning into an exception: the run sees what a user's run sees."""
+    src = os.path.dirname(os.path.dirname(cobranch.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "cobranch.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def sha(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -167,6 +176,21 @@ class TestConfig:
         block, _, leaf = key.partition(".")
         with pytest.raises(ConfigError, match=re.escape(key)):
             effective_config({block: {leaf: value}})
+
+    @pytest.mark.parametrize("key", ["dataset.n_max", "dataset.test_per_class", "dataset.num_classes",
+                                     "dataset.d_in", "model.d_hidden", "model.d_feat", "model.d_proj_hidden",
+                                     "model.d_proj"])
+    def test_size_beyond_intp_names_the_key(self, key):
+        block, _, leaf = key.partition(".")
+        with pytest.raises(ConfigError, match=rf"{re.escape(key)}={2**62}\b.*np\.intp"):
+            effective_config({block: {leaf: 2**62}})
+
+    def test_size_bound_is_exact(self):
+        # the widest layers (d_hidden, d_proj_hidden, d_proj: 32) times num_classes=10 rows per n_max
+        fits = int(np.iinfo(np.intp).max) // (10 * 32)
+        assert effective_config({"dataset": {"n_max": fits}})["dataset"]["n_max"] == fits
+        with pytest.raises(ConfigError, match="dataset.n_max"):
+            effective_config({"dataset": {"n_max": fits + 1}})
 
     def test_every_train_and_model_key_reaches_training(self):
         # a valid value for every key, none of them its default
@@ -310,13 +334,7 @@ class TestTrainEval:
         assert sha(tmp_path / "resumed" / "checkpoint.json") == sha(tmp_path / "run" / "checkpoint.json")
 
     def train_in_child(self, tmp_path, override):
-        # In a child process, so that pytest does not turn NumPy's overflow
-        # warning into an exception: the run sees what a user's run sees.
-        src = os.path.dirname(os.path.dirname(cobranch.__file__))
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        argv = ["train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", override]
-        return subprocess.run([sys.executable, "-m", "cobranch.cli", *argv], env=env, capture_output=True,
-                              text=True, timeout=120)
+        return cli_in_child("train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", override)
 
     def test_numerical_abort_names_phase_epoch_batch(self, tmp_path):
         out = self.train_in_child(tmp_path, "train.temperature=1e-300")
@@ -747,6 +765,24 @@ def test_bad_checkpoint_exit_2(two_epoch_run, tmp_path, capsys, command, edit, n
     assert f"error: {path}: " in err and all(name in err for name in names), err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()  # checked before any output or data is touched
+
+
+@pytest.mark.parametrize("command, extra, phase", [
+    ("eval", ["--seeds", "0"], "eval seed 0"),
+    ("estimate", [], "estimate round"),
+])
+def test_overflowing_checkpoint_names_the_phase(two_epoch_run, tmp_path, command, extra, phase):
+    run, _ = two_epoch_run
+    blob = json.loads((run / "checkpoint.json").read_text())
+    for name in ("enc_w2", "enc_b2"):
+        array = blob["params"]["arrays"][name]
+        array["data"] = [1.7e308] * len(array["data"])  # finite, but the encoder's output overflows
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(blob))
+    out = cli_in_child(command, "--checkpoint", str(path), *extra, "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert f"numerical abort: {phase}: overflow" in out.stderr, out.stderr
+    assert "Warning" not in out.stderr and "Traceback" not in out.stderr
 
 
 class TestEstimateCommand:

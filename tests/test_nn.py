@@ -1,15 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobranch import cli, nn
 from cobranch.config import ConfigError, effective_config
 from cobranch.estimate import AlignmentMap
 from cobranch.train import TrainResult
-from oracles import central_fd, grad_check, max_rel_err, params_to_vector, vector_to_params
+from oracles import (
+    central_fd,
+    grad_check,
+    max_rel_err,
+    params_to_vector,
+    vector_to_params,
+    written_out_classify_backward,
+    written_out_encode_backward,
+    written_out_project_backward,
+)
 
 
 def small_params(seed=0, d_in=4, d_hidden=5, d_feat=3, d_ph=4, d_proj=3, C=4, scale=10.0):
     return nn.init_params(d_in, d_hidden, d_feat, d_ph, d_proj, C, seed=seed, scale=scale)
+
+
+def grads_to_vector(p, grads):
+    """`grads` laid out as `params_to_vector(p)`, zero for the parameters it leaves out."""
+    return np.concatenate([grads.get(name, np.zeros_like(getattr(p, name))).ravel() for name in p.array_fields()])
 
 
 class TestEncode:
@@ -66,14 +82,7 @@ class TestEncode:
         grads, _ = nn.encode_backward(p, cache, u)
         vec = params_to_vector(p)
         numeric = central_fd(loss_at, vec)
-        analytic = np.zeros_like(vec)
-        i = 0
-        for name in p.array_fields():
-            size = getattr(p, name).size
-            if name in grads:
-                analytic[i : i + size] = grads[name].ravel()
-            i += size
-        assert max_rel_err(analytic, numeric) < 1e-4
+        assert max_rel_err(grads_to_vector(p, grads), numeric) < 1e-4
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension 4"):
@@ -126,6 +135,43 @@ class TestProject:
         _, dz = nn.project_backward(p, cache, u[None])
         assert max_rel_err(dz.ravel(), central_fd(probe, z)) < 1e-4
 
+    def test_fallback_row_gets_no_gradient(self):
+        # a zero row meets the zero biases of a fresh projector: its output is
+        # the zero vector, so it falls back
+        rng = np.random.default_rng(10)
+        p = small_params(seed=15)
+        Z = rng.standard_normal((4, 3))
+        Z[2] = 0.0
+        dU = rng.standard_normal((4, 3))
+        _, cache = nn.project_forward(p, Z)
+        assert cache[-1].tolist() == [False, False, True, False]
+        grads, dZ = nn.project_backward(p, cache, dU)
+        assert np.all(dZ[2] == 0.0)
+
+        rest = np.array([0, 1, 3])
+        rest_grads, rest_dZ = nn.project_backward(p, nn.project_forward(p, Z[rest])[1], dU[rest])
+        assert grads.keys() == rest_grads.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], rest_grads[name], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(dZ[rest], rest_dZ, rtol=1e-12, atol=1e-15)
+
+        # a loss that weighs only the other rows: a step that moves the
+        # fallback row off zero leaves it unchanged
+        w = dU.copy()
+        w[2] = 0.0
+
+        def loss_at(vec):
+            return float((w * nn.project_forward(vector_to_params(p, vec), Z)[0]).sum())
+
+        assert max_rel_err(grads_to_vector(p, grads), central_fd(loss_at, params_to_vector(p))) < 1e-4
+
+        def probe(rest_flat):
+            Zr = Z.copy()
+            Zr[rest] = rest_flat.reshape(3, 3)
+            return float((w * nn.project_forward(p, Zr)[0]).sum())
+
+        assert max_rel_err(dZ[rest].ravel(), central_fd(probe, Z[rest].ravel())) < 1e-4
+
 
 class TestClassify:
     def test_aligned_vector_hits_scale(self):
@@ -175,19 +221,46 @@ class TestClassify:
 
         vec = params_to_vector(p)
         numeric = central_fd(loss_at, vec)
-        analytic = np.zeros_like(vec)
-        i = 0
-        for name in p.array_fields():
-            size = getattr(p, name).size
-            if name in grads:
-                analytic[i : i + size] = grads[name].ravel()
-            i += size
-        assert max_rel_err(analytic, numeric) < 1e-4
+        assert max_rel_err(grads_to_vector(p, grads), numeric) < 1e-4
 
         def probe(zflat):
             return float((u * nn.classify(p, zflat.reshape(4, 3))).sum())
 
         assert max_rel_err(dZ.ravel(), central_fd(probe, Z.ravel())) < 1e-4
+
+
+class TestBackwardMatchesWrittenOut:
+    """The shared two-layer block and unit-row step give each backward pass
+    bit for bit as its layer-by-layer form in `oracles`."""
+
+    @staticmethod
+    def assert_same(got, want):
+        (grads, dx), (want_grads, want_dx) = got, want
+        assert grads.keys() == want_grads.keys()
+        assert all(np.array_equal(grads[name], want_grads[name]) for name in grads)
+        assert np.array_equal(dx, want_dx)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), n_zero=st.integers(0, 9))
+    def test_bitwise(self, seed, n, n_zero):
+        rng = np.random.default_rng(seed)
+        p = nn.init_params(5, 7, 4, 6, 3, 4, seed=seed, scale=rng.uniform(1.0, 20.0))
+        p.enc_b1, p.enc_b2 = rng.standard_normal(7), rng.standard_normal(4)
+        Z, enc_cache = nn.encode_forward(p, rng.standard_normal((n, 5)))
+        dZ = rng.standard_normal(Z.shape)
+        self.assert_same(nn.encode_backward(p, enc_cache, dZ), written_out_encode_backward(p, enc_cache, dZ))
+
+        # zero rows meet the zero biases of a fresh projector: they fall back
+        Zp = Z.copy()
+        Zp[:n_zero] = 0.0
+        U, proj_cache = nn.project_forward(p, Zp)
+        assert proj_cache[-1].sum() == min(n, n_zero)
+        dU = rng.standard_normal(U.shape)
+        self.assert_same(nn.project_backward(p, proj_cache, dU), written_out_project_backward(p, proj_cache, dU))
+
+        L, cls_cache = nn.classify_forward(p, Z)
+        dL = rng.standard_normal(L.shape)
+        self.assert_same(nn.classify_backward(p, cls_cache, dL), written_out_classify_backward(p, cls_cache, dL))
 
 
 class TestCosineLr:
@@ -332,14 +405,7 @@ class TestBranchComposites:
 
         vec = params_to_vector(p)
         numeric = central_fd(loss_at, vec)
-        analytic = np.zeros_like(vec)
-        i = 0
-        for name in p.array_fields():
-            size = getattr(p, name).size
-            if name in grads:
-                analytic[i : i + size] = grads[name].ravel()
-            i += size
-        assert max_rel_err(analytic, numeric) < 1e-4
+        assert max_rel_err(grads_to_vector(p, grads), numeric) < 1e-4
         assert all(name not in grads for name in p.PROJECTOR_FIELDS)
 
     def test_full_chain_gradients_contrastive_branch(self):
@@ -357,12 +423,5 @@ class TestBranchComposites:
 
         vec = params_to_vector(p)
         numeric = central_fd(loss_at, vec)
-        analytic = np.zeros_like(vec)
-        i = 0
-        for name in p.array_fields():
-            size = getattr(p, name).size
-            if name in grads:
-                analytic[i : i + size] = grads[name].ravel()
-            i += size
-        assert max_rel_err(analytic, numeric) < 1e-4
+        assert max_rel_err(grads_to_vector(p, grads), numeric) < 1e-4
         assert "cls_w" not in grads
