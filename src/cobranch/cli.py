@@ -3,8 +3,8 @@ estimation diagnostics, and ablation grids.
 
 Subcommands: gen-data, train, eval, estimate, ablate. Every command is a
 deterministic function of (config, input files, seed); reruns produce
-byte-identical outputs. Exit codes: 0 success, 1 numerical abort,
-2 I/O or config error.
+byte-identical outputs. Exit codes: 0 success, 1 numerical abort inside a
+named phase (`train._named_abort`), 2 I/O or config error.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .data import (
     split_independent_pools,
     split_known_novel,
 )
-from .estimate import AlignmentMap, EstimationError, estimate_round
+from .estimate import AlignmentMap, estimate_round
 from .evaluation import EvalReport, evaluate
 from .train import TrainingAborted
 
@@ -197,12 +197,7 @@ def build_test_set(cfg: dict, run_seed: int) -> EvalSet:
 
 def run_experiment(cfg: dict, seed: int):
     """gen -> train -> encode test -> evaluate, all in memory."""
-    ds = cfg["dataset"]
-    if ds["kind"] == "synthetic":
-        split, test = build_synthetic_dataset(ds, seed)
-    else:
-        meta = _load_meta(ds)
-        split, test = _file_split(ds, meta), _file_test_set(ds, meta)
+    split, test = build_dataset(cfg, seed), build_test_set(cfg, seed)
     model_cfg, train_cfg = to_train_objects(cfg, seed)
     result = train_mod.run(split, model_cfg, train_cfg)
     report = evaluate_trained(cfg, test, result.params, seed)
@@ -210,18 +205,12 @@ def run_experiment(cfg: dict, seed: int):
 
 
 def evaluate_trained(cfg: dict, test: EvalSet, params: nn.ModelParams, eval_seed: int) -> EvalReport:
-    feats = nn.encode(params, test.X)
-    return evaluate(
-        feats,
-        test.y,
-        test.num_known,
-        test.num_classes,
-        test.true_counts,
-        seed=eval_seed,
-        kmeans_max_iter=cfg["eval"]["kmeans_max_iter"],
-        kmeans_tol=cfg["eval"]["kmeans_tol"],
-        kmeans_n_init=cfg["eval"]["kmeans_n_init"],
-    )
+    """The test set encoded and evaluated; a numerical failure aborts as `eval seed N`."""
+    with train_mod._named_abort(f"eval seed {eval_seed}"):
+        # the eval block's keys are evaluate's keyword names
+        feats = nn.encode(params, test.X)
+        return evaluate(feats, test.y, test.num_known, test.num_classes, test.true_counts,
+                        seed=eval_seed, **cfg["eval"])
 
 
 # --- checkpoints --------------------------------------------------------------------
@@ -439,8 +428,7 @@ def cmd_eval(args) -> int:
 
     rows = []
     for seed in args.seeds:
-        with train_mod._named_abort(f"eval seed {seed}"):
-            report = evaluate_trained(cfg, test, state.params, seed)
+        report = evaluate_trained(cfg, test, state.params, seed)
         payload = {"config": cfg, "seed": seed, "report": report.to_dict()}
         write_json_atomic(os.path.join(args.out, f"report_seed{seed}.json"), payload)
         write_csv_atomic(
@@ -648,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, EmbeddingFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (TrainingAborted, EstimationError, nn.NonFiniteGradientError, ValueError) as exc:
+    except TrainingAborted as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -138,17 +138,19 @@ def _check_types(cfg: dict) -> None:
 def _check_sizes(cfg: dict) -> None:
     """Each array the config implies has an element count that fits in
     np.intp: the weight matrices, the class-mean differences, and the
-    synthetic train and test pools (at most num_classes times n_max or
-    test_per_class rows) in each width they pass through."""
+    synthetic pools in each width they pass through: the unlabeled pool and
+    the test set (at most num_classes times n_max or test_per_class rows),
+    and the labeled pool, whose largest class may hold ceil(rho_l) rows."""
     C = ("dataset", "num_classes")
     widths = [("dataset", "d_in"), *(("model", key) for key in ("d_hidden", "d_feat", "d_proj_hidden", "d_proj"))]
     counts = [[*pair] for pair in zip(widths, widths[1:])] + [[C, ("model", "d_feat")]]
     if cfg["dataset"]["kind"] == "synthetic":
         counts.append([C, C, ("dataset", "d_in")])
-        counts += [[C, ("dataset", rows), width] for rows in ("n_max", "test_per_class") for width in [*widths, C]]
+        rows = ("n_max", "test_per_class", "rho_l")
+        counts += [[C, ("dataset", key), width] for key in rows for width in [*widths, C]]
     limit = int(np.iinfo(np.intp).max)
     for keys in counts:
-        if math.prod(cfg[block][key] for block, key in keys) > limit:
+        if math.prod(math.ceil(cfg[block][key]) for block, key in keys) > limit:
             product = " * ".join(f"{block}.{key}={cfg[block][key]!r}" for block, key in keys)
             raise ConfigError(f"{product} elements do not fit in np.intp (at most {limit})")
 

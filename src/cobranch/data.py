@@ -90,10 +90,6 @@ class DatasetSplit:
             raise ValueError("true_counts do not sum to the pool size")
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
-
-
 def make_longtail_counts(num_classes: int, profile: ImbalanceProfile) -> np.ndarray:
     """Per-class instance counts, largest class first.
 
@@ -107,8 +103,7 @@ def make_longtail_counts(num_classes: int, profile: ImbalanceProfile) -> np.ndar
     else:
         a = math.log(profile.rho) / math.log(num_classes) if profile.rho > 1 else 0.0
         raw = profile.n_max * (c + 1.0) ** (-a)
-    counts = np.array([max(1, _round_half_away(v)) for v in raw], dtype=int)
-    return counts
+    return np.maximum(1, np.floor(raw + 0.5)).astype(int)  # raw >= 0: round half away from zero
 
 
 def make_class_means(num_classes: int, d_in: int, class_separation: float, seed: int) -> np.ndarray:

@@ -17,10 +17,6 @@ import numpy as np
 from ._rng import KMEANS, rng_for
 
 
-class EstimationError(RuntimeError):
-    """Raised when a distribution-estimation round cannot proceed."""
-
-
 @dataclass
 class KMeansResult:
     assignments: np.ndarray
@@ -91,7 +87,7 @@ def _assign_with_repair(X: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, k:
     for c in np.flatnonzero(counts == 0):
         donors = counts[assign] > 1
         if not donors.any():
-            raise EstimationError("cannot repair empty cluster: no donor cluster")
+            raise ValueError("cannot repair empty cluster: no donor cluster")
         masked = np.where(donors, point_cost, -np.inf)
         far = int(masked.argmax())
         counts[assign[far]] -= 1
@@ -293,7 +289,7 @@ def align_clusters(
     if num_known < 1 or num_known > n_clusters:
         raise ValueError("num_known must be in [1, n_clusters]")
     if labeled_indices.size == 0:
-        raise EstimationError("no labeled samples to anchor the alignment")
+        raise ValueError("no labeled samples to anchor the alignment")
     if labeled_classes.size != labeled_indices.size:
         raise ValueError("labeled indices and classes must pair up")
     if labeled_classes.min() < 0 or labeled_classes.max() >= num_known:
@@ -302,20 +298,18 @@ def align_clusters(
     agreement = np.zeros((num_known, n_clusters))
     np.add.at(agreement, (labeled_classes, result.assignments[labeled_indices]), 1.0)
     if agreement.sum() == 0:
-        raise EstimationError("labeled samples never hit any cluster")
+        raise ValueError("labeled samples never hit any cluster")
 
     cost = np.zeros((n_clusters, n_clusters))
     cost[:num_known, :] = -agreement
     perm = hungarian(cost)
 
     cluster_to_class = np.full(n_clusters, -1, dtype=int)
-    for cls in range(num_known):
-        cluster_to_class[perm[cls]] = cls
+    cluster_to_class[perm[:num_known]] = np.arange(num_known)
     leftovers = np.flatnonzero(cluster_to_class < 0)
     sizes = np.bincount(result.assignments, minlength=n_clusters)[leftovers]
     order = leftovers[np.lexsort((leftovers, -sizes))]
-    for novel_cls, clu in enumerate(order, start=num_known):
-        cluster_to_class[clu] = novel_cls
+    cluster_to_class[order] = np.arange(num_known, n_clusters)
     return AlignmentMap(cluster_to_class=cluster_to_class)
 
 

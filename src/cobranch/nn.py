@@ -19,10 +19,6 @@ from ._rng import INIT, rng_for
 _ZERO_NORM_EPS = 1e-12
 
 
-class NonFiniteGradientError(FloatingPointError):
-    """Raised when an optimizer step sees a NaN/inf gradient."""
-
-
 @dataclass
 class ModelParams:
     """Trainable state of both branches over a shared encoder.
@@ -64,7 +60,7 @@ class ModelParams:
     def check_finite(self) -> None:
         for name in self.array_fields():
             if not np.all(np.isfinite(getattr(self, name))):
-                raise NonFiniteGradientError(f"parameter {name} is not finite")
+                raise FloatingPointError(f"parameter {name} is not finite")
 
 
 @dataclass(frozen=True)
@@ -261,7 +257,7 @@ def sgd_step(
     """In-place SGD update of exactly the parameters named in `grads`."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient for {name}")
+            raise FloatingPointError(f"non-finite gradient for {name}")
         p = getattr(params, name)
         if p.shape != np.shape(g):
             raise ValueError(f"gradient shape {np.shape(g)} != param shape {p.shape} for {name}")

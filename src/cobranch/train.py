@@ -23,7 +23,7 @@ import numpy as np
 from . import losses, nn, transfer
 from ._rng import BATCH, VIEWS, rng_for
 from .data import DatasetSplit
-from .estimate import AlignmentMap, EstimationError, estimate_round, floor_distribution
+from .estimate import AlignmentMap, estimate_round, floor_distribution
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -73,8 +73,8 @@ class TrainResult:
 
 
 class TrainingAborted(RuntimeError):
-    """Raised when estimation, the view-noise scale or a batch step fails
-    numerically: a non-finite value or loss, or a ValueError from an objective."""
+    """A numerical failure inside a named phase (see `_named_abort`): a
+    non-finite value or loss, or a ValueError from the phase's computation."""
 
 
 def make_batches(split: DatasetSplit, batch_size: int, seed: int, epoch: int):
@@ -126,7 +126,9 @@ def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epo
 def _named_abort(where: str):
     """Re-raises a numerical failure inside the block (an overflow, an invalid
     operation, a division by zero or a ValueError) as a TrainingAborted that
-    names `where`: the phase, and for a batch step the epoch and the batch."""
+    names `where`: the phase, and its epoch, batch or eval seed. This is the
+    only place such a failure becomes a TrainingAborted, so a block must hold
+    no file I/O: a ConfigError or an EmbeddingFormatError is a ValueError."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
@@ -208,10 +210,8 @@ def run(
     for epoch in range(result.epochs_done, sched.total_epochs):
         km = None
         if epoch % cfg.reestimate_interval == 0 or result.pi_e is None:
-            try:
+            with _named_abort(f"estimation round, epoch {epoch}"):
                 km, result.alignment, result.pi_e = _estimate(split, params, cfg, epoch)
-            except EstimationError as exc:
-                raise TrainingAborted(f"estimation failed at epoch {epoch}: {exc}") from exc
         lr = nn.cosine_lr(epoch, sched)
         soft_on = epoch >= sched.warmup_epochs and cfg.soft_mode != "off"
         sums = {k: 0.0 for k in (

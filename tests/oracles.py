@@ -11,7 +11,8 @@ one softmax per logit block instead of the stacked pseudo-labeling
 objective, one `float()` call per value instead of the one-pass CSV
 parser, one sort per predicted class instead of one batch-wide pseudo-label
 ranking, each backward pass of the network written out in full instead of
-the shared two-layer block and unit-row step. The
+the shared two-layer block and unit-row step, one rounding per class
+instead of the long-tail profile's array rounding. The
 parameter-vector and two-vector positiveness helpers only reshape what the
 library computes; the package itself has no use for them, nor for the
 synthetic pool and the inverse alignment kept here for tests.
@@ -641,6 +642,22 @@ def gen_synthetic(
         raise ValueError("every class needs at least one sample")
     means = make_class_means(num_classes, d_in, class_separation, seed)
     return sample_from_means(means, counts, noise_scale, seed)
+
+
+def loop_longtail_counts(num_classes: int, kind: str, rho: float, n_max: int) -> np.ndarray:
+    """The long-tail profile's raw sizes, each rounded half away from zero
+    by its own Python call and floored at one sample."""
+    c = np.arange(num_classes, dtype=float)
+    if kind == "exponential":
+        raw = n_max * rho ** (-c / (num_classes - 1))
+    else:
+        a = math.log(rho) / math.log(num_classes) if rho > 1 else 0.0
+        raw = n_max * (c + 1.0) ** (-a)
+    counts = []
+    for v in raw.tolist():
+        half_away = math.floor(v + 0.5) if v >= 0 else -math.floor(-v + 0.5)
+        counts.append(max(1, half_away))
+    return np.array(counts, dtype=int)
 
 
 def class_to_cluster(amap: AlignmentMap) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cobranch
+from cobranch import cli
 from cobranch.cli import config_hash, main, run_experiment
 from cobranch.config import DEFAULTS, ConfigError, effective_config, load_config, to_train_objects
 
@@ -179,11 +180,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", ["dataset.n_max", "dataset.test_per_class", "dataset.num_classes",
                                      "dataset.d_in", "model.d_hidden", "model.d_feat", "model.d_proj_hidden",
-                                     "model.d_proj"])
+                                     "model.d_proj", "dataset.rho_l"])
     def test_size_beyond_intp_names_the_key(self, key):
         block, _, leaf = key.partition(".")
         with pytest.raises(ConfigError, match=rf"{re.escape(key)}={2**62}\b.*np\.intp"):
             effective_config({block: {leaf: 2**62}})
+
+    def test_rho_l_beyond_intp_exit_2(self, tmp_path, capsys):
+        rc = main(["gen-data", "--seed", "0", "--set", "dataset.rho_l=1e19", "--out", str(tmp_path / "data")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: " in err and "dataset.rho_l=1e+19" in err, err
+        assert not (tmp_path / "data").exists()
 
     def test_size_bound_is_exact(self):
         # the widest layers (d_hidden, d_proj_hidden, d_proj: 32) times num_classes=10 rows per n_max
@@ -767,22 +775,41 @@ def test_bad_checkpoint_exit_2(two_epoch_run, tmp_path, capsys, command, edit, n
     assert not (tmp_path / "out").exists()  # checked before any output or data is touched
 
 
-@pytest.mark.parametrize("command, extra, phase", [
-    ("eval", ["--seeds", "0"], "eval seed 0"),
-    ("estimate", [], "estimate round"),
+@pytest.mark.parametrize("command, phase", [
+    ("eval", "eval seed 0"),
+    ("estimate", "estimate round"),
+    ("train", "estimation round, epoch 2"),
 ])
-def test_overflowing_checkpoint_names_the_phase(two_epoch_run, tmp_path, command, extra, phase):
-    run, _ = two_epoch_run
-    blob = json.loads((run / "checkpoint.json").read_text())
-    for name in ("enc_w2", "enc_b2"):
+def test_overflowing_checkpoint_names_the_phase(two_epoch_run, tmp_path, command, phase):
+    path = tmp_path / "huge.json"
+    if command == "train":
+        # epoch 2 opens with an estimation round (SMALL re-estimates every 2 epochs)
+        train_argv = ["train", "--seed", "4", *SMALL, "--set", "train.checkpoint_every=2"]
+        assert main([*train_argv, "--out", str(tmp_path / "run")]) == 0
+        source, names = tmp_path / "run" / "checkpoint_epoch0002.json", ("enc_w2",)
+        argv = [*train_argv, "--resume", str(path)]
+    else:
+        source, names = two_epoch_run[0] / "checkpoint.json", ("enc_w2", "enc_b2")
+        argv = [command, "--checkpoint", str(path), *(["--seeds", "0"] if command == "eval" else [])]
+    blob = json.loads(source.read_text())
+    for name in names:
         array = blob["params"]["arrays"][name]
         array["data"] = [1.7e308] * len(array["data"])  # finite, but the encoder's output overflows
-    path = tmp_path / "huge.json"
     path.write_text(json.dumps(blob))
-    out = cli_in_child(command, "--checkpoint", str(path), *extra, "--out", str(tmp_path / "out"))
+    out = cli_in_child(*argv, "--out", str(tmp_path / "out"))
     assert out.returncode == 1
     assert f"numerical abort: {phase}: overflow" in out.stderr, out.stderr
     assert "Warning" not in out.stderr and "Traceback" not in out.stderr
+
+
+def test_value_error_outside_a_phase_propagates(tmp_path, monkeypatch, capsys):
+    def broken_build(cfg, run_seed):
+        raise ValueError("not from a named phase")
+
+    monkeypatch.setattr(cli, "build_dataset", broken_build)
+    with pytest.raises(ValueError, match="not from a named phase"):
+        main(["train", "--seed", "0", "--out", str(tmp_path), *SMALL])
+    assert "numerical abort" not in capsys.readouterr().err
 
 
 class TestEstimateCommand:

@@ -25,7 +25,7 @@ from cobranch.data import (
     split_independent_pools,
     split_known_novel,
 )
-from oracles import gen_synthetic, nearest_mean_accuracy, reference_load_embeddings
+from oracles import gen_synthetic, loop_longtail_counts, nearest_mean_accuracy, reference_load_embeddings
 
 
 def exp_profile(rho, n_max):
@@ -65,6 +65,18 @@ class TestLongtailCounts:
             tail = counts[-1]
             ratio = counts[0] / tail
             assert rho * (1 - 2 / tail) <= ratio <= rho * (1 + 2 / tail)
+
+    @pytest.mark.parametrize("kind", ["exponential", "pareto"])
+    def test_matches_per_class_rounding(self, kind):
+        rng = np.random.default_rng(11)
+        for i in range(300):
+            C = int(rng.integers(2, 60))
+            # integer ratios and small sizes put raw sizes on exact halves (5 / 2 = 2.5)
+            rho = float(rng.integers(1, 9)) if i % 2 else float(np.exp(rng.uniform(0, 8)))
+            n_max = int(rng.integers(int(np.ceil(rho)), 40 if i % 2 else 5000))
+            counts = make_longtail_counts(C, ImbalanceProfile(kind, rho, n_max))
+            expected = loop_longtail_counts(C, kind, rho, n_max)
+            assert counts.dtype == expected.dtype and np.array_equal(counts, expected), (C, rho, n_max)
 
 
 def toy_pool(counts, d=4, seed=0):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cobranch.data import ImbalanceProfile, make_longtail_counts, split_known_novel
 from cobranch.estimate import (
     AlignmentMap,
-    EstimationError,
     _sq_dists,
     align_clusters,
     aligned_distribution,
@@ -235,7 +234,7 @@ class TestAlignClusters:
 
     def test_no_labeled_samples_rejected(self):
         res = _FakeResult([0, 1, 1, 0], 2)
-        with pytest.raises(EstimationError):
+        with pytest.raises(ValueError, match="no labeled samples to anchor the alignment"):
             align_clusters(res, np.zeros(0, dtype=int), np.zeros(0, dtype=int), 1)
 
     def test_sorted_novel_assignment(self):
@@ -270,6 +269,18 @@ class TestAlignClusters:
                     swapped = base - agreement[a, inv[a]] - agreement[b, inv[b]] \
                         + agreement[a, inv[b]] + agreement[b, inv[a]]
                     assert swapped <= base + 1e-9
+
+    def test_novel_classes_follow_cluster_size(self):
+        rng = np.random.default_rng(9)
+        for trial in range(20):
+            C, known = 8, int(rng.integers(1, 7))
+            labeled_cls = rng.integers(0, known, size=15)
+            assignments = rng.integers(0, C, size=40)  # small clusters: size ties are common
+            amap = align_clusters(_FakeResult(assignments, C), np.arange(15), labeled_cls, known)
+            sizes = np.bincount(assignments, minlength=C)
+            novel = class_to_cluster(amap)[known:]  # each novel class's cluster, in class order
+            # descending size, ties to the lower cluster id
+            assert all((sizes[a], -a) > (sizes[b], -b) for a, b in zip(novel, novel[1:]))
 
     def test_fewer_clusters_than_known_rejected(self):
         res = _FakeResult([0, 0], 2)
