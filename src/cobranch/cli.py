@@ -114,13 +114,12 @@ def build_synthetic_dataset(ds: dict, run_seed: int) -> tuple[DatasetSplit, Eval
     # balanced disjoint test set over the same means, in split-space labels
     test_counts = np.full(C, ds["test_per_class"], dtype=int)
     test_X, test_y = sample_from_means(means, test_counts, ds["noise_scale"], data_seed, stream=TEST)
-    to_split = np.array([split.class_remap[c] for c in range(C)])
-    return split, EvalSet(test_X, to_split[test_y], split.num_known, split.num_classes, split.true_counts)
+    return split, EvalSet(test_X, split.class_remap[test_y], split.num_known, split.num_classes, split.true_counts)
 
 
 def _load_meta(ds: dict) -> dict:
     """`meta.json`, checked against the config: the class counts and width
-    the files were made with, and one non-negative training count per class."""
+    the files were made with, and one positive training count per class."""
     path = ds["meta_path"]
     meta = read_json(path)
     for key in ("num_classes", "num_known", "d_in", "true_counts"):
@@ -133,11 +132,13 @@ def _load_meta(ds: dict) -> dict:
     if not (
         isinstance(counts, list)
         and len(counts) == ds["num_classes"]
-        and all(type(c) is int and c >= 0 for c in counts)
+        and all(type(c) is int for c in counts)
     ):
-        raise ConfigError(
-            f"{path}: true_counts must be {ds['num_classes']} non-negative integers, got {counts!r}"
-        )
+        raise ConfigError(f"{path}: true_counts must be {ds['num_classes']} integers, got {counts!r}")
+    empty = [c for c, count in enumerate(counts) if count < 1]
+    if empty:
+        raise ConfigError(f"{path}: true_counts[{empty[0]}] is {counts[empty[0]]}: "
+                          f"every class needs at least one training sample")
     return meta
 
 
@@ -147,23 +148,26 @@ def _check_width(path: str, X: np.ndarray, d_in: int) -> None:
 
 
 def _file_split(ds: dict, meta: dict) -> DatasetSplit:
+    """The training split of `dataset.path`; no class may have more labeled
+    rows than its `true_counts` entry in `meta.json`."""
     ids, labels, X = load_embeddings(ds["path"])
     _check_width(ds["path"], X, ds["d_in"])
     if np.all(labels == UNLABELED_MARKER):
         raise EmbeddingFormatError(f"{ds['path']}: no labeled rows: every label is {UNLABELED_MARKER}")
+    true_counts = np.asarray(meta["true_counts"], dtype=int)
     try:
-        return split_from_mask(
-            X,
-            labels,
-            ids,
-            labels != UNLABELED_MARKER,
-            meta["num_known"],
-            meta["num_classes"],
-            np.asarray(meta["true_counts"], dtype=int),
-            {},  # meta.json's class_remap is provenance: nothing downstream reads it
-        )
+        # meta.json's class_remap is provenance: nothing downstream reads it
+        split = split_from_mask(X, labels, ids, labels != UNLABELED_MARKER, meta["num_known"],
+                                meta["num_classes"], true_counts, None)
     except ValueError as exc:  # a label outside the known classes, counts that do not add up
         raise EmbeddingFormatError(f"{ds['path']}: {exc}") from exc
+    labeled = np.bincount(split.y_lab, minlength=true_counts.size)
+    over = np.flatnonzero(labeled > true_counts)
+    if over.size:
+        c = over[0]
+        raise EmbeddingFormatError(f"{ds['path']}: {labeled[c]} labeled rows of class {c}, more than its "
+                                   f"true_counts[{c}]={true_counts[c]} in {ds['meta_path']}")
+    return split
 
 
 def _file_test_set(ds: dict, meta: dict) -> EvalSet:
@@ -369,7 +373,7 @@ def cmd_gen_data(args) -> int:
         "num_known": split.num_known,
         "num_classes": split.num_classes,
         "true_counts": split.true_counts.tolist(),
-        "class_remap": {str(k): v for k, v in split.class_remap.items()},
+        "class_remap": {str(orig): new for orig, new in enumerate(split.class_remap.tolist())},
         "d_in": cfg["dataset"]["d_in"],
     }
     write_json_atomic(os.path.join(args.out, "meta.json"), meta)
@@ -474,7 +478,6 @@ def cmd_estimate(args) -> int:
         result, amap, pi_e = estimate_round(
             nn.encode(state.params, split.X) if args.checkpoint else split.X,
             split.num_classes,
-            np.arange(split.y_lab.size),
             split.y_lab,
             split.num_known,
             seed=args.seed if args.seed is not None else 0,

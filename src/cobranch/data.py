@@ -19,7 +19,7 @@ import re
 import warnings
 import zipfile
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class DatasetSplit:
     gives the classes of those first `y_lab.size` rows, and `ids` the sample
     id of every row. `unlabeled_true_labels` and `true_counts` are
     evaluation-only ground truth; training code paths must not read them.
+    `class_remap[c]` is the split class of generated class c (None for a
+    pool read from files).
     """
 
     X: np.ndarray
@@ -73,7 +75,7 @@ class DatasetSplit:
     num_classes: int
     true_counts: np.ndarray | None = None
     unlabeled_true_labels: np.ndarray | None = None
-    class_remap: dict[int, int] = field(default_factory=dict)
+    class_remap: np.ndarray | None = None
 
     def validate(self) -> None:
         if not 0 < self.num_known <= self.num_classes:
@@ -170,7 +172,7 @@ def split_from_mask(
     num_known: int,
     num_classes: int,
     true_counts: np.ndarray | None,
-    class_remap: dict[int, int],
+    class_remap: np.ndarray | None,
 ) -> DatasetSplit:
     """The split with the `labeled` rows first, each part in input order.
 
@@ -205,7 +207,7 @@ def _synthetic_split(X, y, labeled, num_known, remap) -> DatasetSplit:
         num_known,
         remap.size,
         np.bincount(y_split, minlength=remap.size),
-        {orig: int(new) for orig, new in enumerate(remap)},
+        remap,
     )
 
 

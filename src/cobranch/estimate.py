@@ -126,9 +126,9 @@ def kmeans(
     features: np.ndarray,
     n_clusters: int,
     seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    n_init: int = 10,
+    max_iter: int,
+    tol: float,
+    n_init: int,
 ) -> KMeansResult:
     """Best of `n_init` Lloyd runs from k-means++ starts; deterministic
     given seed.
@@ -270,13 +270,9 @@ def estimate_distribution(assignments: np.ndarray, n_clusters: int) -> np.ndarra
     return counts / counts.sum()
 
 
-def align_clusters(
-    result: KMeansResult,
-    labeled_indices: np.ndarray,
-    labeled_classes: np.ndarray,
-    num_known: int,
-) -> AlignmentMap:
-    """Map clusters to classes using labeled agreement.
+def align_clusters(result: KMeansResult, labeled_classes: np.ndarray, num_known: int) -> AlignmentMap:
+    """Map clusters to classes using labeled agreement: the clustered rows
+    start with the labeled ones, in the order of `labeled_classes`.
 
     Known classes are matched to clusters by a minimum-cost assignment on
     negated agreement counts (zero-padded to square, so fewer label-bearing
@@ -284,19 +280,18 @@ def align_clusters(
     size descending and assigned to novel classes in ascending index order.
     """
     n_clusters = result.centers.shape[0]
-    labeled_indices = np.asarray(labeled_indices, dtype=int)
     labeled_classes = np.asarray(labeled_classes, dtype=int)
     if num_known < 1 or num_known > n_clusters:
         raise ValueError("num_known must be in [1, n_clusters]")
-    if labeled_indices.size == 0:
+    if labeled_classes.size == 0:
         raise ValueError("no labeled samples to anchor the alignment")
-    if labeled_classes.size != labeled_indices.size:
-        raise ValueError("labeled indices and classes must pair up")
+    if labeled_classes.size > result.assignments.size:
+        raise ValueError("more labeled classes than clustered samples")
     if labeled_classes.min() < 0 or labeled_classes.max() >= num_known:
         raise ValueError("labeled classes must lie in the known set")
 
     agreement = np.zeros((num_known, n_clusters))
-    np.add.at(agreement, (labeled_classes, result.assignments[labeled_indices]), 1.0)
+    np.add.at(agreement, (labeled_classes, result.assignments[: labeled_classes.size]), 1.0)
     if agreement.sum() == 0:
         raise ValueError("labeled samples never hit any cluster")
 
@@ -331,18 +326,18 @@ def floor_distribution(freq: np.ndarray, n_samples: int) -> np.ndarray:
 def estimate_round(
     features: np.ndarray,
     n_classes: int,
-    labeled_indices: np.ndarray,
     labeled_classes: np.ndarray,
     num_known: int,
     seed: int,
-    max_iter: int = 100,
-    tol: float = 1e-6,
-    n_init: int = 10,
+    max_iter: int,
+    tol: float,
+    n_init: int,
 ):
-    """One full estimation round: cluster, align, normalize.
+    """One full estimation round: cluster, align, normalize. The labeled
+    rows of `features` come first, in the order of `labeled_classes`.
 
     Returns (KMeansResult, AlignmentMap, class-indexed frequency vector).
     """
     result = kmeans(features, n_classes, seed=seed, max_iter=max_iter, tol=tol, n_init=n_init)
-    amap = align_clusters(result, labeled_indices, labeled_classes, num_known)
+    amap = align_clusters(result, labeled_classes, num_known)
     return result, amap, aligned_distribution(result, amap)

@@ -66,36 +66,26 @@ class EvalReport:
         ]
 
 
-def _group_sizes(m: int) -> tuple[int, int, int]:
-    g1 = -(-m // 3)
-    g2 = -(-(m - g1) // 2)
-    return g1, g2, m - g1 - g2
-
-
 def group_metrics(per_class_acc: np.ndarray, counts: np.ndarray, class_ids: np.ndarray):
     """Many/Median/Few accuracies over one class partition plus their Std.
 
     Classes are sorted by training-set count descending (ties: lower id) and
-    split into three contiguous groups as evenly as possible. Group accuracy
-    is the unweighted mean of member-class accuracies; Std is the population
-    standard deviation of the nonempty group accuracies.
+    split into three contiguous groups as evenly as possible, larger groups
+    first. Group accuracy is the unweighted mean of member-class accuracies;
+    Std is the population standard deviation of the nonempty group accuracies.
     """
     class_ids = np.asarray(class_ids, dtype=int)
     if class_ids.size == 0:
         raise ValueError("empty class partition")
     warnings = []
     order = class_ids[np.lexsort((class_ids, -counts[class_ids]))]
-    sizes = _group_sizes(order.size)
     if order.size < 3:
         warnings.append(
             f"partition of {order.size} classes: Many/Median/Few degenerate to singletons"
         )
     groups = {}
-    start = 0
     values = []
-    for name, size in zip(("many", "median", "few"), sizes):
-        members = order[start : start + size]
-        start += size
+    for name, members in zip(("many", "median", "few"), np.array_split(order, 3)):
         if members.size:
             acc = float(per_class_acc[members].mean())
             values.append(acc)
@@ -114,9 +104,9 @@ def evaluate(
     num_classes: int,
     train_counts: np.ndarray,
     seed: int,
-    kmeans_max_iter: int = 100,
-    kmeans_tol: float = 1e-6,
-    kmeans_n_init: int = 10,
+    kmeans_max_iter: int,
+    kmeans_tol: float,
+    kmeans_n_init: int,
 ) -> EvalReport:
     """Cluster-and-match evaluation of a labeled test set.
 

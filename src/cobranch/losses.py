@@ -2,11 +2,12 @@
 
 Three building blocks and two composites:
 
-* contrastive_loss       -- weighted cross-entropy over the off-diagonal softmax
-                            of pairwise similarities: the one-term case of the
-                            kernel behind every contrastive term (one-hot rows
-                            give the unsupervised term, the same-class indicator
-                            the supervised one, positiveness weights the soft one)
+* _prefix_terms          -- the contrastive kernel: weighted cross-entropy
+                            over the off-diagonal softmax of pairwise
+                            similarities, for every term at once (the pair
+                            index gives the unsupervised term, the same-class
+                            indicator the supervised one, positiveness weights
+                            the soft one)
 * hard_indicator_weights -- the same-class indicator weight matrix
 * kl_regularizer         -- KL(mean prediction || smoothed target distribution)
 * classification_objective -- supervised CE + cross pseudo supervision + KL
@@ -37,10 +38,10 @@ class LossWeights:
     """Composite-objective weights: eta* for the pseudo-labeling branch,
     gamma* for the contrastive branch."""
 
-    eta1: float = 1.0
-    eta2: float = 1.0
-    gamma1: float = 1.0
-    gamma2: float = 1.0
+    eta1: float
+    eta2: float
+    gamma1: float
+    gamma2: float
 
 
 class Scratch(dict):
@@ -55,29 +56,17 @@ class Scratch(dict):
         return self[slot][: n * n].reshape(n, n)
 
 
-def contrastive_loss(features: np.ndarray, weights: np.ndarray, temperature: float, scratch: Scratch | None = None):
-    """Weighted contrastive loss; returns (scalar, grad wrt features, n_excluded).
-
-    Per anchor i: sum_j w_ij * (-log p_ij) / sum_j w_ij over j != i, where
-    p_i is the softmax of z_i.z_a / temperature over a != i. The diagonal of
-    `weights` is ignored. Anchors whose off-diagonal weight mass is zero are
-    excluded; the scalar is the mean over the included anchors. This is the
-    one-term case of `_prefix_terms`; `weights` is left unchanged.
-    """
-    n = np.shape(features)[0]
-    if np.shape(weights) != (n, n):
-        raise ValueError(f"weights must be {n}x{n}, got {np.shape(weights)}")
-    grad, [(loss, n_exc)] = _prefix_terms(features, temperature, [(1.0, weights)], None, scratch)
-    return loss, grad, n_exc
-
-
 def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray | None, scratch: Scratch | None):
     """The contrastive kernel: weighted terms over nested row prefixes of one
     batch, sharing one similarity GEMM, one row softmax and one gradient GEMM.
 
     Each (gamma, W) in `blocks` is a term over rows [0, k) with k x k weights
-    `W`, as in `contrastive_loss`. `pairs[i]` (None: no such term) is row i's
-    one positive among all rows, at weight 1. Returns the gradient of the
+    `W`: per anchor i, sum_j W_ij * (-log p_ij) / sum_j W_ij over j != i,
+    where p_i is the softmax of f_i.f_a / temperature over a != i. The
+    diagonal of `W` is ignored, and `W` is left unchanged. Anchors whose
+    off-diagonal mass is zero are excluded; a term's loss is the mean over
+    the included anchors. `pairs[i]` (None: no such term) is row i's one
+    positive among all rows, at weight 1. Returns the gradient of the
     gamma-weighted sum and [(loss, n_excluded)]: one per block, then the pairs
     term's. The n x n work happens in `scratch` (a new one when None).
     """
@@ -256,7 +245,7 @@ def classification_objective(
     target_dist: np.ndarray,
     weights: LossWeights,
     smoothing_p: float,
-    conf_gate: float = 0.5,
+    conf_gate: float,
 ) -> ClassificationLoss:
     """Composite pseudo-labeling objective: L_s + eta1*L_u + eta2*L_reg.
 

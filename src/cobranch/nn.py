@@ -37,7 +37,7 @@ class ModelParams:
     proj_w2: np.ndarray
     proj_b2: np.ndarray
     cls_w: np.ndarray
-    scale: float = 10.0
+    scale: float
 
     ENCODER_FIELDS = ("enc_w1", "enc_b1", "enc_w2", "enc_b2")
     PROJECTOR_FIELDS = ("proj_w1", "proj_b1", "proj_w2", "proj_b2")
@@ -52,10 +52,6 @@ class ModelParams:
 
     def array_fields(self) -> list[str]:
         return [f.name for f in fields(self) if f.name != "scale"]
-
-    def copy(self) -> "ModelParams":
-        kw = {name: getattr(self, name).copy() for name in self.array_fields()}
-        return ModelParams(**kw, scale=self.scale)
 
     def check_finite(self) -> None:
         for name in self.array_fields():
@@ -81,7 +77,7 @@ def init_params(
     d_proj: int,
     num_classes: int,
     seed: int,
-    scale: float = 10.0,
+    scale: float,
 ) -> ModelParams:
     """Random initialization, weights scaled by 1/sqrt(fan_in)."""
     rng = rng_for(seed, INIT)
@@ -243,7 +239,7 @@ def cosine_lr(epoch: int, schedule: TrainSchedule) -> float:
 class SgdState:
     """Momentum buffers, lazily created per parameter name."""
 
-    def __init__(self, momentum: float = 0.9):
+    def __init__(self, momentum: float):
         self.momentum = momentum
         self.velocity: dict[str, np.ndarray] = {}
 
@@ -252,16 +248,17 @@ def sgd_step(
     params: ModelParams,
     grads: dict[str, np.ndarray],
     lr: float,
-    state: SgdState | None = None,
+    state: SgdState,
 ) -> ModelParams:
-    """In-place SGD update of exactly the parameters named in `grads`."""
+    """In-place SGD update of exactly the parameters named in `grads`; plain
+    SGD when `state.momentum` is 0."""
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name}")
         p = getattr(params, name)
         if p.shape != np.shape(g):
             raise ValueError(f"gradient shape {np.shape(g)} != param shape {p.shape} for {name}")
-        if state is not None and state.momentum > 0:
+        if state.momentum > 0:
             v = state.velocity.get(name)
             if v is None:
                 v = np.zeros_like(p)

@@ -27,36 +27,41 @@ from .estimate import AlignmentMap, estimate_round, floor_distribution
 
 @dataclass(frozen=True)
 class ModelConfig:
-    d_hidden: int = 32
-    d_feat: int = 16
-    d_proj_hidden: int = 32
-    d_proj: int = 32
-    scale: float = 10.0
+    """The `model` block; its defaults live in `config.DEFAULTS` only."""
+
+    d_hidden: int
+    d_feat: int
+    d_proj_hidden: int
+    d_proj: int
+    scale: float
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The `train` block and the run seed, built by `config.to_train_objects`;
+    its defaults live in `config.DEFAULTS` only."""
+
     schedule: nn.TrainSchedule
-    weights: losses.LossWeights = field(default_factory=losses.LossWeights)
-    sampling: transfer.SamplingConfig = field(default_factory=transfer.SamplingConfig)
-    seed: int = 0
-    temperature: float = 1.0
-    smoothing_p: float = 0.5
-    reestimate_interval: int = 10
-    metric: str = "dot"
-    conf_gate: float = 0.5
-    momentum: float = 0.9
-    soft_mode: str = "soft"
-    view_noise: float = 0.1
-    view_dropout: float = 0.1
-    kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-6
-    kmeans_n_init: int = 10
+    weights: losses.LossWeights
+    sampling: transfer.SamplingConfig
+    seed: int
+    temperature: float
+    smoothing_p: float
+    reestimate_interval: int
+    metric: str
+    conf_gate: float
+    momentum: float
+    soft_mode: str
+    view_noise: float
+    view_dropout: float
+    kmeans_max_iter: int
+    kmeans_tol: float
+    kmeans_n_init: int
     # How strongly the pseudo-labeling branch may reshape the shared encoder
     # (its own classifier always trains at full strength). 1.0 gives both
     # branches equal say; small values emulate a mostly-frozen backbone whose
     # evaluated representation is owned by the contrastive branch.
-    aux_encoder_weight: float = 1.0
+    aux_encoder_weight: float
 
 
 @dataclass
@@ -112,7 +117,6 @@ def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epo
     return estimate_round(
         nn.encode(params, split.X),
         split.num_classes,
-        np.arange(split.y_lab.size),
         split.y_lab,
         split.num_known,
         seed=cfg.seed * 1000003 + epoch,
@@ -162,7 +166,7 @@ def _soft_probs(
     """
     pi_floor = floor_distribution(pi_e, n_total)
     logits = nn.classify(params, nn.encode(params, X_unl))
-    batch = transfer.PseudoLabelBatch.from_probs(transfer.debias(logits, pi_floor, cfg.sampling.k), ids=unl_ids)
+    batch = transfer.PseudoLabelBatch.from_probs(transfer.debias(logits, pi_floor, cfg.sampling.k), unl_ids)
     rates = transfer.sampling_rates(pi_floor, batch_labels, cfg.sampling.alpha, cfg.sampling.beta)
     sel = np.flatnonzero(transfer.sample_pseudolabels(batch, rates).mask)
     P = np.concatenate([transfer.one_hot(batch_labels, pi_e.size), batch.probs[sel]], axis=0)

@@ -23,9 +23,9 @@ _SIMPLEX_TOL = 1e-6
 class SamplingConfig:
     """Debias strength k and the two sampling-rate exponents."""
 
-    alpha: float = 0.8
-    beta: float = 0.5
-    k: float = 0.5
+    alpha: float
+    beta: float
+    k: float
 
 
 @dataclass
@@ -39,10 +39,8 @@ class PseudoLabelBatch:
     ids: np.ndarray
 
     @classmethod
-    def from_probs(cls, probs: np.ndarray, ids: np.ndarray | None = None) -> "PseudoLabelBatch":
+    def from_probs(cls, probs: np.ndarray, ids: np.ndarray) -> "PseudoLabelBatch":
         probs = np.atleast_2d(np.asarray(probs, dtype=float))
-        if ids is None:
-            ids = np.arange(probs.shape[0])
         # argmax ties break toward the lowest class index
         pred = probs.argmax(axis=1)
         return cls(
@@ -109,7 +107,7 @@ def sample_pseudolabels(batch: PseudoLabelBatch, rates: np.ndarray) -> PseudoLab
     return replace(batch, mask=mask)
 
 
-def build_positiveness_matrix(probs: np.ndarray, metric: str = "dot") -> np.ndarray:
+def build_positiveness_matrix(probs: np.ndarray, metric: str) -> np.ndarray:
     """Pairwise positiveness over a batch of simplex vectors.
 
     dot:    <p_i, p_j>                      (same-class probability reading)

@@ -15,7 +15,10 @@ the shared two-layer block and unit-row step, one rounding per class
 instead of the long-tail profile's array rounding. The
 parameter-vector and two-vector positiveness helpers only reshape what the
 library computes; the package itself has no use for them, nor for the
-synthetic pool and the inverse alignment kept here for tests.
+synthetic pool and the inverse alignment kept here for tests. Two helpers
+are not oracles at all: `cli_defaults` hands tests the objects a CLI run
+builds from `config.DEFAULTS`, the only place a default is written, and
+`contrastive_loss` calls the package's contrastive kernel on one term.
 """
 
 from __future__ import annotations
@@ -26,11 +29,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cobranch import config, losses
 from cobranch._rng import KMEANS, rng_for
 from cobranch.data import EmbeddingFormatError, make_class_means, sample_from_means
 from cobranch.estimate import AlignmentMap
 from cobranch.nn import ModelParams
+from cobranch.train import ModelConfig, TrainConfig
 from cobranch.transfer import build_positiveness_matrix
+
+
+def cli_defaults(overrides: dict | None = None, seed: int = 0) -> tuple[ModelConfig, TrainConfig]:
+    """The model and training objects a CLI run builds from the defaults
+    overlaid with `overrides`, a nested config dict."""
+    return config.to_train_objects(config.effective_config(overrides), seed)
+
+
+MODEL, TRAIN = cli_defaults()
+# keyword arguments of `estimate.kmeans` and `estimate.estimate_round`, and of `evaluation.evaluate`
+KMEANS_ARGS = {"max_iter": TRAIN.kmeans_max_iter, "tol": TRAIN.kmeans_tol, "n_init": TRAIN.kmeans_n_init}
+EVAL_ARGS = config.effective_config(None)["eval"]
+
+
+def contrastive_loss(features, weights, temperature: float, scratch: losses.Scratch | None = None):
+    """The contrastive kernel on one term over every row, at weight 1:
+    (loss, grad wrt features, n_excluded); `weights` must be n x n."""
+    n = np.shape(features)[0]
+    if np.shape(weights) != (n, n):
+        raise ValueError(f"weights must be {n}x{n}, got {np.shape(weights)}")
+    grad, [(loss, n_excluded)] = losses._prefix_terms(features, temperature, [(1.0, weights)], None, scratch)
+    return loss, grad, n_excluded
 
 
 def central_fd(fn, x0: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -228,7 +255,7 @@ def _reference_assign(X, centers, k):
     return assign, centers, float(point_cost.sum())
 
 
-def reference_kmeans(X: np.ndarray, k: int, seed: int, max_iter: int = 100, tol: float = 1e-6, n_init: int = 10):
+def reference_kmeans(X: np.ndarray, k: int, seed: int, max_iter: int, tol: float, n_init: int):
     """Best of `n_init` Lloyd runs from greedy k-means++ starts, written as
     direct loops on the raw features: broadcast distances, one potential per
     k-means++ candidate, `X[assign == c].mean(0)` per cluster, and the same
@@ -350,7 +377,7 @@ def _ref_log_softmax(logits: np.ndarray) -> np.ndarray:
     return (logits - m) - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
 
-def three_block_classification_objective(lab, labels, v1, v2, target, weights, smoothing_p, conf_gate=0.5):
+def three_block_classification_objective(lab, labels, v1, v2, target, weights, smoothing_p, conf_gate):
     """The pseudo-labeling objective as the package computed it before its
     blocks shared one softmax: each block normalized on its own, each term
     normalizing again, three gradients concatenated at the end. The KL term
@@ -536,16 +563,16 @@ def params_to_vector(params: ModelParams) -> np.ndarray:
 
 
 def vector_to_params(template: ModelParams, vec: np.ndarray) -> ModelParams:
-    out = template.copy()
+    arrays = {}
     i = 0
     for name in template.array_fields():
         shape = getattr(template, name).shape
         size = int(np.prod(shape))
-        setattr(out, name, vec[i : i + size].reshape(shape).copy())
+        arrays[name] = vec[i : i + size].reshape(shape).copy()
         i += size
     if i != vec.size:
         raise ValueError("vector length does not match parameter count")
-    return out
+    return ModelParams(**arrays, scale=template.scale)
 
 
 def loop_pseudolabel_mask(pred_class, confidence, ids, rates) -> np.ndarray:
@@ -563,7 +590,7 @@ def loop_pseudolabel_mask(pred_class, confidence, ids, rates) -> np.ndarray:
     return mask
 
 
-def positiveness(p: np.ndarray, q: np.ndarray, metric: str = "dot") -> float:
+def positiveness(p: np.ndarray, q: np.ndarray, metric: str) -> float:
     """Positiveness of one pair of class-probability vectors: the off-diagonal
     entry of the library's matrix over the two."""
     W = build_positiveness_matrix(np.stack([np.asarray(p, float), np.asarray(q, float)]), metric)
@@ -665,3 +692,11 @@ def class_to_cluster(amap: AlignmentMap) -> np.ndarray:
     inv = np.empty_like(amap.cluster_to_class)
     inv[amap.cluster_to_class] = np.arange(amap.cluster_to_class.size)
     return inv
+
+
+def group_sizes(m: int) -> tuple[int, int, int]:
+    """Sizes of the Many/Median/Few groups of m classes: a ceiling third,
+    then a ceiling half of the rest, then the rest."""
+    g1 = -(-m // 3)
+    g2 = -(-(m - g1) // 2)
+    return g1, g2, m - g1 - g2

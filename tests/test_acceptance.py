@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,9 +19,7 @@ from cobranch.data import ImbalanceProfile, make_longtail_counts, split_known_no
 from cobranch.estimate import AlignmentMap, aligned_distribution, estimate_round, hungarian
 from cobranch.evaluation import evaluate
 from cobranch.losses import (
-    LossWeights,
     classification_objective,
-    contrastive_loss,
     contrastive_objective,
     hard_indicator_weights,
     kl_regularizer,
@@ -30,8 +29,12 @@ from cobranch.train import _other_view
 from cobranch.transfer import PseudoLabelBatch, debias, sample_pseudolabels, sampling_rates
 from conftest import ACCEPTANCE_LINES
 from oracles import (
+    EVAL_ARGS,
+    KMEANS_ARGS,
+    TRAIN,
     brute_force_assignment_batch,
     central_fd,
+    contrastive_loss,
     gen_synthetic,
     max_rel_err,
     optimal_soft_logits,
@@ -136,7 +139,7 @@ def _check_eq3(rng):
             break
     target = rng.dirichlet(np.ones(C)) + 0.02
     target /= target.sum()
-    w = LossWeights(eta1=float(rng.uniform(0.2, 1.5)), eta2=float(rng.uniform(0.2, 1.5)))
+    w = replace(TRAIN.weights, eta1=float(rng.uniform(0.2, 1.5)), eta2=float(rng.uniform(0.2, 1.5)))
     p = float(rng.uniform(0, 1))
 
     def f(flat):
@@ -170,7 +173,7 @@ def _check_eq7(rng):
     other = _other_view(n_l, n_u)  # nested order: labeled v1, v2, then the unlabeled v1s, v2s
     labeled_cls = np.zeros(2 * n_l, dtype=int)
     W = rng.uniform(0.05, 1.0, size=(2 * n_b, 2 * n_b))
-    w = LossWeights(gamma1=float(rng.uniform(0.2, 1.5)), gamma2=float(rng.uniform(0.2, 1.5)))
+    w = replace(TRAIN.weights, gamma1=float(rng.uniform(0.2, 1.5)), gamma2=float(rng.uniform(0.2, 1.5)))
     tau = float(rng.uniform(0.4, 1.6))
 
     def f(flat):
@@ -268,9 +271,7 @@ def test_criterion_05_distribution_estimation_fidelity():
     for seed in range(20):
         X, y = gen_synthetic(10, 8, counts, 10.0, 1.0, seed=seed)
         split = split_known_novel(X, y, 6, 0.5, seed=seed)
-        _, _, pi_e = estimate_round(
-            split.X, 10, np.arange(split.y_lab.size), split.y_lab, 6, seed=seed
-        )
+        _, _, pi_e = estimate_round(split.X, 10, split.y_lab, 6, seed=seed, **KMEANS_ARGS)
         true_pi = split.true_counts / split.true_counts.sum()
         err = float(np.abs(pi_e - true_pi).sum())
         errs.append(err)
@@ -335,18 +336,16 @@ def test_criterion_07_footnote1_invariance():
     """Permuting the novel portion of the alignment cannot change evaluation."""
     counts = make_longtail_counts(8, ImbalanceProfile("exponential", 8, 80))
     split = split_known_novel(*gen_synthetic(8, 6, counts, 8.0, 1.0, seed=77), 5, 0.5, seed=77)
-    result, amap, pi_e = estimate_round(
-        split.X, 8, np.arange(split.y_lab.size), split.y_lab, 5, seed=0
-    )
+    result, amap, pi_e = estimate_round(split.X, 8, split.y_lab, 5, seed=0, **KMEANS_ARGS)
 
     from cobranch.data import make_class_means, sample_from_means
 
     means = make_class_means(8, 6, 8.0, seed=77)
     test_X, test_orig = sample_from_means(means, np.full(8, 25), 1.0, seed=77, stream=7)
-    test_y = np.array([split.class_remap[c] for c in test_orig])
+    test_y = split.class_remap[test_orig]
 
     def eval_bytes():
-        report = evaluate(test_X, test_y, 5, 8, split.true_counts, seed=0)
+        report = evaluate(test_X, test_y, 5, 8, split.true_counts, seed=0, **EVAL_ARGS)
         return json.dumps(report.to_dict(), sort_keys=True).encode()
 
     base = eval_bytes()
@@ -436,7 +435,7 @@ def test_criterion_09_sampling_rate_endpoints():
         C = int(rng.integers(3, 8))
         m = int(rng.integers(4, 40))
         probs = rng.dirichlet(np.ones(C), size=m)
-        batch = PseudoLabelBatch.from_probs(probs)
+        batch = PseudoLabelBatch.from_probs(probs, np.arange(m))
         pi = rng.dirichlet(np.ones(C)) + 0.01
         pi /= pi.sum()
         batch_labels = rng.integers(0, max(2, C - 1), size=3)
@@ -472,7 +471,7 @@ def _metric_fixture(num_classes, num_known, n_test, k_errors, train_counts, d_sc
             labels.append(c)
     X = np.array(feats)
     y = np.array(labels)
-    report = evaluate(X, y, num_known, num_classes, np.asarray(train_counts), seed=0)
+    report = evaluate(X, y, num_known, num_classes, np.asarray(train_counts), seed=0, **EVAL_ARGS)
     acc = [(n_test - k_errors[c]) / n_test for c in range(num_classes)]
     return report, acc
 

@@ -378,17 +378,22 @@ class TestTrainEval:
         assert rc == 2
         assert "definitely_missing" in capsys.readouterr().err
 
-    def train_on_files(self, tmp_path, out="run", extra=()):
+    @staticmethod
+    def train_argv(tmp_path, out="run", extra=()):
         data = tmp_path / "data"
-        if not (data / "meta.json").exists():
-            assert main(["gen-data", "--seed", "5", "--out", str(data), *SMALL]) == 0
-        return main([
+        return [
             "train", "--seed", "0", "--out", str(tmp_path / out), *SMALL, *extra,
             "--set", "dataset.kind=embeddings",
             "--set", f"dataset.path={data / 'train.csv'}",
             "--set", f"dataset.meta_path={data / 'meta.json'}",
             "--set", f"dataset.test_path={data / 'test.csv'}",
-        ])
+        ]
+
+    def train_on_files(self, tmp_path, out="run", extra=()):
+        data = tmp_path / "data"
+        if not (data / "meta.json").exists():
+            assert main(["gen-data", "--seed", "5", "--out", str(data), *SMALL]) == 0
+        return main(self.train_argv(tmp_path, out, extra))
 
     def train_on_edited_csv(self, tmp_path, edit, name="train.csv", extra=()):
         data = tmp_path / "data"
@@ -492,6 +497,47 @@ class TestTrainEval:
         assert self.train_on_files(tmp_path, out="again") == 2
         err = capsys.readouterr().err
         assert err.count(f"{meta_path}: ") == 2 and "true_counts" in err
+
+    @staticmethod
+    def edit_meta(tmp_path, edit):
+        path = tmp_path / "data" / "meta.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+
+    def test_zero_true_count_exit_2(self, tmp_path):
+        # three labeled rows, one per known class, and no sample of classes 3 and 4
+        assert main(["gen-data", "--seed", "5", "--out", str(tmp_path / "data"), *SMALL]) == 0
+        path = tmp_path / "data" / "train.csv"
+        header, *rows = path.read_text().splitlines()
+        first = {}
+        for row in rows:
+            first.setdefault(row.split(",")[1], row)
+        path.write_text("\n".join([header, first["0"], first["1"], first["2"]]) + "\n")
+        self.edit_meta(tmp_path, lambda meta: meta.update(true_counts=[1, 1, 1, 0, 0]))
+        out = cli_in_child(*self.train_argv(tmp_path))
+        assert out.returncode == 2
+        meta_path = tmp_path / "data" / "meta.json"
+        assert f"error: {meta_path}: true_counts[3] is 0" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_labeled_rows_beyond_true_count_exit_2(self, tmp_path):
+        assert self.train_on_files(tmp_path) == 0
+        labels = [line.split(",")[1] for line in (tmp_path / "data" / "train.csv").read_text().splitlines()[1:]]
+        n0 = labels.count("0")
+
+        def shift_class_0_to_class_4(meta):  # the counts still sum to the pool size
+            counts = meta["true_counts"]
+            counts[4] += counts[0] - (n0 - 1)
+            counts[0] = n0 - 1
+
+        self.edit_meta(tmp_path, shift_class_0_to_class_4)
+        out = cli_in_child(*self.train_argv(tmp_path, out="again"))
+        assert out.returncode == 2
+        train_path, meta_path = tmp_path / "data" / "train.csv", tmp_path / "data" / "meta.json"
+        assert (f"error: {train_path}: {n0} labeled rows of class 0, more than its true_counts[0]={n0 - 1} "
+                f"in {meta_path}") in out.stderr
+        assert "Traceback" not in out.stderr
 
     def test_labeled_novel_class_exit_2(self, tmp_path, capsys):
         def label_novel(lines):

@@ -18,6 +18,7 @@ from cobranch.estimate import (
     kmeans,
 )
 from oracles import (
+    KMEANS_ARGS,
     broadcast_sq_dists,
     brute_force_assignment,
     class_to_cluster,
@@ -27,11 +28,20 @@ from oracles import (
 )
 
 
+def km(X, k, seed, **settings):
+    """`kmeans` at the CLI's default settings, overridden by `settings`."""
+    return kmeans(X, k, seed=seed, **{**KMEANS_ARGS, **settings})
+
+
+def reference_km(X, k, seed, **settings):
+    return reference_kmeans(X, k, seed, **{**KMEANS_ARGS, **settings})
+
+
 class TestKMeans:
     def test_single_cluster_is_mean(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((40, 3))
-        res = kmeans(X, 1, seed=0)
+        res = km(X, 1, seed=0)
         assert np.abs(res.centers[0] - X.mean(axis=0)).max() < 1e-12
         assert res.inertia == pytest.approx(((X - X.mean(axis=0)) ** 2).sum())
 
@@ -41,7 +51,7 @@ class TestKMeans:
         B = rng.standard_normal((20, 2)) * 0.1 + np.array([-10.0, 0.0])
         X = np.vstack([A, B])
         truth = np.array([0] * 30 + [1] * 20)
-        res = kmeans(X, 2, seed=3)
+        res = km(X, 2, seed=3)
         # agreement up to relabeling
         agree = max(
             (res.assignments == truth).mean(),
@@ -52,16 +62,16 @@ class TestKMeans:
     def test_inertia_non_increasing(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((100, 4))
-        res = kmeans(X, 5, seed=1)
+        res = km(X, 5, seed=1)
         # per-iteration inertia from the oracle, which the test above pins to `kmeans`
-        *_, inertias = reference_kmeans(X, 5, seed=1)
+        *_, inertias = reference_km(X, 5, seed=1)
         assert res.inertia == pytest.approx(inertias[-1], rel=1e-9)
         assert len(inertias) > 2 and np.all(np.diff(inertias) <= 1e-9)
 
     def test_local_optimality_probe(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((80, 3))
-        res = kmeans(X, 4, seed=2)
+        res = km(X, 4, seed=2)
         scale = 0.05 * X.std()
         for t in range(10):
             centers = res.centers + scale * rng.standard_normal(res.centers.shape)
@@ -72,22 +82,22 @@ class TestKMeans:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((60, 3))
-        a = kmeans(X, 4, seed=9)
-        b = kmeans(X, 4, seed=9)
+        a = km(X, 4, seed=9)
+        b = km(X, 4, seed=9)
         assert np.array_equal(a.assignments, b.assignments)
         assert np.array_equal(a.centers, b.centers)
 
     def test_empty_cluster_repair_on_duplicates(self):
         X = np.zeros((6, 2))
-        res = kmeans(X, 3, seed=0)
+        res = km(X, 3, seed=0)
         counts = np.bincount(res.assignments, minlength=3)
         assert np.all(counts > 0)
 
     def test_errors(self):
         with pytest.raises(ValueError):
-            kmeans(np.zeros((2, 2)), 3, seed=0)
+            km(np.zeros((2, 2)), 3, seed=0)
         with pytest.raises(ValueError):
-            kmeans(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1, seed=0)
+            km(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1, seed=0)
 
     def test_sq_dists_matches_broadcast(self):
         rng = np.random.default_rng(5)
@@ -114,8 +124,8 @@ class TestKMeans:
             means *= 8.0 / max(gaps.min(), 1e-3)
         sizes = rng.integers(3, per + 1, size=k)
         X = np.repeat(means, sizes, axis=0) + rng.standard_normal((sizes.sum(), d)) + offset
-        res = kmeans(X, k, seed=seed, n_init=n_init)
-        assign, centers, inertia, iterations, restart, _ = reference_kmeans(X, k, seed, n_init=n_init)
+        res = km(X, k, seed=seed, n_init=n_init)
+        assign, centers, inertia, iterations, restart, _ = reference_km(X, k, seed, n_init=n_init)
         assert np.array_equal(res.assignments, assign)
         assert (res.iterations, res.restart) == (iterations, restart)
         assert np.allclose(res.centers, centers, rtol=0, atol=1e-9 * (1.0 + np.abs(X).max()))
@@ -125,8 +135,8 @@ class TestKMeans:
         rng = np.random.default_rng(11)
         means = 0.7 * rng.standard_normal((8, 16))  # overlapping blobs: many near-ties
         X = np.repeat(means, 60, axis=0) + rng.standard_normal((480, 16))
-        base = kmeans(X, 8, seed=3, n_init=2)
-        far = kmeans(X + 1e7, 8, seed=3, n_init=2)
+        base = km(X, 8, seed=3, n_init=2)
+        far = km(X + 1e7, 8, seed=3, n_init=2)
         assert np.array_equal(far.assignments, base.assignments)
         assert np.allclose(far.centers - 1e7, base.centers, rtol=0, atol=1e-6)
 
@@ -134,7 +144,7 @@ class TestKMeans:
         X = np.random.default_rng(12).standard_normal((6000, 16))
         tracemalloc.start()
         try:
-            kmeans(X, 50, seed=0, n_init=1, max_iter=5)
+            km(X, 50, seed=0, n_init=1, max_iter=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -226,24 +236,21 @@ class TestAlignClusters:
     def test_pure_clusters_recover_identity(self):
         counts = np.array([40, 30, 20, 10])
         split = split_known_novel(*gen_synthetic(4, 4, counts, 12.0, 0.5, seed=7), 2, 0.5, seed=7)
-        res, amap, pi = estimate_round(
-            split.X, 4, np.arange(split.y_lab.size), split.y_lab, 2, seed=0
-        )
+        res, amap, pi = estimate_round(split.X, 4, split.y_lab, 2, seed=0, **KMEANS_ARGS)
         true_pi = split.true_counts / split.true_counts.sum()
         assert np.abs(pi - true_pi).sum() < 0.05
 
     def test_no_labeled_samples_rejected(self):
         res = _FakeResult([0, 1, 1, 0], 2)
         with pytest.raises(ValueError, match="no labeled samples to anchor the alignment"):
-            align_clusters(res, np.zeros(0, dtype=int), np.zeros(0, dtype=int), 1)
+            align_clusters(res, np.zeros(0, dtype=int), 1)
 
     def test_sorted_novel_assignment(self):
         # clusters: 0,1 get the labeled known samples; novel clusters 2 (size 7) and 3 (size 3)
         assignments = np.array([0, 0, 1, 1] + [2] * 7 + [3] * 3)
         res = _FakeResult(assignments, 4)
-        labeled_idx = np.array([0, 1, 2, 3])
         labeled_cls = np.array([0, 0, 1, 1])
-        amap = align_clusters(res, labeled_idx, labeled_cls, 2)
+        amap = align_clusters(res, labeled_cls, 2)
         assert amap.cluster_to_class[0] == 0
         assert amap.cluster_to_class[1] == 1
         assert amap.cluster_to_class[2] == 2  # bigger novel cluster, lower novel id
@@ -257,8 +264,7 @@ class TestAlignClusters:
             labeled_cls = rng.integers(0, known, size=n_lab)
             assignments = rng.integers(0, C, size=n_lab + 20)
             res = _FakeResult(assignments, C)
-            labeled_idx = np.arange(n_lab)
-            amap = align_clusters(res, labeled_idx, labeled_cls, known)
+            amap = align_clusters(res, labeled_cls, known)
             agreement = np.zeros((known, C))
             for cls, clu in zip(labeled_cls, assignments[:n_lab]):
                 agreement[cls, clu] += 1
@@ -276,7 +282,7 @@ class TestAlignClusters:
             C, known = 8, int(rng.integers(1, 7))
             labeled_cls = rng.integers(0, known, size=15)
             assignments = rng.integers(0, C, size=40)  # small clusters: size ties are common
-            amap = align_clusters(_FakeResult(assignments, C), np.arange(15), labeled_cls, known)
+            amap = align_clusters(_FakeResult(assignments, C), labeled_cls, known)
             sizes = np.bincount(assignments, minlength=C)
             novel = class_to_cluster(amap)[known:]  # each novel class's cluster, in class order
             # descending size, ties to the lower cluster id
@@ -285,7 +291,7 @@ class TestAlignClusters:
     def test_fewer_clusters_than_known_rejected(self):
         res = _FakeResult([0, 0], 2)
         with pytest.raises(ValueError):
-            align_clusters(res, np.array([0]), np.array([2]), 3)
+            align_clusters(res, np.array([2]), 3)
 
 
 class TestAlignedDistribution:
@@ -322,8 +328,8 @@ def test_floor_distribution():
 def test_estimate_round_deterministic():
     counts = make_longtail_counts(6, ImbalanceProfile("exponential", 10, 60))
     split = split_known_novel(*gen_synthetic(6, 5, counts, 10.0, 1.0, seed=10), 4, 0.5, seed=10)
-    args = (split.X, 6, np.arange(split.y_lab.size), split.y_lab, 4)
-    _, amap_a, pi_a = estimate_round(*args, seed=5)
-    _, amap_b, pi_b = estimate_round(*args, seed=5)
+    args = (split.X, 6, split.y_lab, 4)
+    _, amap_a, pi_a = estimate_round(*args, seed=5, **KMEANS_ARGS)
+    _, amap_b, pi_b = estimate_round(*args, seed=5, **KMEANS_ARGS)
     assert np.array_equal(pi_a, pi_b)
     assert np.array_equal(amap_a.cluster_to_class, amap_b.cluster_to_class)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cobranch.evaluation import EvalReport, evaluate, group_metrics, score_clustering
-from oracles import recount_accuracy
+from oracles import EVAL_ARGS, KMEANS_ARGS, group_sizes, recount_accuracy
 
 
 def clustered_features(labels, centers, noise, rng):
@@ -19,7 +19,7 @@ class TestEvaluate:
         centers = 20.0 * np.eye(4)
         X = clustered_features(labels, centers, 0.01, rng)
         report = evaluate(X, labels, num_known=2, num_classes=4,
-                          train_counts=np.array([40, 30, 20, 10]), seed=0)
+                          train_counts=np.array([40, 30, 20, 10]), seed=0, **EVAL_ARGS)
         assert report.acc_all == 1.0
         assert report.acc_old == 1.0
         assert report.acc_new == 1.0
@@ -29,7 +29,7 @@ class TestEvaluate:
         labels = np.repeat(np.arange(3), 10)
         X = np.zeros((30, 4))
         report = evaluate(X, labels, num_known=2, num_classes=3,
-                          train_counts=np.array([10, 10, 10]), seed=1)
+                          train_counts=np.array([10, 10, 10]), seed=1, **EVAL_ARGS)
         # the dominant surviving cluster matches one class; repair may add a
         # couple of stray singletons on top
         assert report.acc_all >= 10 / 30 - 1e-12
@@ -43,8 +43,8 @@ class TestEvaluate:
         centers = rng.standard_normal((4, 3)) * 6
         X = clustered_features(labels, centers, 1.0, rng)
         counts = np.array([50, 30, 20, 10])
-        report = evaluate(X, labels, 2, 4, counts, seed=3)
-        km = kmeans(X, 4, seed=3)
+        report = evaluate(X, labels, 2, 4, counts, seed=3, **EVAL_ARGS)
+        km = kmeans(X, 4, seed=3, **KMEANS_ARGS)
         recount = recount_accuracy(km.assignments, labels, report.assignment)
         assert report.acc_all == pytest.approx(recount, abs=1e-12)
 
@@ -54,10 +54,10 @@ class TestEvaluate:
         centers = rng.standard_normal((4, 3)) * 4
         X = clustered_features(labels, centers, 1.5, rng)
         counts = np.array([40, 30, 20, 10])
-        report = evaluate(X, labels, 2, 4, counts, seed=4)
+        report = evaluate(X, labels, 2, 4, counts, seed=4, **EVAL_ARGS)
         from cobranch.estimate import kmeans
 
-        km = kmeans(X, 4, seed=4)
+        km = kmeans(X, 4, seed=4, **KMEANS_ARGS)
         best = max(
             recount_accuracy(km.assignments, labels, perm)
             for perm in itertools.permutations(range(4))
@@ -98,13 +98,13 @@ class TestEvaluate:
         X = np.zeros((10, 2))
         labels = np.zeros(10, dtype=int)
         with pytest.raises(ValueError, match="missing classes"):
-            evaluate(X, labels, 1, 2, np.array([5, 5]), seed=0)
+            evaluate(X, labels, 1, 2, np.array([5, 5]), seed=0, **EVAL_ARGS)
 
     def test_json_dict_clean(self):
         rng = np.random.default_rng(5)
         labels = np.repeat(np.arange(3), 8)
         X = clustered_features(labels, 10 * np.eye(3), 0.1, rng)
-        report = evaluate(X, labels, 3, 3, np.array([8, 8, 8]), seed=0)
+        report = evaluate(X, labels, 3, 3, np.array([8, 8, 8]), seed=0, **EVAL_ARGS)
         d = report.to_dict()
         assert d["novel"]["many"] is None  # no novel classes
         import json
@@ -167,10 +167,21 @@ class TestGroupMetrics:
         with pytest.raises(ValueError):
             group_metrics(np.zeros(0), np.zeros(0, dtype=int), np.zeros(0, dtype=int))
 
+    def test_partition_matches_group_size_oracle(self):
+        # class c has the c-th largest count and accuracy c, so each group's
+        # mean accuracy pins down which classes it holds
+        for m in range(1, 61):
+            groups, _, _ = group_metrics(np.arange(m, dtype=float), np.arange(m, 0, -1), np.arange(m))
+            want, start = {}, 0
+            for name, size in zip(("many", "median", "few"), group_sizes(m)):
+                want[name] = float(np.arange(start, start + size).mean()) if size else float("nan")
+                start += size
+            assert groups == pytest.approx(want, nan_ok=True), m
+
 
 def test_csv_row_matches_columns():
     rng = np.random.default_rng(6)
     labels = np.repeat(np.arange(4), 10)
     X = clustered_features(labels, 10 * np.eye(4), 0.1, rng)
-    report = evaluate(X, labels, 2, 4, np.array([4, 3, 2, 1]), seed=0)
+    report = evaluate(X, labels, 2, 4, np.array([4, 3, 2, 1]), seed=0, **EVAL_ARGS)
     assert len(report.csv_row()) == len(EvalReport.CSV_COLUMNS)

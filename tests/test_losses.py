@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,8 @@ from hypothesis import strategies as st
 
 import cobranch
 from cobranch.losses import (
-    LossWeights,
     Scratch,
     classification_objective,
-    contrastive_loss,
     contrastive_objective,
     hard_indicator_weights,
     kl_regularizer,
@@ -23,7 +22,9 @@ from cobranch.losses import (
 )
 from cobranch.train import _other_view
 from oracles import (
+    TRAIN,
     central_fd,
+    contrastive_loss,
     max_rel_err,
     optimal_soft_logits,
     per_term_contrastive_objective,
@@ -31,6 +32,9 @@ from oracles import (
     positive_set_contrastive_loss,
     three_block_classification_objective,
 )
+
+# the CLI's default loss weights and confidence gate
+WEIGHTS, GATE = TRAIN.weights, TRAIN.conf_gate
 
 
 def unit_rows(rng, n, d):
@@ -228,7 +232,7 @@ class TestScratch:
             F, other, lab_cls = build_views_batch(rng, n_l, n_u, 16)
             m = F.shape[0] - 2
             W = rng.uniform(0.0, 1.0, size=(m, m))
-            args = (F, other, lab_cls, W, 0.5, LossWeights())
+            args = (F, other, lab_cls, W, 0.5, WEIGHTS)
             a, b = contrastive_objective(*args, scratch), contrastive_objective(*args)
             assert (a.l_unsup, a.l_sup, a.l_soft) == (b.l_unsup, b.l_sup, b.l_soft)
             assert np.array_equal(a.grad, b.grad)
@@ -260,7 +264,8 @@ class TestScratch:
         code = textwrap.dedent("""
             import resource
             import numpy as np
-            from cobranch.losses import LossWeights, Scratch, contrastive_objective
+            from cobranch.config import effective_config, to_train_objects
+            from cobranch.losses import Scratch, contrastive_objective
             from cobranch.train import _other_view
             rng = np.random.default_rng(0)
             F = rng.standard_normal((256, 16))
@@ -270,7 +275,8 @@ class TestScratch:
             P = rng.dirichlet(np.ones(10), size=232)
             W = P @ P.T
             scratch = Scratch()
-            args = (F, other, lab_cls, W, 1.0, LossWeights(), scratch)
+            weights = to_train_objects(effective_config(None), 0)[1].weights
+            args = (F, other, lab_cls, W, 1.0, weights, scratch)
             contrastive_objective(*args)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             contrastive_objective(*args)
@@ -420,7 +426,7 @@ class TestClassificationObjective:
         lab, labels, v1, v2 = random_cls_instance(rng)
         target = np.full(4, 0.25)
         res = classification_objective(
-            lab, labels, v1, v2, target, LossWeights(eta1=0.0, eta2=0.0), 0.5
+            lab, labels, v1, v2, target, replace(WEIGHTS, eta1=0.0, eta2=0.0), 0.5, GATE
         )
         log_p = lab - lab.max(axis=1, keepdims=True)
         log_p = log_p - np.log(np.exp(log_p).sum(axis=1, keepdims=True))
@@ -431,7 +437,7 @@ class TestClassificationObjective:
         logits = np.array([[40.0, -40.0, -40.0]])
         res = classification_objective(
             logits, np.array([0]), np.zeros((0, 3)), np.zeros((0, 3)),
-            np.full(3, 1 / 3), LossWeights(eta1=0.0, eta2=0.0), 0.5,
+            np.full(3, 1 / 3), replace(WEIGHTS, eta1=0.0, eta2=0.0), 0.5, GATE,
         )
         assert res.l_s == pytest.approx(0.0, abs=1e-12)
 
@@ -440,7 +446,7 @@ class TestClassificationObjective:
         _, _, v1, v2 = random_cls_instance(rng)
         res = classification_objective(
             np.zeros((0, 4)), np.zeros(0, dtype=int), v1, v2,
-            np.full(4, 0.25), LossWeights(), 0.5,
+            np.full(4, 0.25), WEIGHTS, 0.5, GATE,
         )
         assert "L_s omitted" in caplog.text
         assert res.l_s == 0.0
@@ -448,9 +454,9 @@ class TestClassificationObjective:
     def test_composite_equals_weighted_parts(self):
         rng = np.random.default_rng(10)
         lab, labels, v1, v2 = random_cls_instance(rng)
-        w = LossWeights(eta1=0.7, eta2=1.3)
+        w = replace(WEIGHTS, eta1=0.7, eta2=1.3)
         target = np.array([0.4, 0.3, 0.2, 0.1])
-        res = classification_objective(lab, labels, v1, v2, target, w, 0.5)
+        res = classification_objective(lab, labels, v1, v2, target, w, 0.5, GATE)
         assert res.total == pytest.approx(res.l_s + 0.7 * res.l_u + 1.3 * res.l_reg, abs=1e-9)
 
     def test_gradients_match_finite_differences(self):
@@ -459,16 +465,16 @@ class TestClassificationObjective:
             lab, labels, v1, v2 = random_cls_instance(rng)
             target = rng.dirichlet(np.ones(4)) + 0.02
             target /= target.sum()
-            w = LossWeights(eta1=0.8, eta2=1.1)
+            w = replace(WEIGHTS, eta1=0.8, eta2=1.1)
             n_l, n_u = lab.shape[0], v1.shape[0]
 
             def f(flat):
                 a = flat[: n_l * 4].reshape(n_l, 4)
                 b = flat[n_l * 4 : (n_l + n_u) * 4].reshape(n_u, 4)
                 c = flat[(n_l + n_u) * 4 :].reshape(n_u, 4)
-                return classification_objective(a, labels, b, c, target, w, 0.5).total
+                return classification_objective(a, labels, b, c, target, w, 0.5, GATE).total
 
-            res = classification_objective(lab, labels, v1, v2, target, w, 0.5)
+            res = classification_objective(lab, labels, v1, v2, target, w, 0.5, GATE)
             flat = np.concatenate([lab.ravel(), v1.ravel(), v2.ravel()])
             assert max_rel_err(res.grad.ravel(), central_fd(f, flat)) < 1e-4
 
@@ -478,14 +484,14 @@ class TestClassificationObjective:
         lab, labels = rng.standard_normal((3, 4)), np.array([0, 2, 1])
         empty = np.zeros((0, 4))
         target = np.array([0.4, 0.3, 0.2, 0.1])
-        w = LossWeights(eta1=0.8, eta2=1.1)
-        res = classification_objective(lab, labels, empty, empty, target, w, 0.5)
+        w = replace(WEIGHTS, eta1=0.8, eta2=1.1)
+        res = classification_objective(lab, labels, empty, empty, target, w, 0.5, GATE)
         assert res.l_u == 0.0 and res.n_gated == 0
         assert res.grad.shape == (3, 4)
         assert res.l_reg == kl_regularizer(softmax(lab).mean(axis=0), target, 0.5)[0]
 
         def f(flat):
-            return classification_objective(flat.reshape(3, 4), labels, empty, empty, target, w, 0.5).total
+            return classification_objective(flat.reshape(3, 4), labels, empty, empty, target, w, 0.5, GATE).total
 
         assert max_rel_err(res.grad.ravel(), central_fd(f, lab.ravel())) < 1e-4
 
@@ -494,7 +500,7 @@ class TestClassificationObjective:
         v = np.zeros((2, 4))
         res = classification_objective(
             np.zeros((0, 4)), np.zeros(0, dtype=int), v, v,
-            np.full(4, 0.25), LossWeights(), 1.0, conf_gate=0.9,
+            np.full(4, 0.25), WEIGHTS, 1.0, conf_gate=0.9,
         )
         assert res.n_gated == 0
         assert res.l_u == 0.0
@@ -519,7 +525,7 @@ class TestClassificationObjective:
         labels = rng.integers(0, C, size=n_l)
         target = rng.dirichlet(np.ones(C)) + 0.01
         target /= target.sum()
-        w = LossWeights(eta1=etas[0], eta2=etas[1])
+        w = replace(WEIGHTS, eta1=etas[0], eta2=etas[1])
         res = classification_objective(lab, labels, v1, v2, target, w, p, gate)
         total, l_s, l_u, l_reg, grad, n_gated = three_block_classification_objective(
             lab, labels, v1, v2, target, w, p, gate
@@ -535,7 +541,7 @@ class TestClassificationObjective:
         with pytest.raises(ValueError, match=match):
             classification_objective(
                 np.zeros((n_l, 3)), np.zeros(n_l, dtype=int), np.zeros((n_u1, 3)), np.zeros((n_u2, 3)),
-                np.full(3, 1 / 3), LossWeights(), 0.5,
+                np.full(3, 1 / 3), WEIGHTS, 0.5, GATE,
             )
 
 
@@ -551,7 +557,7 @@ class TestContrastiveObjective:
     def test_reduces_to_unsupervised_alone(self):
         rng = np.random.default_rng(12)
         F, other, lab_cls = build_views_batch(rng, 2, 3, 4)
-        w = LossWeights(gamma1=0.0, gamma2=0.0)
+        w = replace(WEIGHTS, gamma1=0.0, gamma2=0.0)
         res = contrastive_objective(F, other, lab_cls, None, 1.0, w)
         sets = [[other[i]] for i in range(F.shape[0])]
         ref, ref_grad = positive_set_contrastive_loss(F, sets, 1.0)
@@ -563,8 +569,8 @@ class TestContrastiveObjective:
         rng = np.random.default_rng(13)
         F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
         W = rng.uniform(0.1, 1.0, size=(4, 4))
-        a = contrastive_objective(F, other, lab_cls, None, 1.0, LossWeights())
-        b = contrastive_objective(F, other, lab_cls, W, 1.0, LossWeights(gamma2=0.0))
+        a = contrastive_objective(F, other, lab_cls, None, 1.0, WEIGHTS)
+        b = contrastive_objective(F, other, lab_cls, W, 1.0, replace(WEIGHTS, gamma2=0.0))
         assert a.total == b.total
         assert np.array_equal(a.grad, b.grad)
         assert a.l_soft == 0.0
@@ -574,7 +580,7 @@ class TestContrastiveObjective:
         rng = np.random.default_rng(14)
         F, other, lab_cls = build_views_batch(rng, 2, 2, 4)
         W = rng.uniform(0.1, 1.0, size=(4, 4))
-        w = LossWeights(gamma1=0.6, gamma2=1.4)
+        w = replace(WEIGHTS, gamma1=0.6, gamma2=1.4)
         res = contrastive_objective(F, other, lab_cls, W, 0.8, w)
         assert res.total == pytest.approx(
             res.l_unsup + 0.6 * res.l_sup + 1.4 * res.l_soft, abs=1e-9
@@ -587,7 +593,7 @@ class TestContrastiveObjective:
             n_l, n_u, d = 2, 2, 3
             F, other, lab_cls = build_views_batch(rng, n_l, n_u, d)
             W = rng.uniform(0.05, 1.0, size=(6, 6))
-            w = LossWeights(gamma1=0.9, gamma2=1.2)
+            w = replace(WEIGHTS, gamma1=0.9, gamma2=1.2)
 
             def f(flat):
                 return contrastive_objective(flat.reshape(F.shape), other, lab_cls, W, 1.0, w).total
@@ -600,14 +606,14 @@ class TestContrastiveObjective:
         F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
         for W in (np.ones((9, 9)), np.ones((4, 3))):
             with pytest.raises(ValueError, match="weights must be square over 2 to 8 rows"):
-                contrastive_objective(F, other, lab_cls, W, 1.0, LossWeights())
+                contrastive_objective(F, other, lab_cls, W, 1.0, WEIGHTS)
 
     def test_self_paired_row_rejected(self):
         rng = np.random.default_rng(17)
         F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
         other[3] = 3
         with pytest.raises(ValueError, match="its own positive"):
-            contrastive_objective(F, other, lab_cls, None, 1.0, LossWeights())
+            contrastive_objective(F, other, lab_cls, None, 1.0, WEIGHTS)
 
 
 @st.composite
@@ -624,8 +630,8 @@ def nested_batches(draw):
     assume(m < 2 or np.any(W[~np.eye(m, dtype=bool)] > 0))
     gammas = [draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for _ in range(2)]
     tau = draw(st.one_of(st.just(1e-3), st.floats(0.2, 2.0)))
-    return F, _other_view(n_l, n_s, n_r), np.concatenate([classes, classes]), W, tau, LossWeights(
-        gamma1=gammas[0], gamma2=gammas[1])
+    w = replace(WEIGHTS, gamma1=gammas[0], gamma2=gammas[1])
+    return F, _other_view(n_l, n_s, n_r), np.concatenate([classes, classes]), W, tau, w
 
 
 class TestSharedKernelProperties:
@@ -649,4 +655,4 @@ class TestSharedKernelProperties:
         F, other, lab_cls = build_views_batch(rng, 3, 5, 8)
         W = rng.uniform(0.0, 1.0, size=(10, 10))
         with np.errstate(under="raise"):
-            contrastive_objective(F, other, lab_cls, W, tau, LossWeights())
+            contrastive_objective(F, other, lab_cls, W, tau, WEIGHTS)

@@ -8,6 +8,7 @@ from cobranch.config import ConfigError, effective_config
 from cobranch.estimate import AlignmentMap
 from cobranch.train import TrainResult
 from oracles import (
+    MODEL,
     central_fd,
     grad_check,
     max_rel_err,
@@ -19,7 +20,7 @@ from oracles import (
 )
 
 
-def small_params(seed=0, d_in=4, d_hidden=5, d_feat=3, d_ph=4, d_proj=3, C=4, scale=10.0):
+def small_params(seed=0, d_in=4, d_hidden=5, d_feat=3, d_ph=4, d_proj=3, C=4, scale=MODEL.scale):
     return nn.init_params(d_in, d_hidden, d_feat, d_ph, d_proj, C, seed=seed, scale=scale)
 
 
@@ -50,6 +51,7 @@ class TestEncode:
             proj_w2=np.eye(4),
             proj_b2=np.zeros(4),
             cls_w=np.eye(4),
+            scale=MODEL.scale,
         )
         x = np.array([0.3, -1.2, 2.0, 0.7])
         assert np.abs(nn.encode(p, x[None])[0] - x).max() < 1e-6
@@ -312,12 +314,12 @@ class TestSgd:
         p = small_params()
         g = np.full_like(p.enc_b2, np.nan)
         with pytest.raises(FloatingPointError, match="non-finite gradient for enc_b2"):
-            nn.sgd_step(p, {"enc_b2": g}, lr=0.1)
+            nn.sgd_step(p, {"enc_b2": g}, lr=0.1, state=nn.SgdState(0.0))
 
     def test_shape_mismatch_rejected(self):
         p = small_params()
         with pytest.raises(ValueError):
-            nn.sgd_step(p, {"enc_b2": np.zeros(99)}, lr=0.1)
+            nn.sgd_step(p, {"enc_b2": np.zeros(99)}, lr=0.1, state=nn.SgdState(0.0))
 
 
 class TestGradCheckUtility:

@@ -1,0 +1,103 @@
+"""The package's surface holds nothing only tests use, and `config.DEFAULTS`
+is the only place a default value is written."""
+
+import ast
+import dataclasses
+import importlib
+import inspect
+import pathlib
+
+import pytest
+
+import cobranch
+from cobranch.config import DEFAULTS
+
+SRC = pathlib.Path(cobranch.__file__).parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+ENTRY_POINTS = {("cli", "main")}  # called from outside the package
+
+
+def test_every_public_definition_is_used_in_the_package():
+    trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            used = any(
+                id(n) not in own
+                and (isinstance(n, ast.Name) and n.id == node.name or isinstance(n, ast.Attribute) and n.attr == node.name)
+                for other in trees.values()
+                for n in ast.walk(other)
+            )
+            if not used and (module, node.name) not in ENTRY_POINTS:
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
+
+
+# Fields and parameters that `config.to_train_objects`, `**cfg["model"]`,
+# `**cfg["eval"]` or the train block fill in from the config.
+CONFIG_BACKED = [
+    ("train", "ModelConfig", None),
+    ("train", "TrainConfig", None),
+    ("losses", "LossWeights", None),
+    ("transfer", "SamplingConfig", None),
+    ("nn", "ModelParams", ["scale"]),
+    ("nn", "init_params", ["scale"]),
+    ("nn", "SgdState", ["momentum"]),
+    ("losses", "classification_objective", ["conf_gate"]),
+    ("estimate", "kmeans", ["max_iter", "tol", "n_init"]),
+    ("estimate", "estimate_round", ["max_iter", "tol", "n_init"]),
+    ("evaluation", "evaluate", ["kmeans_max_iter", "kmeans_tol", "kmeans_n_init"]),
+]
+
+
+def _defaults(obj) -> dict:
+    """Each field of a dataclass, or parameter of a function or of a class's
+    constructor, that has a default, mapped to its default (or factory)."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: f.default_factory if f.default is dataclasses.MISSING else f.default
+                for f in dataclasses.fields(obj)
+                if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING}
+    return {name: p.default for name, p in inspect.signature(obj).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+@pytest.mark.parametrize("module, name, names", CONFIG_BACKED, ids=[f"{m}.{n}" for m, n, _ in CONFIG_BACKED])
+def test_config_backed_values_have_no_default(module, name, names):
+    obj = getattr(importlib.import_module(f"cobranch.{module}"), name)
+    if dataclasses.is_dataclass(obj):
+        declared = [f.name for f in dataclasses.fields(obj)]
+    else:
+        declared = list(inspect.signature(obj).parameters)
+    names = declared if names is None else names  # None: every field is config-backed
+    assert set(names) <= set(declared)
+    assert {key: value for key, value in _defaults(obj).items() if key in names} == {}
+
+
+def test_no_default_restates_a_config_default():
+    """No field or parameter in the package defaults to the value
+    `config.DEFAULTS` gives the key of its name (`max_iter` standing for
+    `kmeans_max_iter`, and so on)."""
+    config_values = {}
+    for block in DEFAULTS.values():
+        for key, value in block.items():
+            for name in {key, key.removeprefix("kmeans_")}:
+                config_values.setdefault(name, set()).add(repr(value))
+    restated = []
+    for module_name in MODULES:
+        module = importlib.import_module(f"cobranch.{module_name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = []
+            if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+                members.append((name, obj))
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", fn) for attr, fn in vars(obj).items() if inspect.isfunction(fn)]
+            for where, member in members:
+                for key, value in _defaults(member).items():
+                    if repr(value) in config_values.get(key, ()):
+                        restated.append(f"{module_name}.{where}: {key}={value!r}")
+    assert restated == []

@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from cobranch import losses, nn, train as train_mod
 from cobranch.data import split_known_novel
 from cobranch.estimate import kmeans
-from cobranch.train import ModelConfig, TrainConfig, TrainingAborted, make_batches, make_views, run
-from oracles import gen_synthetic, params_to_vector, positive_set_contrastive_loss
+from cobranch.train import TrainingAborted, make_batches, make_views, run
+from oracles import MODEL, TRAIN, contrastive_loss, gen_synthetic, params_to_vector, positive_set_contrastive_loss
 
 
 def toy_split(seed=0, C=5, counts=(30, 20, 12, 8, 5), num_known=3, d=6):
@@ -18,11 +19,11 @@ def toy_split(seed=0, C=5, counts=(30, 20, 12, 8, 5), num_known=3, d=6):
 def toy_config(total_epochs=6, warmup=2, r=3, seed=0, **kw):
     sched = nn.TrainSchedule(base_lr=0.05, total_epochs=total_epochs, batch_size=32,
                              warmup_epochs=warmup)
-    return TrainConfig(schedule=sched, seed=seed, reestimate_interval=r, **kw)
+    return replace(TRAIN, schedule=sched, seed=seed, reestimate_interval=r, **kw)
 
 
 def toy_model():
-    return ModelConfig(d_hidden=16, d_feat=8, d_proj_hidden=16, d_proj=8)
+    return replace(MODEL, d_hidden=16, d_feat=8, d_proj_hidden=16, d_proj=8)
 
 
 class TestMakeBatches:
@@ -96,7 +97,8 @@ class TestRun:
         m = toy_model()
         params = nn.init_params(split.X.shape[1], m.d_hidden, m.d_feat, m.d_proj_hidden, m.d_proj,
                                 split.num_classes, seed=cfg.seed, scale=m.scale)
-        km = kmeans(nn.encode(params, split.X), split.num_classes, seed=cfg.seed * 1000003)
+        km = kmeans(nn.encode(params, split.X), split.num_classes, seed=cfg.seed * 1000003,
+                    max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol, n_init=cfg.kmeans_n_init)
         assert result.telemetry[0]["kmeans"] == {"iterations": km.iterations, "inertia": km.inertia,
                                                  "restart": km.restart}
 
@@ -162,7 +164,7 @@ class TestRun:
         assert split.y_lab.size == len(split.X)
         sched = nn.TrainSchedule(base_lr=0.05, total_epochs=3, batch_size=2, warmup_epochs=1)
         soft, hard = (
-            run(split, toy_model(), TrainConfig(schedule=sched, seed=2, reestimate_interval=3, soft_mode=mode))
+            run(split, toy_model(), replace(TRAIN, schedule=sched, seed=2, reestimate_interval=3, soft_mode=mode))
             for mode in ("soft", "hard")
         )
         assert all(rec["l_u"] == 0.0 for rec in soft.telemetry)
@@ -279,7 +281,7 @@ class TestGradientIsolation:
         d_in = split.X.shape[1]
         params = nn.init_params(d_in, model_cfg.d_hidden, model_cfg.d_feat,
                                 model_cfg.d_proj_hidden, model_cfg.d_proj,
-                                split.num_classes, seed=0)
+                                split.num_classes, seed=0, scale=model_cfg.scale)
         X = split.X[:8]
         y = np.zeros(8, dtype=int)
 
@@ -290,9 +292,9 @@ class TestGradientIsolation:
         logits, cache = nn.classifier_branch_forward(params, X)
         res = losses.classification_objective(
             logits, y, np.zeros((0, split.num_classes)), np.zeros((0, split.num_classes)),
-            np.full(split.num_classes, 1 / split.num_classes), losses.LossWeights(), 0.5,
+            np.full(split.num_classes, 1 / split.num_classes), cfg.weights, 0.5, cfg.conf_gate,
         )
-        nn.sgd_step(params, nn.classifier_branch_backward(params, cache, res.grad), 0.1)
+        nn.sgd_step(params, nn.classifier_branch_backward(params, cache, res.grad), 0.1, nn.SgdState(0.0))
         for name, before in zip(params.PROJECTOR_FIELDS, before_proj):
             assert np.array_equal(getattr(params, name), before)
         assert not np.array_equal(params.cls_w, before_cls)
@@ -306,9 +308,9 @@ class TestGradientIsolation:
         U, cache = nn.contrastive_branch_forward(params, X)
         sets = [[(i + 4) % 8] for i in range(8)]
         W = np.eye(8)[(np.arange(8) + 4) % 8]  # row i has its one positive at (i + 4) % 8
-        loss, grad, _ = losses.contrastive_loss(U, W, 1.0)
+        loss, grad, _ = contrastive_loss(U, W, 1.0)
         assert np.abs(grad - positive_set_contrastive_loss(U, sets, 1.0)[1]).max() < 1e-12
-        nn.sgd_step(params, nn.contrastive_branch_backward(params, cache, grad), 0.1)
+        nn.sgd_step(params, nn.contrastive_branch_backward(params, cache, grad), 0.1, nn.SgdState(0.0))
         assert np.array_equal(params.cls_w, before_cls)
         assert any(
             not np.array_equal(getattr(params, n), b)

@@ -18,6 +18,11 @@ from cobranch.transfer import (
 from oracles import loop_pseudolabel_mask, positiveness
 
 
+def batch_of(probs):
+    """The pseudo-label batch of `probs` with sample ids 0, 1, ..."""
+    return PseudoLabelBatch.from_probs(probs, np.arange(len(probs)))
+
+
 class TestDebias:
     def test_uniform_prior_is_plain_softmax(self):
         rng = np.random.default_rng(0)
@@ -104,28 +109,28 @@ class TestSamplePseudolabels:
 
     def test_rate_one_keeps_all(self):
         probs = self.probs_for([0.9, 0.8, 0.7], [0, 1, 2])
-        batch = sample_pseudolabels(PseudoLabelBatch.from_probs(probs), np.ones(3))
+        batch = sample_pseudolabels(batch_of(probs), np.ones(3))
         assert batch.mask.all()
 
     def test_half_rate_takes_top_confidence(self):
         probs = self.probs_for([0.6, 0.9, 0.8, 0.7], [1, 1, 1, 1])
-        batch = sample_pseudolabels(PseudoLabelBatch.from_probs(probs), np.array([1, 0.5, 1.0]))
+        batch = sample_pseudolabels(batch_of(probs), np.array([1, 0.5, 1.0]))
         assert batch.mask.sum() == 2
         assert batch.mask[1] and batch.mask[2]
 
     def test_empty_batch(self):
-        batch = PseudoLabelBatch.from_probs(np.zeros((0, 3)))
+        batch = batch_of(np.zeros((0, 3)))
         out = sample_pseudolabels(batch, np.ones(3))
         assert out.mask.size == 0
 
     def test_ceiling_guarantees_presence(self):
         probs = self.probs_for([0.5], [2])
-        out = sample_pseudolabels(PseudoLabelBatch.from_probs(probs), np.array([1, 1, 0.01]))
+        out = sample_pseudolabels(batch_of(probs), np.array([1, 1, 0.01]))
         assert out.mask.sum() == 1
 
     def test_tie_broken_by_lower_id(self):
         probs = self.probs_for([0.8, 0.8, 0.8], [0, 0, 0])
-        out = sample_pseudolabels(PseudoLabelBatch.from_probs(probs), np.array([1 / 3, 1, 1]))
+        out = sample_pseudolabels(batch_of(probs), np.array([1 / 3, 1, 1]))
         assert out.mask.tolist() == [True, False, False]
 
     def test_selected_confidences_dominate(self):
@@ -133,7 +138,7 @@ class TestSamplePseudolabels:
         for _ in range(20):
             n, C = 30, 4
             probs = rng.dirichlet(np.ones(C), size=n)
-            batch = PseudoLabelBatch.from_probs(probs)
+            batch = batch_of(probs)
             rates = rng.uniform(0.1, 1.0, size=C)
             out = sample_pseudolabels(batch, rates)
             for c in range(C):
@@ -157,7 +162,7 @@ class TestSamplePseudolabels:
         assert np.array_equal(sample_pseudolabels(batch, rates).mask, loop_pseudolabel_mask(pred, conf, ids, rates))
 
     def test_rejects_out_of_range_rates(self):
-        batch = PseudoLabelBatch.from_probs(np.full((2, 2), 0.5))
+        batch = batch_of(np.full((2, 2), 0.5))
         with pytest.raises(ValueError):
             sample_pseudolabels(batch, np.array([1.0, 1.5]))
 
