@@ -10,13 +10,12 @@ named phase (`train._named_abort`), 2 I/O or config error.
 from __future__ import annotations
 
 import argparse
-import copy
+import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .data import (
     split_known_novel,
 )
 from .estimate import AlignmentMap, estimate_round
-from .evaluation import EvalReport, evaluate
+from .evaluation import EvalReport, aggregate, evaluate
 from .train import TrainingAborted
 
 EXIT_OK = 0
@@ -55,8 +54,21 @@ def write_text_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _null_nonfinite(obj):
+    """`obj` with each non-finite float, an undefined metric, made None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _null_nonfinite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_nonfinite(value) for value in obj]
+    return obj
+
+
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Indented JSON, the form of every artifact but the compact checkpoint
+    and telemetry: a non-finite float is written as null, since JSON has no NaN."""
+    return json.dumps(_null_nonfinite(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_json_atomic(path: str, obj) -> None:
@@ -64,15 +76,12 @@ def write_json_atomic(path: str, obj) -> None:
 
 
 def write_csv_atomic(path: str, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(v) for v in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
 
 
 # --- dataset construction --------------------------------------------------------
 
-@dataclass
+@dataclasses.dataclass
 class EvalSet:
     """A labeled test pool and the training-pool facts its report needs:
     which classes are known, how many there are, and each one's training
@@ -223,7 +232,7 @@ CHECKPOINT_FORMAT = "cobranch-checkpoint-v1"
 
 
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode("utf-8")).hexdigest()
+    return hashlib.sha256(json.dumps(config, sort_keys=True, allow_nan=False).encode("utf-8")).hexdigest()
 
 
 def _params_dict(params: nn.ModelParams) -> dict:
@@ -254,9 +263,10 @@ def checkpoint_dict(result: train_mod.TrainResult, cfg: dict, train_seed: int) -
 
 
 def write_checkpoint(path: str, result: train_mod.TrainResult, cfg: dict, train_seed: int) -> None:
-    """Compact JSON: `indent` would send a checkpoint through json's pure-Python encoder."""
+    """Compact JSON: `indent` would send a checkpoint through json's pure-Python
+    encoder. Every value is finite (`train.run` aborts on a non-finite one)."""
     blob = checkpoint_dict(result, cfg, train_seed)
-    write_text_atomic(path, json.dumps(blob, sort_keys=True, separators=(",", ":")) + "\n")
+    write_text_atomic(path, json.dumps(blob, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def _floats(values, shape: tuple, what: str) -> np.ndarray:
@@ -408,11 +418,12 @@ def cmd_train(args) -> int:
     total = cfg["train"]["total_epochs"]
     start = resume.epochs_done if resume else 0
     with open(os.path.join(args.out, "telemetry.jsonl"), "w", encoding="utf-8") as tel:
-        tel.write(json.dumps({"config": cfg}, sort_keys=True) + "\n")
+        tel.write(json.dumps({"config": cfg}, sort_keys=True, allow_nan=False) + "\n")
 
         def on_epoch(result: train_mod.TrainResult) -> None:
-            # one flushed record per epoch, so an aborted run keeps the epochs it finished
-            tel.write(json.dumps(result.telemetry[-1], sort_keys=True) + "\n")
+            # one flushed record per epoch, so an aborted run keeps the epochs it finished;
+            # its losses are finite, since `train.run` aborts on a non-finite one
+            tel.write(json.dumps(result.telemetry[-1], sort_keys=True, allow_nan=False) + "\n")
             tel.flush()
             n = result.epochs_done
             if every and ((n - start) % every == 0 or n == total):
@@ -430,24 +441,17 @@ def cmd_eval(args) -> int:
     test = build_test_set(cfg, train_seed)
     os.makedirs(args.out, exist_ok=True)
 
-    rows = []
+    reports = []
     for seed in args.seeds:
         report = evaluate_trained(cfg, test, state.params, seed)
-        payload = {"config": cfg, "seed": seed, "report": report.to_dict()}
+        payload = {"config": cfg, "seed": seed, "report": dataclasses.asdict(report)}
         write_json_atomic(os.path.join(args.out, f"report_seed{seed}.json"), payload)
-        write_csv_atomic(
-            os.path.join(args.out, f"report_seed{seed}.csv"),
-            ["seed", *EvalReport.CSV_COLUMNS],
-            [[seed, *report.csv_row()]],
-        )
-        rows.append(report.csv_row())
+        write_csv_atomic(os.path.join(args.out, f"report_seed{seed}.csv"), ["seed", *EvalReport.CSV_COLUMNS],
+                         [[seed, *report.csv_row()]])
+        reports.append(report)
         print(f"seed {seed}: all={report.acc_all:.4f} old={report.acc_old:.4f} new={report.acc_new:.4f}")
 
-    arr = np.array(rows, dtype=float)
-    metrics = {}
-    for j, name in enumerate(EvalReport.CSV_COLUMNS):
-        col = arr[:, j]
-        metrics[name] = {"mean": float(np.mean(col)), "std": float(np.std(col))}
+    metrics = aggregate(reports)
     write_json_atomic(
         os.path.join(args.out, "aggregate.json"),
         {"config": cfg, "seeds": args.seeds, "metrics": metrics},
@@ -455,7 +459,7 @@ def cmd_eval(args) -> int:
     write_csv_atomic(
         os.path.join(args.out, "aggregate.csv"),
         ["metric", "mean", "std"],
-        [[name, metrics[name]["mean"], metrics[name]["std"]] for name in EvalReport.CSV_COLUMNS],
+        [[name, m["mean"], m["std"]] for name, m in metrics.items()],
     )
     print(f"wrote per-seed reports and aggregate to {args.out}")
     return EXIT_OK
@@ -503,57 +507,36 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
-ABLATION_AXES = ("similarity", "r", "k", "alpha_beta", "loss_mode")
-
-
-def ablation_grid(cfg: dict, axis: str) -> list[tuple[str, dict]]:
-    def variant(label: str, updates: dict) -> tuple[str, dict]:
-        out = copy.deepcopy(cfg)
-        for key, value in updates.items():
-            block, _, leaf = key.partition(".")
-            out[block][leaf] = value
-        return label, out
-
-    if axis == "similarity":
-        return [variant(m, {"train.metric": m}) for m in ("l1", "l2", "cosine", "dot")]
-    if axis == "r":
-        return [variant(f"r={v}", {"train.reestimate_interval": v}) for v in (1, 5, 10, 25, 50)]
-    if axis == "k":
-        return [variant(f"k={v}", {"train.k": v}) for v in (0.0, 0.25, 0.5, 1.0, 1.5)]
-    if axis == "alpha_beta":
-        return [
-            variant("baseline", {"train.soft_mode": "off"}),
-            variant("vanilla", {"train.k": 0.0, "train.alpha": 0.0, "train.beta": 0.0}),
-            variant("debias", {"train.alpha": 0.0, "train.beta": 0.0}),
-            variant("sampling", {"train.k": 0.0}),
-            variant("both", {}),
-        ]
-    if axis == "loss_mode":
-        return [
-            variant("baseline", {"train.soft_mode": "off"}),
-            variant("hard", {"train.soft_mode": "hard"}),
-            variant("soft", {"train.soft_mode": "soft"}),
-        ]
-    raise ConfigError(f"unknown ablation axis {axis!r}; pick one of {ABLATION_AXES}")
+# axis -> [(label, --set overrides)]; a variant's overrides follow the command's own --set
+ABLATIONS = {
+    "similarity": [(m, [f"train.metric={m}"]) for m in ("l1", "l2", "cosine", "dot")],
+    "r": [(f"r={v}", [f"train.reestimate_interval={v}"]) for v in (1, 5, 10, 25, 50)],
+    "k": [(f"k={v}", [f"train.k={v}"]) for v in (0.0, 0.25, 0.5, 1.0, 1.5)],
+    "alpha_beta": [
+        ("baseline", ["train.soft_mode=off"]),
+        ("vanilla", ["train.k=0.0", "train.alpha=0.0", "train.beta=0.0"]),
+        ("debias", ["train.alpha=0.0", "train.beta=0.0"]),
+        ("sampling", ["train.k=0.0"]),
+        ("both", []),
+    ],
+    "loss_mode": [("baseline" if m == "off" else m, [f"train.soft_mode={m}"]) for m in ("off", "hard", "soft")],
+}
+# ablate's columns, each the seed mean of the aggregate metric it names
+ABLATE_COLUMNS = {"old": "acc_old", "new": "acc_new", "all": "acc_all",
+                  "std_known": "std_known", "std_novel": "std_novel"}
 
 
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.set)
-    grid = ablation_grid(cfg, args.axis)
+    # every variant is validated like any --set, before the first run
+    grid = [(label, load_config(args.config, [*args.set, *overrides])) for label, overrides in ABLATIONS[args.axis]]
     os.makedirs(args.out, exist_ok=True)
 
-    header = ["label", "old", "new", "all", "std_known", "std_novel"]
+    header = ["label", *ABLATE_COLUMNS]
     rows = []
     for label, variant_cfg in grid:
-        reports = [run_experiment(variant_cfg, seed)[0] for seed in args.seeds]
-        row = [
-            label,
-            float(np.mean([r.acc_old for r in reports])),
-            float(np.mean([r.acc_new for r in reports])),
-            float(np.mean([r.acc_all for r in reports])),
-            float(np.mean([r.std_known for r in reports])),
-            float(np.mean([r.std_novel for r in reports])),
-        ]
+        metrics = aggregate([run_experiment(variant_cfg, seed)[0] for seed in args.seeds])
+        row = [label, *(metrics[name]["mean"] for name in ABLATE_COLUMNS.values())]
         rows.append(row)
         print(f"{label}: old={row[1]:.4f} new={row[2]:.4f} all={row[3]:.4f}")
     out_path = os.path.join(args.out, f"ablate_{args.axis}.csv")
@@ -588,18 +571,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required: bool):
+    def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key, e.g. train.base_lr=0.05")
-        p.add_argument("--seed", type=int, required=seed_required, default=None)
         p.add_argument("--out", default=".", help="output directory")
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset (train/test/meta)")
-    common(p, seed_required=False)
+    common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seeds the generated pools unless dataset.seed is set; recorded in meta.json")
 
     p = sub.add_parser("train", help="train both branches")
-    common(p, seed_required=True)
+    common(p)
+    p.add_argument("--seed", type=int, required=True,
+                   help="seeds initialization, batches and views, and a synthetic pool unless dataset.seed is set")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on its test set")
@@ -608,12 +594,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
 
     p = sub.add_parser("estimate", help="one distribution-estimation round (diagnostics)")
-    common(p, seed_required=False)
+    common(p)
+    p.add_argument("--seed", type=int, default=None,
+                   help="seeds k-means (default 0 with --checkpoint); without --checkpoint it is "
+                        "required and also seeds a synthetic pool unless dataset.seed is set")
     p.add_argument("--checkpoint", default=None, help="encode features with this checkpoint")
 
-    p = sub.add_parser("ablate", help="run an ablation grid and emit a CSV table")
-    common(p, seed_required=False)
-    p.add_argument("--axis", required=True, choices=ABLATION_AXES)
+    # no abbreviations: `--seed` must not pass for `--seeds`
+    p = sub.add_parser("ablate", help="run an ablation grid and emit a CSV table", allow_abbrev=False)
+    common(p)
+    p.add_argument("--axis", required=True, choices=ABLATIONS)
     p.add_argument("--seeds", default="0", help="comma-separated train seeds")
 
     return parser

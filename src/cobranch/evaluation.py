@@ -16,85 +16,56 @@ import numpy as np
 from .estimate import hungarian, kmeans
 
 
+# each partition's metrics: Many/Median/Few accuracy and their Std, in CSV order
+GROUP_KEYS = ("many", "median", "few", "std")
+
+
 @dataclass
 class EvalReport:
     acc_all: float
     acc_old: float
     acc_new: float
-    known_groups: dict
-    novel_groups: dict
-    std_known: float
-    std_novel: float
+    known: dict  # GROUP_KEYS over the known classes
+    novel: dict  # GROUP_KEYS over the novel classes; all NaN when there are none
     per_class_acc: list
     assignment: list
     n_test: int
     warnings: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        def clean(v):
-            if isinstance(v, float) and not np.isfinite(v):
-                return None
-            if isinstance(v, dict):
-                return {k: clean(x) for k, x in v.items()}
-            return v
-
-        return clean({
-            "acc_all": self.acc_all,
-            "acc_old": self.acc_old,
-            "acc_new": self.acc_new,
-            "known": {**self.known_groups, "std": self.std_known},
-            "novel": {**self.novel_groups, "std": self.std_novel},
-            "per_class_acc": self.per_class_acc,
-            "assignment": self.assignment,
-            "n_test": self.n_test,
-            "warnings": self.warnings,
-        })
-
-    CSV_COLUMNS = (
-        "acc_all", "acc_old", "acc_new",
-        "known_many", "known_median", "known_few", "std_known",
-        "novel_many", "novel_median", "novel_few", "std_novel",
-    )
+    # a partition's Std column is std_<part>, its groups' <part>_<group>
+    CSV_COLUMNS = ("acc_all", "acc_old", "acc_new", *(
+        f"std_{part}" if key == "std" else f"{part}_{key}" for part in ("known", "novel") for key in GROUP_KEYS))
 
     def csv_row(self) -> list:
-        return [
-            self.acc_all, self.acc_old, self.acc_new,
-            self.known_groups["many"], self.known_groups["median"],
-            self.known_groups["few"], self.std_known,
-            self.novel_groups["many"], self.novel_groups["median"],
-            self.novel_groups["few"], self.std_novel,
-        ]
+        return [self.acc_all, self.acc_old, self.acc_new,
+                *(groups[key] for groups in (self.known, self.novel) for key in GROUP_KEYS)]
 
 
-def group_metrics(per_class_acc: np.ndarray, counts: np.ndarray, class_ids: np.ndarray):
+def aggregate(reports: list[EvalReport]) -> dict:
+    """Mean and population std over `reports` of each CSV column, by name."""
+    rows = np.array([report.csv_row() for report in reports], dtype=float)
+    return {name: {"mean": float(np.mean(col)), "std": float(np.std(col))}
+            for name, col in zip(EvalReport.CSV_COLUMNS, rows.T)}
+
+
+def group_metrics(per_class_acc: np.ndarray, counts: np.ndarray, class_ids: np.ndarray) -> dict:
     """Many/Median/Few accuracies over one class partition plus their Std.
 
     Classes are sorted by training-set count descending (ties: lower id) and
     split into three contiguous groups as evenly as possible, larger groups
-    first. Group accuracy is the unweighted mean of member-class accuracies;
-    Std is the population standard deviation of the nonempty group accuracies.
+    first. Group accuracy is the unweighted mean of member-class accuracies
+    (NaN for an empty group); Std is the population standard deviation of
+    the nonempty group accuracies.
     """
     class_ids = np.asarray(class_ids, dtype=int)
     if class_ids.size == 0:
         raise ValueError("empty class partition")
-    warnings = []
     order = class_ids[np.lexsort((class_ids, -counts[class_ids]))]
-    if order.size < 3:
-        warnings.append(
-            f"partition of {order.size} classes: Many/Median/Few degenerate to singletons"
-        )
-    groups = {}
-    values = []
-    for name, members in zip(("many", "median", "few"), np.array_split(order, 3)):
-        if members.size:
-            acc = float(per_class_acc[members].mean())
-            values.append(acc)
-        else:
-            acc = float("nan")
-        groups[name] = acc
-    values = np.asarray(values)
+    accs = [float(per_class_acc[members].mean()) if members.size else float("nan")
+            for members in np.array_split(order, 3)]
+    values = np.array(accs[:order.size])  # the nonempty groups come first
     std = float(np.sqrt(((values - values.mean()) ** 2).mean()))
-    return groups, std, warnings
+    return {**dict(zip(GROUP_KEYS, accs)), "std": std}
 
 
 def evaluate(
@@ -164,28 +135,25 @@ def score_clustering(
     class_sizes = np.bincount(y, minlength=num_classes)
     per_class = np.bincount(y, weights=correct, minlength=num_classes) / class_sizes
 
-    known_ids = np.arange(num_known)
-    novel_ids = np.arange(num_known, num_classes)
-    known_groups, std_known, warn_k = group_metrics(per_class, train_counts, known_ids)
-    if novel_ids.size:
-        novel_groups, std_novel, warn_n = group_metrics(per_class, train_counts, novel_ids)
+    num_novel = num_classes - num_known
+    known = group_metrics(per_class, train_counts, np.arange(num_known))
+    if num_novel:
+        novel = group_metrics(per_class, train_counts, np.arange(num_known, num_classes))
     else:
-        novel_groups, std_novel, warn_n = (
-            {"many": float("nan"), "median": float("nan"), "few": float("nan")},
-            float("nan"),
-            ["no novel classes"],
-        )
+        novel = dict.fromkeys(GROUP_KEYS, float("nan"))
+    warnings = [f"partition of {m} classes: Many/Median/Few degenerate to singletons"
+                for m in (num_known, num_novel) if 0 < m < 3]
+    if not num_novel:
+        warnings.append("no novel classes")
 
     return EvalReport(
         acc_all=acc_all,
         acc_old=acc_old,
         acc_new=acc_new,
-        known_groups=known_groups,
-        novel_groups=novel_groups,
-        std_known=std_known,
-        std_novel=std_novel,
+        known=known,
+        novel=novel,
         per_class_acc=per_class.tolist(),
         assignment=assignment.tolist(),
         n_test=int(y.size),
-        warnings=warn_k + warn_n,
+        warnings=warnings,
     )

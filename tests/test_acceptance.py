@@ -9,11 +9,11 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
-from cobranch.cli import main, run_experiment
+from cobranch.cli import dump_json, main, run_experiment
 from cobranch.config import effective_config
 from cobranch.data import ImbalanceProfile, make_longtail_counts, split_known_novel
 from cobranch.estimate import AlignmentMap, aligned_distribution, estimate_round, hungarian
@@ -317,7 +317,7 @@ def test_criterion_06_directional_reproduction():
         for seed in seeds:
             report, _, _ = run_experiment(cfg, seed)
             news.append(report.acc_new)
-            stds.append(report.std_novel)
+            stds.append(report.novel["std"])
         results[mode] = (float(np.mean(news)), float(np.mean(stds)))
     elapsed = time.time() - t0
     gap = results["soft"][0] - results["off"][0]
@@ -346,7 +346,7 @@ def test_criterion_07_footnote1_invariance():
 
     def eval_bytes():
         report = evaluate(test_X, test_y, 5, 8, split.true_counts, seed=0, **EVAL_ARGS)
-        return json.dumps(report.to_dict(), sort_keys=True).encode()
+        return dump_json(asdict(report)).encode()
 
     base = eval_bytes()
     rng = np.random.default_rng(79)
@@ -508,17 +508,17 @@ def test_criterion_10_metric_suite_oracle():
         worst = max(worst, abs(report.acc_old - exp_old), abs(report.acc_new - exp_new),
                     abs(report.acc_all - exp_all))
         kg, kstd = _hand_groups(acc, counts, known_ids)
-        worst = max(worst, abs(report.std_known - kstd))
+        worst = max(worst, abs(report.known["std"] - kstd))
         for name, val in zip(("many", "median", "few"), kg):
-            got = report.known_groups[name]
+            got = report.known[name]
             if math.isnan(val):
                 assert math.isnan(got)
             else:
                 worst = max(worst, abs(got - val))
         ng, nstd = _hand_groups(acc, counts, novel_ids)
-        worst = max(worst, abs(report.std_novel - nstd))
+        worst = max(worst, abs(report.novel["std"] - nstd))
         for name, val in zip(("many", "median", "few"), ng):
-            got = report.novel_groups[name]
+            got = report.novel[name]
             if math.isnan(val):
                 assert math.isnan(got)
             else:

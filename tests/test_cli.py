@@ -227,21 +227,26 @@ class TestConfig:
         assert train_cfg.seed == 3
 
 
-@pytest.mark.parametrize("argv, option", [
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "a"], "--seeds"),
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", ""], "--seeds"),
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,,1"], "--seeds"),
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "-1"], "--seeds"),
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,0"], "--seeds"),
-    (["ablate", "--axis", "k", "--seeds", "x", *SMALL], "--seeds"),
-    (["train", "--seed", "-1", *SMALL], "--seed"),
-    (["estimate", "--seed", "-2", *SMALL], "--seed"),
+@pytest.mark.parametrize("argv, error", [
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "a"], "error: --seeds must be"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", ""], "error: --seeds must be"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,,1"], "error: --seeds must be"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "-1"], "error: --seeds must be"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,0"], "error: --seeds must be"),
+    (["ablate", "--axis", "k", "--seeds", "x", *SMALL], "error: --seeds must be"),
+    (["train", "--seed", "-1", *SMALL], "error: --seed must be"),
+    (["estimate", "--seed", "-2", *SMALL], "error: --seed must be"),
+    # ablate seeds its runs with --seeds only; --seed is no abbreviation of it
+    (["ablate", "--axis", "k", "--seed", "1", *SMALL], "error: unrecognized arguments: --seed 1"),
 ], ids=["eval-a", "eval-empty", "eval-gap", "eval-negative", "eval-repeat", "ablate-x", "train-negative",
-        "estimate-negative"])
-def test_bad_seed_argument_exit_2(tmp_path, capsys, argv, option):
-    rc = main([*argv, "--out", str(tmp_path / "out")])
+        "estimate-negative", "ablate-seed"])
+def test_bad_seed_argument_exit_2(tmp_path, capsys, argv, error):
+    try:
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # an argparse usage error
+        rc = exc.code
     assert rc == 2
-    assert f"error: {option} must be" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -936,6 +941,48 @@ class TestAblate:
         assert [r.split(",")[0] for r in rows[1:]] == [
             "baseline", "vanilla", "debias", "sampling", "both"
         ]
+
+    def test_rows_are_seed_means_of_independent_runs(self, tmp_path):
+        assert main(["ablate", "--axis", "loss_mode", "--seeds", "0,1", "--out", str(tmp_path), *SMALL]) == 0
+        rows = json.loads((tmp_path / "ablate_loss_mode.json").read_text())["rows"]
+        assert [row["label"] for row in rows] == ["baseline", "hard", "soft"]
+        for row, mode in zip(rows, ("off", "hard", "soft")):
+            reports = [run_experiment(small_cfg(train={"soft_mode": mode}), seed)[0] for seed in (0, 1)]
+            assert row["old"] == np.mean([r.acc_old for r in reports])
+            assert row["new"] == np.mean([r.acc_new for r in reports])
+            assert row["all"] == np.mean([r.acc_all for r in reports])
+            assert row["std_known"] == np.mean([r.known["std"] for r in reports])
+            assert row["std_novel"] == np.mean([r.novel["std"] for r in reports])
+
+
+def _no_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+@pytest.mark.parametrize("num_classes", [6, 4], ids=["4-of-6", "4-of-4"])
+def test_undefined_metric_is_null_in_every_json_artifact(tmp_path, num_classes):
+    """Two novel classes leave Few undefined, and no novel class every novel
+    metric: each is null in JSON, which has no NaN, and nan in CSV."""
+    sets = [*SMALL, "--set", f"dataset.num_classes={num_classes}", "--set", "dataset.num_known=4"]
+    run, ev, abl = tmp_path / "run", tmp_path / "eval", tmp_path / "ablate"
+    assert main(["train", "--seed", "0", "--out", str(run), *sets]) == 0
+    assert main(["eval", "--checkpoint", str(run / "checkpoint.json"), "--seeds", "0,1", "--out", str(ev)]) == 0
+    assert main(["estimate", "--checkpoint", str(run / "checkpoint.json"), "--out", str(tmp_path / "est")]) == 0
+    assert main(["ablate", "--axis", "loss_mode", "--out", str(abl), *sets]) == 0
+    docs = {path.relative_to(tmp_path).as_posix(): json.loads(path.read_text(), parse_constant=_no_constant)
+            for path in tmp_path.rglob("*.json")}
+    assert sorted(docs) == ["ablate/ablate_loss_mode.json", "est/estimate.json", "eval/aggregate.json",
+                            "eval/report_seed0.json", "eval/report_seed1.json", "run/checkpoint.json"]
+    for line in (run / "telemetry.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=_no_constant)
+    assert docs["eval/aggregate.json"]["metrics"]["novel_few"]["mean"] is None
+    assert "novel_few,nan,nan" in (ev / "aggregate.csv").read_text().splitlines()
+    for seed in (0, 1):
+        assert docs[f"eval/report_seed{seed}.json"]["report"]["novel"]["few"] is None
+    no_novel = num_classes == 4
+    assert [row["new"] is None for row in docs["ablate/ablate_loss_mode.json"]["rows"]] == [no_novel] * 3
+    assert all((row.split(",")[2] == "nan") == no_novel
+               for row in (abl / "ablate_loss_mode.csv").read_text().splitlines()[1:])
 
 
 def test_run_experiment_in_memory():

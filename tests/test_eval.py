@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from cobranch.cli import dump_json
 from cobranch.evaluation import EvalReport, evaluate, group_metrics, score_clustering
 from oracles import EVAL_ARGS, KMEANS_ARGS, group_sizes, recount_accuracy
 
@@ -23,7 +26,7 @@ class TestEvaluate:
         assert report.acc_all == 1.0
         assert report.acc_old == 1.0
         assert report.acc_new == 1.0
-        assert report.std_known == 0.0
+        assert report.known["std"] == 0.0
 
     def test_identical_features_degenerate(self):
         labels = np.repeat(np.arange(3), 10)
@@ -81,8 +84,8 @@ class TestEvaluate:
             assert other.acc_old == base.acc_old
             assert other.acc_new == base.acc_new
             assert other.per_class_acc == base.per_class_acc
-            assert other.std_known == base.std_known
-            assert other.std_novel == base.std_novel
+            assert other.known["std"] == base.known["std"]
+            assert other.novel["std"] == base.novel["std"]
 
         # tie-heavy C=50 (random clustering of 2,000 rows): many bijections
         # tie, and only acc_all is independent of which one is chosen
@@ -105,35 +108,32 @@ class TestEvaluate:
         labels = np.repeat(np.arange(3), 8)
         X = clustered_features(labels, 10 * np.eye(3), 0.1, rng)
         report = evaluate(X, labels, 3, 3, np.array([8, 8, 8]), seed=0, **EVAL_ARGS)
-        d = report.to_dict()
+        d = json.loads(dump_json(dataclasses.asdict(report)), parse_constant=pytest.fail)  # strict: no NaN
         assert d["novel"]["many"] is None  # no novel classes
-        import json
-
-        json.dumps(d)  # must be strictly serializable
 
 
 class TestGroupMetrics:
     def test_equal_accuracies_zero_std(self):
         acc = np.full(6, 0.7)
         counts = np.array([60, 50, 40, 30, 20, 10])
-        groups, std, warns = group_metrics(acc, counts, np.arange(6))
-        assert std == pytest.approx(0.0, abs=1e-12)
+        groups = group_metrics(acc, counts, np.arange(6))
+        assert groups["std"] == pytest.approx(0.0, abs=1e-12)
         assert groups == {"many": pytest.approx(0.7), "median": pytest.approx(0.7),
-                          "few": pytest.approx(0.7)}
+                          "few": pytest.approx(0.7), "std": groups["std"]}
 
     def test_hand_computed_std(self):
         acc = np.array([0.8, 0.6, 0.4])
         counts = np.array([30, 20, 10])
-        groups, std, _ = group_metrics(acc, counts, np.arange(3))
+        groups = group_metrics(acc, counts, np.arange(3))
         assert groups["many"] == pytest.approx(0.8)
         assert groups["median"] == pytest.approx(0.6)
         assert groups["few"] == pytest.approx(0.4)
-        assert std == pytest.approx(0.16329931618554522, abs=1e-12)
+        assert groups["std"] == pytest.approx(0.16329931618554522, abs=1e-12)
 
     def test_six_classes_split_evenly(self):
         acc = np.array([1.0, 1.0, 0.5, 0.5, 0.0, 0.0])
         counts = np.array([60, 50, 40, 30, 20, 10])
-        groups, _, _ = group_metrics(acc, counts, np.arange(6))
+        groups = group_metrics(acc, counts, np.arange(6))
         assert groups["many"] == pytest.approx(1.0)
         assert groups["median"] == pytest.approx(0.5)
         assert groups["few"] == pytest.approx(0.0)
@@ -141,7 +141,7 @@ class TestGroupMetrics:
     def test_four_classes_split_2_1_1(self):
         acc = np.array([1.0, 0.8, 0.6, 0.4])
         counts = np.array([40, 30, 20, 10])
-        groups, _, _ = group_metrics(acc, counts, np.arange(4))
+        groups = group_metrics(acc, counts, np.arange(4))
         assert groups["many"] == pytest.approx(0.9)
         assert groups["median"] == pytest.approx(0.6)
         assert groups["few"] == pytest.approx(0.4)
@@ -150,15 +150,17 @@ class TestGroupMetrics:
         # class 2 is the biggest in the training set despite its id
         acc = np.array([0.1, 0.2, 0.9])
         counts = np.array([10, 20, 100])
-        groups, _, _ = group_metrics(acc, counts, np.arange(3))
+        groups = group_metrics(acc, counts, np.arange(3))
         assert groups["many"] == pytest.approx(0.9)
         assert groups["few"] == pytest.approx(0.1)
 
     def test_degenerate_partition_warns(self):
         acc = np.array([0.5, 0.6])
         counts = np.array([10, 5])
-        groups, std, warns = group_metrics(acc, counts, np.arange(2))
-        assert warns
+        groups = group_metrics(acc, counts, np.arange(2))
+        labels = np.repeat(np.arange(5), 2)
+        report = score_clustering(labels, labels, 2, 5, np.arange(5, 0, -1))
+        assert report.warnings == ["partition of 2 classes: Many/Median/Few degenerate to singletons"]
         assert groups["many"] == pytest.approx(0.5)
         assert groups["median"] == pytest.approx(0.6)
         assert np.isnan(groups["few"])
@@ -171,12 +173,12 @@ class TestGroupMetrics:
         # class c has the c-th largest count and accuracy c, so each group's
         # mean accuracy pins down which classes it holds
         for m in range(1, 61):
-            groups, _, _ = group_metrics(np.arange(m, dtype=float), np.arange(m, 0, -1), np.arange(m))
+            groups = group_metrics(np.arange(m, dtype=float), np.arange(m, 0, -1), np.arange(m))
             want, start = {}, 0
             for name, size in zip(("many", "median", "few"), group_sizes(m)):
                 want[name] = float(np.arange(start, start + size).mean()) if size else float("nan")
                 start += size
-            assert groups == pytest.approx(want, nan_ok=True), m
+            assert {name: groups[name] for name in want} == pytest.approx(want, nan_ok=True), m
 
 
 def test_csv_row_matches_columns():

@@ -1,5 +1,5 @@
-"""The package's surface holds nothing only tests use, and `config.DEFAULTS`
-is the only place a default value is written."""
+"""The package's surface holds nothing only tests use, `config.DEFAULTS` is
+the only place a default value is written, and no JSON writer emits NaN."""
 
 import ast
 import dataclasses
@@ -101,3 +101,21 @@ def test_no_default_restates_a_config_default():
                     if repr(value) in config_values.get(key, ()):
                         restated.append(f"{module_name}.{where}: {key}={value!r}")
     assert restated == []
+
+
+def test_every_json_dumps_refuses_nan():
+    """`json.dumps` writes a non-finite float as a bare NaN or Infinity, which
+    is not JSON. Every call passes allow_nan=False, so one raises instead;
+    `cli.dump_json` writes each non-finite value as null before its call."""
+    calls, lax = 0, []
+    for name in MODULES:
+        for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text())):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+                    and node.func.attr in ("dump", "dumps")):
+                continue
+            calls += 1
+            if not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+                       for kw in node.keywords):
+                lax.append(f"{name}.py:{node.lineno}")
+    assert calls and lax == []
