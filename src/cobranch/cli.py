@@ -103,17 +103,16 @@ def _labeled_counts_ranked(ds: dict) -> np.ndarray:
     return make_longtail_counts(ds["num_known"], ImbalanceProfile(ds["profile"], ds["rho_l"], n_max_l))
 
 
-def build_synthetic_dataset(ds: dict, run_seed: int) -> tuple[DatasetSplit, EvalSet]:
-    data_seed = ds["seed"] if ds["seed"] is not None else run_seed
+def build_synthetic_dataset(ds: dict, seed: int) -> tuple[DatasetSplit, EvalSet]:
     C = ds["num_classes"]
     counts = make_longtail_counts(C, ImbalanceProfile(ds["profile"], ds["rho_u"], ds["n_max"]))
-    means = make_class_means(C, ds["d_in"], ds["class_separation"], data_seed)
+    means = make_class_means(C, ds["d_in"], ds["class_separation"], seed)
     if ds["rho_l"] == ds["rho_u"]:
-        X, y = sample_from_means(means, counts, ds["noise_scale"], data_seed)
-        split = split_known_novel(X, y, ds["num_known"], ds["labeled_ratio"], data_seed)
+        X, y = sample_from_means(means, counts, ds["noise_scale"], seed)
+        split = split_known_novel(X, y, ds["num_known"], ds["labeled_ratio"], seed)
     else:
         split = split_independent_pools(
-            means, counts, _labeled_counts_ranked(ds), ds["num_known"], ds["noise_scale"], data_seed
+            means, counts, _labeled_counts_ranked(ds), ds["num_known"], ds["noise_scale"], seed
         )
     if split.y_lab.size == 0:
         raise ConfigError(
@@ -122,7 +121,7 @@ def build_synthetic_dataset(ds: dict, run_seed: int) -> tuple[DatasetSplit, Eval
 
     # balanced disjoint test set over the same means, in split-space labels
     test_counts = np.full(C, ds["test_per_class"], dtype=int)
-    test_X, test_y = sample_from_means(means, test_counts, ds["noise_scale"], data_seed, stream=TEST)
+    test_X, test_y = sample_from_means(means, test_counts, ds["noise_scale"], seed, stream=TEST)
     return split, EvalSet(test_X, split.class_remap[test_y], split.num_known, split.num_classes, split.true_counts)
 
 
@@ -135,6 +134,8 @@ def _load_meta(ds: dict) -> dict:
         if key not in meta:
             raise ConfigError(f"{path}: missing key {key!r}")
     for key in ("num_classes", "num_known", "d_in"):
+        if type(meta[key]) is not int:
+            raise ConfigError(f"{path}: {key} must be an integer, got {meta[key]!r}")
         if meta[key] != ds[key]:
             raise ConfigError(f"dataset.{key}={ds[key]!r} disagrees with {key}={meta[key]!r} in {path}")
     counts = meta["true_counts"]
@@ -367,10 +368,7 @@ def cmd_gen_data(args) -> int:
     cfg = load_config(args.config, args.set)
     if cfg["dataset"]["kind"] != "synthetic":
         raise ConfigError("gen-data needs dataset.kind=synthetic")
-    if cfg["dataset"]["seed"] is None and args.seed is None:
-        raise ConfigError("gen-data needs --seed (or dataset.seed)")
-    seed = args.seed if args.seed is not None else cfg["dataset"]["seed"]
-    split, test = build_synthetic_dataset(cfg["dataset"], seed)
+    split, test = build_synthetic_dataset(cfg["dataset"], args.seed)
     os.makedirs(args.out, exist_ok=True)
 
     train_labels = np.full(len(split.X), UNLABELED_MARKER)
@@ -379,7 +377,7 @@ def cmd_gen_data(args) -> int:
     save_embeddings(np.arange(test.y.size), test.y, test.X, os.path.join(args.out, "test.csv"))
     meta = {
         "config": cfg,
-        "seed": seed,
+        "seed": args.seed,
         "num_known": split.num_known,
         "num_classes": split.num_classes,
         "true_counts": split.true_counts.tolist(),
@@ -552,15 +550,26 @@ def cmd_ablate(args) -> int:
 
 # --- entry point --------------------------------------------------------------------
 
-def parse_seeds(text: str, option: str) -> list[int]:
-    """Comma-separated seeds; ConfigError naming `option` unless they are
-    non-negative integers with no repeats."""
+def _seed(text: str) -> int:
+    """`--seed`: one non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
+def _seeds(text: str) -> list[int]:
+    """`--seeds`: comma-separated seeds, non-negative integers with no repeats."""
     try:
         seeds = [int(s) for s in text.split(",")]
     except ValueError:
         seeds = []
     if not seeds or min(seeds) < 0 or len(set(seeds)) < len(seeds):
-        raise ConfigError(f"{option} must be distinct non-negative integers separated by commas, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"must be distinct non-negative integers separated by commas, got {text!r}")
     return seeds
 
 
@@ -571,40 +580,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, help):
+        # no abbreviations: `--seed` must not pass for `--seeds`, nor `--check` for `--checkpoint`
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key, e.g. train.base_lr=0.05")
         p.add_argument("--out", default=".", help="output directory")
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset (train/test/meta)")
+    p = command("gen-data", "generate a synthetic dataset (train/test/meta)")
     common(p)
-    p.add_argument("--seed", type=int, default=None,
-                   help="seeds the generated pools unless dataset.seed is set; recorded in meta.json")
+    p.add_argument("--seed", type=_seed, required=True, help="seeds the generated pools; recorded in meta.json")
 
-    p = sub.add_parser("train", help="train both branches")
+    p = command("train", "train both branches")
     common(p)
-    p.add_argument("--seed", type=int, required=True,
-                   help="seeds initialization, batches and views, and a synthetic pool unless dataset.seed is set")
+    p.add_argument("--seed", type=_seed, required=True,
+                   help="seeds initialization, batches and views, and a synthetic pool")
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on its test set")
+    p = command("eval", "evaluate a checkpoint on its test set")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--seeds", required=True, help="comma-separated eval seeds")
+    p.add_argument("--seeds", type=_seeds, required=True, help="comma-separated eval seeds")
     p.add_argument("--out", default=".")
 
-    p = sub.add_parser("estimate", help="one distribution-estimation round (diagnostics)")
+    p = command("estimate", "one distribution-estimation round (diagnostics)")
     common(p)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="seeds k-means (default 0 with --checkpoint); without --checkpoint it is "
-                        "required and also seeds a synthetic pool unless dataset.seed is set")
+                        "required and also seeds a synthetic pool")
     p.add_argument("--checkpoint", default=None, help="encode features with this checkpoint")
 
-    # no abbreviations: `--seed` must not pass for `--seeds`
-    p = sub.add_parser("ablate", help="run an ablation grid and emit a CSV table", allow_abbrev=False)
+    p = command("ablate", "run an ablation grid and emit a CSV table")
     common(p)
     p.add_argument("--axis", required=True, choices=ABLATIONS)
-    p.add_argument("--seeds", default="0", help="comma-separated train seeds")
+    p.add_argument("--seeds", type=_seeds, default="0", help="comma-separated train seeds")
 
     return parser
 
@@ -621,10 +632,6 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seeds", None) is not None:
-            args.seeds = parse_seeds(args.seeds, "--seeds")
-        if getattr(args, "seed", None) is not None:
-            parse_seeds(str(args.seed), "--seed")  # argparse made it an int; this rejects a negative one
         return COMMANDS[args.command](args)
     except (ConfigError, EmbeddingFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

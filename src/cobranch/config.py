@@ -41,7 +41,6 @@ DEFAULTS: dict = {
         "class_separation": 6.0,
         "noise_scale": 1.0,
         "test_per_class": 50,
-        "seed": None,                # null: follow the run seed
     },
     "model": {
         "d_hidden": 32,
@@ -75,7 +74,6 @@ DEFAULTS: dict = {
         "kmeans_max_iter": 100,
         "kmeans_tol": 1e-6,
         "kmeans_n_init": 10,
-        "aux_encoder_weight": 1.0,   # damp the classifier branch's encoder imprint
     },
     "eval": {
         "kmeans_max_iter": 100,
@@ -183,12 +181,12 @@ def _validate(cfg: dict) -> None:
                 "the smallest class would round to 0"
             )
     tr = cfg["train"]
-    lows = [("dataset", "seed", 0), ("train", "total_epochs", 1), ("train", "checkpoint_every", 0),
-            ("train", "reestimate_interval", 1), ("train", "batch_size", 2)]
+    lows = [("train", "total_epochs", 1), ("train", "checkpoint_every", 0), ("train", "reestimate_interval", 1),
+            ("train", "batch_size", 2)]
     lows += [("model", key, 1) for key in ("d_hidden", "d_feat", "d_proj_hidden", "d_proj")]
     lows += [(block, key, 1) for block in ("train", "eval") for key in ("kmeans_n_init", "kmeans_max_iter")]
     for block, key, low in lows:
-        if cfg[block][key] is not None and cfg[block][key] < low:
+        if cfg[block][key] < low:
             raise ConfigError(f"{block}.{key} must be >= {low}, got {cfg[block][key]!r}")
     _check_sizes(cfg)
     if tr["warmup_epochs"] is not None and not 0 <= tr["warmup_epochs"] <= tr["total_epochs"]:
@@ -208,8 +206,7 @@ def _validate(cfg: dict) -> None:
     ]
     ranges += [(block, "kmeans_tol", lambda v: v >= 0, ">= 0") for block in ("train", "eval")]
     ranges += [("train", key, lambda v: v >= 0, ">= 0") for key in ("eta1", "eta2", "gamma1", "gamma2", "k")]
-    ranges += [("train", key, lambda v: 0 <= v <= 1, "in [0, 1]")
-               for key in ("alpha", "beta", "smoothing_p", "aux_encoder_weight")]
+    ranges += [("train", key, lambda v: 0 <= v <= 1, "in [0, 1]") for key in ("alpha", "beta", "smoothing_p")]
     for block, key, ok, rule in ranges:
         if not ok(cfg[block][key]):
             raise ConfigError(f"{block}.{key} must be {rule}, got {cfg[block][key]!r}")

@@ -57,11 +57,6 @@ class TrainConfig:
     kmeans_max_iter: int
     kmeans_tol: float
     kmeans_n_init: int
-    # How strongly the pseudo-labeling branch may reshape the shared encoder
-    # (its own classifier always trains at full strength). 1.0 gives both
-    # branches equal say; small values emulate a mostly-frozen backbone whose
-    # evaluated representation is owned by the contrastive branch.
-    aux_encoder_weight: float
 
 
 @dataclass
@@ -248,11 +243,7 @@ def run(
                 )
                 if not np.isfinite(cls.total):
                     raise FloatingPointError("non-finite loss")
-                cls_grads = nn.classifier_branch_backward(params, cache, cls.grad)
-                if cfg.aux_encoder_weight != 1.0:
-                    for name in params.ENCODER_FIELDS:
-                        cls_grads[name] = cfg.aux_encoder_weight * cls_grads[name]
-                nn.sgd_step(params, cls_grads, lr, opt_cls)
+                nn.sgd_step(params, nn.classifier_branch_backward(params, cache, cls.grad), lr, opt_cls)
 
             with _named_abort(f"contrastive step, {at}"):
                 sel, W_views = np.zeros(0, dtype=int), None

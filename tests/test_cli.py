@@ -94,7 +94,6 @@ class TestConfig:
     @pytest.mark.parametrize("override", [
         "dataset.d_in=abc",
         "dataset.d_in=true",
-        "dataset.seed=1.5",
         "dataset.path=3",
         "model.scale=\"big\"",
         "train.total_epochs=2.5",
@@ -108,10 +107,8 @@ class TestConfig:
         pytest.param("train.base_lr=1" + "0" * 400, id="train.base_lr=int-beyond-float-range"),
         pytest.param("train.base_lr=1" + "0" * 5000, id="train.base_lr=int-over-digit-limit"),
         pytest.param("dataset.n_max=1" + "0" * 400, id="dataset.n_max=int-beyond-int64"),
-        pytest.param(f"dataset.seed={2**63}", id="dataset.seed=2**63"),
         "train.temperature=NaN",
         "train.momentum=NaN",
-        "dataset.seed=-1",
         "model.d_hidden=0",
         "model.d_feat=0",
         "model.d_proj_hidden=0",
@@ -144,8 +141,6 @@ class TestConfig:
         "train.beta=2",
         "train.smoothing_p=-0.1",
         "train.smoothing_p=1.5",
-        "train.aux_encoder_weight=-0.5",
-        "train.aux_encoder_weight=1.5",
         "train.reestimate_interval=0",
         "train.batch_size=1",
         "train.warmup_epochs=5",
@@ -210,7 +205,7 @@ class TestConfig:
                 "temperature": 0.25, "smoothing_p": 0.75, "reestimate_interval": 4, "metric": "l1",
                 "conf_gate": 0.35, "momentum": 0.45, "soft_mode": "hard", "view_noise": 0.15,
                 "view_dropout": 0.05, "checkpoint_every": 2, "kmeans_max_iter": 33, "kmeans_tol": 1e-3,
-                "kmeans_n_init": 4, "aux_encoder_weight": 0.55,
+                "kmeans_n_init": 4,
             },
         }
         for block, kv in values.items():
@@ -228,18 +223,21 @@ class TestConfig:
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "a"], "error: --seeds must be"),
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", ""], "error: --seeds must be"),
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,,1"], "error: --seeds must be"),
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "-1"], "error: --seeds must be"),
-    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,0"], "error: --seeds must be"),
-    (["ablate", "--axis", "k", "--seeds", "x", *SMALL], "error: --seeds must be"),
-    (["train", "--seed", "-1", *SMALL], "error: --seed must be"),
-    (["estimate", "--seed", "-2", *SMALL], "error: --seed must be"),
-    # ablate seeds its runs with --seeds only; --seed is no abbreviation of it
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "a"], "error: argument --seeds: must be"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", ""], "error: argument --seeds: must be"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,,1"], "error: argument --seeds: must be"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "-1"], "error: argument --seeds: must be"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seeds", "0,0"], "error: argument --seeds: must be"),
+    (["ablate", "--axis", "k", "--seeds", "x", *SMALL], "error: argument --seeds: must be"),
+    (["train", "--seed", "-1", *SMALL], "error: argument --seed: must be"),
+    (["estimate", "--seed", "-2", *SMALL], "error: argument --seed: must be"),
+    # no flag is abbreviated: --seed is not --seeds, --check is not --checkpoint
     (["ablate", "--axis", "k", "--seed", "1", *SMALL], "error: unrecognized arguments: --seed 1"),
+    (["eval", "--checkpoint", "checkpoint.json", "--seed", "0"],
+     "error: the following arguments are required: --seeds"),
+    (["estimate", "--check", "checkpoint.json"], "error: unrecognized arguments: --check checkpoint.json"),
 ], ids=["eval-a", "eval-empty", "eval-gap", "eval-negative", "eval-repeat", "ablate-x", "train-negative",
-        "estimate-negative", "ablate-seed"])
+        "estimate-negative", "ablate-seed", "eval-seed", "estimate-check"])
 def test_bad_seed_argument_exit_2(tmp_path, capsys, argv, error):
     try:
         rc = main([*argv, "--out", str(tmp_path / "out")])
@@ -305,9 +303,12 @@ class TestGenData:
         assert main(["gen-data", "--seed", "1", "--out", str(tmp_path), *sets]) == 2
         assert key in capsys.readouterr().err
 
-    def test_gen_data_needs_seed(self, capsys):
-        rc = main(["gen-data", "--out", "/tmp/nowhere_gen"])
-        assert rc == 2
+    def test_gen_data_needs_seed(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:  # an argparse usage error
+            main(["gen-data", "--out", str(tmp_path / "data")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --seed" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
 
 class TestTrainEval:
@@ -384,10 +385,10 @@ class TestTrainEval:
         assert "definitely_missing" in capsys.readouterr().err
 
     @staticmethod
-    def train_argv(tmp_path, out="run", extra=()):
+    def train_argv(tmp_path, out="run", extra=(), seed=0):
         data = tmp_path / "data"
         return [
-            "train", "--seed", "0", "--out", str(tmp_path / out), *SMALL, *extra,
+            "train", "--seed", str(seed), "--out", str(tmp_path / out), *SMALL, *extra,
             "--set", "dataset.kind=embeddings",
             "--set", f"dataset.path={data / 'train.csv'}",
             "--set", f"dataset.meta_path={data / 'meta.json'}",
@@ -465,6 +466,28 @@ class TestTrainEval:
         for name in ("report_seed0.json", "report_seed0.csv", "aggregate.json", "aggregate.csv"):
             assert sha(tmp_path / "with" / name) == sha(tmp_path / "without" / name)
 
+    @pytest.mark.parametrize("rho_l", [6, 2], ids=["rho_l=rho_u", "rho_l<rho_u"])
+    def test_generated_files_train_like_the_synthetic_kind(self, tmp_path, rho_l):
+        # several train seeds on one fixed pool: `gen-data --seed s` once, then the
+        # embeddings kind; at train seed s that run is the synthetic kind's
+        ratio = ["--set", f"dataset.rho_l={rho_l}"]
+        assert main(["gen-data", "--seed", "5", "--out", str(tmp_path / "data"), *SMALL, *ratio]) == 0
+        synthetic = ["train", "--seed", "5", "--out", str(tmp_path / "synthetic"), *SMALL, *ratio]
+        runs = {}
+        for name, argv in [("synthetic", synthetic), ("files", self.train_argv(tmp_path, "files", ratio, seed=5))]:
+            run = tmp_path / name
+            assert main(argv) == 0
+            assert main(["eval", "--checkpoint", str(run / "checkpoint.json"), "--seeds", "0",
+                         "--out", str(run / "eval")]) == 0
+            checkpoint = json.loads((run / "checkpoint.json").read_text())
+            runs[name] = (
+                {key: checkpoint[key] for key in ("params", "opt_cls", "opt_con", "pi_e", "cluster_to_class")},
+                (run / "telemetry.jsonl").read_text().splitlines()[1:],  # line 1 holds the config
+                json.loads((run / "eval" / "report_seed0.json").read_text())["report"],
+                (run / "eval" / "report_seed0.csv").read_text(),
+            )
+        assert runs["synthetic"] == runs["files"]
+
     @pytest.mark.parametrize("label", ["99", "5", "-1"])
     def test_test_label_out_of_range_exit_2(self, tmp_path, capsys, label):
         def relabel(lines):
@@ -485,23 +508,28 @@ class TestTrainEval:
         assert self.eval_run(tmp_path) == 2
         assert "test.csv: no rows of classes [2]" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("counts", [
-        [10, 10, 10, 10], [10, 10, 10, 10, 10, 10], [10, -1, 10, 10, 10], [10, 1.5, 10, 10, 10],
-        [10, "10", 10, 10, 10], [10, True, 10, 10, 10], None, "MISSING",
-    ], ids=["one-short", "one-long", "negative", "float", "string", "bool", "null", "missing"])
-    def test_bad_true_counts_exit_2(self, tmp_path, capsys, counts):
+    @pytest.mark.parametrize("key, value", [
+        *(("true_counts", counts) for counts in [
+            [10, 10, 10, 10], [10, 10, 10, 10, 10, 10], [10, -1, 10, 10, 10], [10, 1.5, 10, 10, 10],
+            [10, "10", 10, 10, 10], [10, True, 10, 10, 10], None, "MISSING",
+        ]),
+        # not JSON integers, though 5.0 and 6.0 equal the config's num_classes and d_in
+        ("num_classes", 5.0), ("d_in", 6.0), ("num_known", True),
+    ], ids=["one-short", "one-long", "negative", "float", "string", "bool", "null", "missing",
+            "num_classes-float", "d_in-float", "num_known-bool"])
+    def test_bad_true_counts_exit_2(self, tmp_path, capsys, key, value):
         assert self.train_on_files(tmp_path) == 0
         meta_path = tmp_path / "data" / "meta.json"
         meta = json.loads(meta_path.read_text())
-        if counts == "MISSING":
-            del meta["true_counts"]
+        if value == "MISSING":
+            del meta[key]
         else:
-            meta["true_counts"] = counts
+            meta[key] = value
         meta_path.write_text(json.dumps(meta))
         assert self.eval_run(tmp_path) == 2
         assert self.train_on_files(tmp_path, out="again") == 2
         err = capsys.readouterr().err
-        assert err.count(f"{meta_path}: ") == 2 and "true_counts" in err
+        assert err.count(f"{meta_path}: ") == 2 and key in err
 
     @staticmethod
     def edit_meta(tmp_path, edit):
@@ -799,6 +827,8 @@ CHECKPOINT_FAULTS = [
                  id="config-kmeans_n_init-0"),
     pytest.param("eval", _config_value("dataset", "num_classes", "5"), ["'config'", "dataset.num_classes"],
                  id="config-num_classes-string"),
+    pytest.param("eval", _config_value("dataset", "seed", 5), ["'config'", "unknown config key 'dataset.seed'"],
+                 id="config-removed-dataset.seed"),
     pytest.param("resume", _drop("epochs_done"), ["'epochs_done'"], id="resume-no-epochs_done"),
     pytest.param("resume", _drop("train_seed"), ["'train_seed'"], id="resume-no-train_seed"),
     pytest.param("resume", _put("epochs_done", "1"), ["'epochs_done'"], id="resume-epochs_done-string"),

@@ -1,11 +1,14 @@
 """The package's surface holds nothing only tests use, `config.DEFAULTS` is
-the only place a default value is written, and no JSON writer emits NaN."""
+the only place a default value is written, README's Configuration table
+documents exactly its keys, and no JSON writer emits NaN."""
 
 import ast
 import dataclasses
+import fnmatch
 import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -101,6 +104,27 @@ def test_no_default_restates_a_config_default():
                     if repr(value) in config_values.get(key, ()):
                         restated.append(f"{module_name}.{where}: {key}={value!r}")
     assert restated == []
+
+
+def test_readme_configuration_table_names_every_key():
+    """The backticked keys in the first column of README's Configuration
+    table are the keys of `config.DEFAULTS`, so no row outlives its key. A
+    name without a block (`num_known` in `dataset.num_classes` / `num_known`)
+    is in the block named before it, `a/b` names two keys, and `kmeans_*`
+    names every key it matches."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    documented = set()
+    for line in table.splitlines():
+        if not line.startswith("| `"):
+            continue
+        for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            head, _, names = token.rpartition(".")
+            block = head or block
+            for name in names.split("/"):
+                matches = fnmatch.filter(DEFAULTS[block], name) if "*" in name else [name]
+                documented |= {f"{block}.{key}" for key in matches}
+    assert documented == {f"{block}.{key}" for block, keys in DEFAULTS.items() for key in keys}
 
 
 def test_every_json_dumps_refuses_nan():
