@@ -27,6 +27,7 @@ from .data import (
     DatasetSplit,
     EmbeddingFormatError,
     ImbalanceProfile,
+    atomic_file,
     load_embeddings,
     make_class_means,
     make_longtail_counts,
@@ -48,10 +49,8 @@ EXIT_CONFIG = 2
 # --- atomic output helpers -----------------------------------------------------
 
 def write_text_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    with atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _null_nonfinite(obj):
@@ -484,7 +483,6 @@ def cmd_estimate(args) -> int:
             split.num_known,
             seed=args.seed if args.seed is not None else 0,
             max_iter=cfg["train"]["kmeans_max_iter"],
-            tol=cfg["train"]["kmeans_tol"],
             n_init=cfg["train"]["kmeans_n_init"],
         )
     record = {

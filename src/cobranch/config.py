@@ -72,12 +72,10 @@ DEFAULTS: dict = {
         "view_dropout": 0.1,
         "checkpoint_every": 0,       # 0: final checkpoint only
         "kmeans_max_iter": 100,
-        "kmeans_tol": 1e-6,
         "kmeans_n_init": 10,
     },
     "eval": {
         "kmeans_max_iter": 100,
-        "kmeans_tol": 1e-6,
         "kmeans_n_init": 10,
     },
 }
@@ -204,7 +202,6 @@ def _validate(cfg: dict) -> None:
         ("train", "view_noise", lambda v: v >= 0, ">= 0"),
         ("train", "view_dropout", lambda v: 0 <= v < 1, "in [0, 1)"),
     ]
-    ranges += [(block, "kmeans_tol", lambda v: v >= 0, ">= 0") for block in ("train", "eval")]
     ranges += [("train", key, lambda v: v >= 0, ">= 0") for key in ("eta1", "eta2", "gamma1", "gamma2", "k")]
     ranges += [("train", key, lambda v: 0 <= v <= 1, "in [0, 1]") for key in ("alpha", "beta", "smoothing_p")]
     for block, key, ok, rule in ranges:

@@ -428,17 +428,20 @@ def _read_sidecar(side: str, digest: str, raw: bytes, num_classes: int | None):
     return ids, labels, X
 
 
-def _write_sidecar(side: str, digest: str, ids: np.ndarray, labels: np.ndarray, X: np.ndarray) -> None:
-    """Write the cache under a unique temporary name, then move it into
-    place. A directory that refuses the write is left without one."""
-    tmp = f"{side}.{os.urandom(8).hex()}.tmp"
+@contextlib.contextmanager
+def atomic_file(path: str):
+    """A new binary file under a unique temporary name beside `path`, moved
+    onto `path` when the block ends. If the block, the write or the move
+    fails, the temporary file is removed and the error propagates."""
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            np.savez(fh, sha256=np.array(digest), ids=ids, labels=labels, X=X)
-        os.replace(tmp, side)
-    except OSError:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
+        raise
 
 
 def load_embeddings(path: str, num_classes: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -470,5 +473,6 @@ def load_embeddings(path: str, num_classes: int | None = None) -> tuple[np.ndarr
             ids, labels, X = _parse(path, lines, num_classes)
         finally:  # decode the rest: a byte that is not UTF-8 outranks a parse fault
             collections.deque(lines, maxlen=0)
-    _write_sidecar(side, parsed.hexdigest(), ids, labels, X)
+    with contextlib.suppress(OSError), atomic_file(side) as fh:  # no cache where the write is refused
+        np.savez(fh, sha256=np.array(parsed.hexdigest()), ids=ids, labels=labels, X=X)
     return ids, labels, X

@@ -107,18 +107,16 @@ def _cluster_means(X: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     return sums / np.bincount(assign, minlength=k)[:, None]
 
 
-def _lloyd(X: np.ndarray, x_sq: np.ndarray, n_clusters: int, rng, max_iter: int, tol: float) -> KMeansResult:
+def _lloyd(X: np.ndarray, x_sq: np.ndarray, n_clusters: int, rng, max_iter: int) -> KMeansResult:
     centers = _kmeanspp_init(X, x_sq, n_clusters, rng)
     assign, centers, inertia = _assign_with_repair(X, x_sq, centers, n_clusters)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_centers = _cluster_means(X, assign, n_clusters)
-        new_assign, new_centers, inertia = _assign_with_repair(X, x_sq, new_centers, n_clusters)
-        shift = float(np.linalg.norm(new_centers - centers, axis=1).max())
-        stable = bool(np.array_equal(new_assign, assign))
-        assign, centers = new_assign, new_centers
-        if stable or shift < tol:
+        means = _cluster_means(X, assign, n_clusters)
+        new_assign, centers, inertia = _assign_with_repair(X, x_sq, means, n_clusters)
+        if np.array_equal(new_assign, assign):
             break
+        assign = new_assign
     return KMeansResult(assignments=assign, centers=centers, inertia=inertia, iterations=iterations)
 
 
@@ -127,18 +125,16 @@ def kmeans(
     n_clusters: int,
     seed: int,
     max_iter: int,
-    tol: float,
     n_init: int,
 ) -> KMeansResult:
     """Best of `n_init` Lloyd runs from k-means++ starts; deterministic
     given seed.
 
-    Each run stops when the max center shift drops below tol, the assignment
-    is stable, or max_iter is hit; the run with the lowest inertia wins
-    (ties: earliest run), and `restart` is its index. Restarts matter under
-    heavy class imbalance, where a single k-means++ start regularly leaves a
-    small blob uncovered. Inertia is non-increasing over each run's
-    iterations. The runs see the features minus their column mean, which
+    Each run stops when its assignment is stable (Lloyd's rule) or after
+    max_iter steps; the run with the lowest inertia wins (ties: earliest
+    run), and `restart` is its index. Restarts matter under heavy class
+    imbalance, where a single k-means++ start regularly leaves a small blob
+    uncovered. Inertia is non-increasing over each run's iterations. The runs see the features minus their column mean, which
     changes no distance but keeps the GEMM distance form from cancelling;
     the returned centers are in the original coordinates.
     """
@@ -161,7 +157,7 @@ def kmeans(
     best: KMeansResult | None = None
     for trial in range(n_init):
         rng = rng_for(seed, KMEANS, trial)
-        result = _lloyd(X, x_sq, n_clusters, rng, max_iter, tol)
+        result = _lloyd(X, x_sq, n_clusters, rng, max_iter)
         if best is None or result.inertia < best.inertia:
             best = replace(result, restart=trial)
     best.centers += mean
@@ -330,7 +326,6 @@ def estimate_round(
     num_known: int,
     seed: int,
     max_iter: int,
-    tol: float,
     n_init: int,
 ):
     """One full estimation round: cluster, align, normalize. The labeled
@@ -338,6 +333,6 @@ def estimate_round(
 
     Returns (KMeansResult, AlignmentMap, class-indexed frequency vector).
     """
-    result = kmeans(features, n_classes, seed=seed, max_iter=max_iter, tol=tol, n_init=n_init)
+    result = kmeans(features, n_classes, seed=seed, max_iter=max_iter, n_init=n_init)
     amap = align_clusters(result, labeled_classes, num_known)
     return result, amap, aligned_distribution(result, amap)

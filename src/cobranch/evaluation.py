@@ -76,7 +76,6 @@ def evaluate(
     train_counts: np.ndarray,
     seed: int,
     kmeans_max_iter: int,
-    kmeans_tol: float,
     kmeans_n_init: int,
 ) -> EvalReport:
     """Cluster-and-match evaluation of a labeled test set.
@@ -88,8 +87,7 @@ def evaluate(
     y = np.asarray(labels, dtype=int)
     if X.shape[0] != y.size:
         raise ValueError("features and labels disagree in length")
-    km = kmeans(X, num_classes, seed=seed, max_iter=kmeans_max_iter, tol=kmeans_tol,
-                n_init=kmeans_n_init)
+    km = kmeans(X, num_classes, seed=seed, max_iter=kmeans_max_iter, n_init=kmeans_n_init)
     return score_clustering(km.assignments, y, num_known, num_classes, train_counts)
 
 

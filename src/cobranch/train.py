@@ -55,7 +55,6 @@ class TrainConfig:
     view_noise: float
     view_dropout: float
     kmeans_max_iter: int
-    kmeans_tol: float
     kmeans_n_init: int
 
 
@@ -116,7 +115,6 @@ def _estimate(split: DatasetSplit, params: nn.ModelParams, cfg: TrainConfig, epo
         split.num_known,
         seed=cfg.seed * 1000003 + epoch,
         max_iter=cfg.kmeans_max_iter,
-        tol=cfg.kmeans_tol,
         n_init=cfg.kmeans_n_init,
     )
 

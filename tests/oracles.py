@@ -46,7 +46,7 @@ def cli_defaults(overrides: dict | None = None, seed: int = 0) -> tuple[ModelCon
 
 MODEL, TRAIN = cli_defaults()
 # keyword arguments of `estimate.kmeans` and `estimate.estimate_round`, and of `evaluation.evaluate`
-KMEANS_ARGS = {"max_iter": TRAIN.kmeans_max_iter, "tol": TRAIN.kmeans_tol, "n_init": TRAIN.kmeans_n_init}
+KMEANS_ARGS = {"max_iter": TRAIN.kmeans_max_iter, "n_init": TRAIN.kmeans_n_init}
 EVAL_ARGS = config.effective_config(None)["eval"]
 
 
@@ -255,14 +255,16 @@ def _reference_assign(X, centers, k):
     return assign, centers, float(point_cost.sum())
 
 
-def reference_kmeans(X: np.ndarray, k: int, seed: int, max_iter: int, tol: float, n_init: int):
+def reference_kmeans(X: np.ndarray, k: int, seed: int, max_iter: int, n_init: int):
     """Best of `n_init` Lloyd runs from greedy k-means++ starts, written as
     direct loops on the raw features: broadcast distances, one potential per
     k-means++ candidate, `X[assign == c].mean(0)` per cluster, and the same
-    farthest-point repair of empty clusters. It draws the same random
-    numbers as `estimate.kmeans`. Returns (assignments, centers, inertia,
-    iterations, restart, inertias) of the winning run (ties: earliest);
-    `inertias` holds its inertia after the start and after each iteration."""
+    farthest-point repair of empty clusters. A run ends on the first step
+    that leaves its assignment unchanged, or after `max_iter` steps. It
+    draws the same random numbers as `estimate.kmeans`. Returns
+    (assignments, centers, inertia, iterations, restart, inertias) of the
+    winning run (ties: earliest); `inertias` holds its inertia after the
+    start and after each iteration."""
     X = np.asarray(X, dtype=float)
     best = None
     for trial in range(n_init):
@@ -272,12 +274,11 @@ def reference_kmeans(X: np.ndarray, k: int, seed: int, max_iter: int, tol: float
         iterations = 0
         for iterations in range(1, max_iter + 1):
             means = np.array([X[assign == c].mean(axis=0) for c in range(k)])
-            new_assign, means, inertia = _reference_assign(X, means, k)
+            new_assign, centers, inertia = _reference_assign(X, means, k)
             inertias.append(inertia)
-            shift = float(np.linalg.norm(means - centers, axis=1).max())
             stable = np.array_equal(new_assign, assign)
-            assign, centers = new_assign, means
-            if stable or shift < tol:
+            assign = new_assign
+            if stable:
                 break
         if best is None or inertia < best[2]:
             best = (assign, centers, inertia, iterations, trial, inertias)

@@ -57,11 +57,21 @@ def small_cfg(**extra):
 
 
 class TestConfig:
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="unknown config key"):
             effective_config({"train": {"learning_rate": 0.1}})
         with pytest.raises(ConfigError, match="unknown config key"):
             effective_config({"trian": {}})
+        # the k-means tolerance keys are gone: Lloyd stops on a stable assignment
+        path = tmp_path / "config.json"
+        for key in ("train.kmeans_tol", "eval.kmeans_tol"):
+            block, _, name = key.partition(".")
+            path.write_text(json.dumps({block: {name: 1e-6}}))
+            for source in (["--config", str(path)], ["--set", f"{key}=1e-6"]):
+                rc = main(["train", "--seed", "0", "--out", str(tmp_path / "run"), *SMALL, *source])
+                assert rc == 2
+                assert f"error: unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_defaults_materialized(self):
         cfg = effective_config({})
@@ -117,8 +127,6 @@ class TestConfig:
         "eval.kmeans_max_iter=0",
         "train.view_dropout=1.5",
         "train.view_dropout=1",
-        "train.kmeans_tol=-1e-3",
-        "eval.kmeans_tol=-1e-3",
         "train.conf_gate=-0.1",
         "train.conf_gate=1.5",
         "train.base_lr=0",
@@ -204,8 +212,7 @@ class TestConfig:
                 "eta2": 0.2, "gamma1": 0.3, "gamma2": 0.4, "alpha": 0.6, "beta": 0.7, "k": 0.9,
                 "temperature": 0.25, "smoothing_p": 0.75, "reestimate_interval": 4, "metric": "l1",
                 "conf_gate": 0.35, "momentum": 0.45, "soft_mode": "hard", "view_noise": 0.15,
-                "view_dropout": 0.05, "checkpoint_every": 2, "kmeans_max_iter": 33, "kmeans_tol": 1e-3,
-                "kmeans_n_init": 4,
+                "view_dropout": 0.05, "checkpoint_every": 2, "kmeans_max_iter": 33, "kmeans_n_init": 4,
             },
         }
         for block, kv in values.items():
@@ -829,6 +836,9 @@ CHECKPOINT_FAULTS = [
                  id="config-num_classes-string"),
     pytest.param("eval", _config_value("dataset", "seed", 5), ["'config'", "unknown config key 'dataset.seed'"],
                  id="config-removed-dataset.seed"),
+    *[pytest.param("eval", _config_value(block, "kmeans_tol", 1e-6),
+                   ["'config'", f"unknown config key '{block}.kmeans_tol'"], id=f"config-removed-{block}.kmeans_tol")
+      for block in ("train", "eval")],
     pytest.param("resume", _drop("epochs_done"), ["'epochs_done'"], id="resume-no-epochs_done"),
     pytest.param("resume", _drop("train_seed"), ["'train_seed'"], id="resume-no-train_seed"),
     pytest.param("resume", _put("epochs_done", "1"), ["'epochs_done'"], id="resume-epochs_done-string"),
@@ -854,6 +864,17 @@ def test_bad_checkpoint_exit_2(two_epoch_run, tmp_path, capsys, command, edit, n
     assert f"error: {path}: " in err and all(name in err for name in names), err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()  # checked before any output or data is touched
+
+
+def test_failed_write_leaves_no_temporary_file(two_epoch_run, tmp_path, capsys):
+    # a directory holds the report's path: the move onto it fails after the write
+    run, _ = two_epoch_run
+    out = tmp_path / "out"
+    (out / "report_seed0.json").mkdir(parents=True)
+    rc = main(["eval", "--checkpoint", str(run / "checkpoint.json"), "--seeds", "0", "--out", str(out)])
+    assert rc == 2
+    assert "report_seed0.json" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["report_seed0.json"]
 
 
 @pytest.mark.parametrize("command, phase", [

@@ -37,6 +37,15 @@ def reference_km(X, k, seed, **settings):
     return reference_kmeans(X, k, seed, **{**KMEANS_ARGS, **settings})
 
 
+def assert_matches_reference(X, k, seed, n_init):
+    res = km(X, k, seed=seed, n_init=n_init)
+    assign, centers, inertia, iterations, restart, _ = reference_km(X, k, seed, n_init=n_init)
+    assert np.array_equal(res.assignments, assign)
+    assert (res.iterations, res.restart) == (iterations, restart)
+    assert np.allclose(res.centers, centers, rtol=0, atol=1e-9 * (1.0 + np.abs(X).max()))
+    assert res.inertia == pytest.approx(inertia, rel=1e-9)
+
+
 class TestKMeans:
     def test_single_cluster_is_mean(self):
         rng = np.random.default_rng(0)
@@ -124,12 +133,30 @@ class TestKMeans:
             means *= 8.0 / max(gaps.min(), 1e-3)
         sizes = rng.integers(3, per + 1, size=k)
         X = np.repeat(means, sizes, axis=0) + rng.standard_normal((sizes.sum(), d)) + offset
-        res = km(X, k, seed=seed, n_init=n_init)
-        assign, centers, inertia, iterations, restart, _ = reference_km(X, k, seed, n_init=n_init)
-        assert np.array_equal(res.assignments, assign)
-        assert (res.iterations, res.restart) == (iterations, restart)
-        assert np.allclose(res.centers, centers, rtol=0, atol=1e-9 * (1.0 + np.abs(X).max()))
-        assert res.inertia == pytest.approx(inertia, rel=1e-9)
+        assert_matches_reference(X, k, seed, n_init)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 40),
+        d=st.integers(1, 4),
+        distinct=st.integers(1, 20),
+        k_frac=st.floats(0.0, 1.0),
+        n_init=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_reference_on_tied_rows(self, n, d, distinct, k_frac, n_init, seed):
+        """Tie-heavy rows: n - 1 rows drawn with repeats from `distinct`
+        originals on a 0.25 grid, and one more row that brings the column
+        sums to 0, clustered with k anywhere from 1 to n. Tied distances and
+        k-means++ potentials, duplicate rows, empty-cluster repairs and
+        one-step stops abound. The grid and the zero column mean make every
+        distance and potential of the start exact in both distance forms, so
+        its ties are decided by the tie rules and not by rounding."""
+        rng = np.random.default_rng(seed)
+        pool = np.round(4.0 * rng.standard_normal((distinct, d))) / 4.0
+        rows = pool[rng.integers(distinct, size=n - 1)]
+        X = np.vstack([rows, -rows.sum(axis=0)])
+        assert_matches_reference(X, 1 + int(k_frac * (n - 1)), seed, n_init)
 
     def test_translation_invariant_far_from_origin(self):
         rng = np.random.default_rng(11)

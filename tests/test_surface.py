@@ -50,9 +50,9 @@ CONFIG_BACKED = [
     ("nn", "init_params", ["scale"]),
     ("nn", "SgdState", ["momentum"]),
     ("losses", "classification_objective", ["conf_gate"]),
-    ("estimate", "kmeans", ["max_iter", "tol", "n_init"]),
-    ("estimate", "estimate_round", ["max_iter", "tol", "n_init"]),
-    ("evaluation", "evaluate", ["kmeans_max_iter", "kmeans_tol", "kmeans_n_init"]),
+    ("estimate", "kmeans", ["max_iter", "n_init"]),
+    ("estimate", "estimate_round", ["max_iter", "n_init"]),
+    ("evaluation", "evaluate", ["kmeans_max_iter", "kmeans_n_init"]),
 ]
 
 

@@ -98,7 +98,7 @@ class TestRun:
         params = nn.init_params(split.X.shape[1], m.d_hidden, m.d_feat, m.d_proj_hidden, m.d_proj,
                                 split.num_classes, seed=cfg.seed, scale=m.scale)
         km = kmeans(nn.encode(params, split.X), split.num_classes, seed=cfg.seed * 1000003,
-                    max_iter=cfg.kmeans_max_iter, tol=cfg.kmeans_tol, n_init=cfg.kmeans_n_init)
+                    max_iter=cfg.kmeans_max_iter, n_init=cfg.kmeans_n_init)
         assert result.telemetry[0]["kmeans"] == {"iterations": km.iterations, "inertia": km.inertia,
                                                  "restart": km.restart}
 
