@@ -157,18 +157,22 @@ def _check_width(path: str, X: np.ndarray, d_in: int) -> None:
 
 
 def _file_split(ds: dict, meta: dict) -> DatasetSplit:
-    """The training split of `dataset.path`; no class may have more labeled
-    rows than its `true_counts` entry in `meta.json`."""
+    """The training split of `dataset.path`, whose rows the `true_counts` of
+    `meta.json` count; no class may have more labeled rows than its entry."""
     ids, labels, X = load_embeddings(ds["path"])
     _check_width(ds["path"], X, ds["d_in"])
     if np.all(labels == UNLABELED_MARKER):
         raise EmbeddingFormatError(f"{ds['path']}: no labeled rows: every label is {UNLABELED_MARKER}")
     true_counts = np.asarray(meta["true_counts"], dtype=int)
+    total = int(true_counts.sum())
+    if total != len(X):
+        raise EmbeddingFormatError(f"{ds['meta_path']}: true_counts sum to {total}, "
+                                   f"but {ds['path']} has {len(X)} rows")
     try:
         # meta.json's class_remap is provenance: nothing downstream reads it
         split = split_from_mask(X, labels, ids, labels != UNLABELED_MARKER, meta["num_known"],
                                 meta["num_classes"], true_counts, None)
-    except ValueError as exc:  # a label outside the known classes, counts that do not add up
+    except ValueError as exc:  # a label outside the known classes
         raise EmbeddingFormatError(f"{ds['path']}: {exc}") from exc
     labeled = np.bincount(split.y_lab, minlength=true_counts.size)
     over = np.flatnonzero(labeled > true_counts)

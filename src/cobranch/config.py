@@ -11,11 +11,10 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import fields
 
 import numpy as np
 
-from . import losses, nn, transfer
+from . import transfer
 from .train import ModelConfig, TrainConfig
 
 
@@ -254,21 +253,7 @@ def load_config(path: str | None, overrides: list[str] | None = None) -> dict:
     return effective_config(raw)
 
 
-def _from_block(cls, block: dict, **given):
-    """`cls` built from `given` and, for each other field, the key of `block`
-    with the field's name: a field with no key raises KeyError."""
-    return cls(**given, **{f.name: block[f.name] for f in fields(cls) if f.name not in given})
-
-
 def to_train_objects(cfg: dict, seed: int) -> tuple[ModelConfig, TrainConfig]:
     """The training objects of a validated config; `train.checkpoint_every` is the CLI's."""
-    t = cfg["train"]
-    train_cfg = _from_block(
-        TrainConfig,
-        t,
-        schedule=_from_block(nn.TrainSchedule, t),
-        weights=_from_block(losses.LossWeights, t),
-        sampling=_from_block(transfer.SamplingConfig, t),
-        seed=seed,
-    )
+    train_cfg = TrainConfig(**{k: v for k, v in cfg["train"].items() if k != "checkpoint_every"}, seed=seed)
     return ModelConfig(**cfg["model"]), train_cfg

@@ -134,9 +134,10 @@ def kmeans(
     max_iter steps; the run with the lowest inertia wins (ties: earliest
     run), and `restart` is its index. Restarts matter under heavy class
     imbalance, where a single k-means++ start regularly leaves a small blob
-    uncovered. Inertia is non-increasing over each run's iterations. The runs see the features minus their column mean, which
-    changes no distance but keeps the GEMM distance form from cancelling;
-    the returned centers are in the original coordinates.
+    uncovered. Inertia is non-increasing over each run's iterations. The
+    runs see the features minus their column mean, which changes no
+    distance but keeps the GEMM distance form from cancelling; the returned
+    centers are in the original coordinates.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:

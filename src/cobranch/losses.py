@@ -33,17 +33,6 @@ _SHARED_SHIFT_RANGE = 600.0  # exp(-600) ~ 2.6e-261, a normal double
 _EXP_FLOOR = -700.0  # exp(-700) ~ 9.9e-305: still normal, where np.exp is fast
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Composite-objective weights: eta* for the pseudo-labeling branch,
-    gamma* for the contrastive branch."""
-
-    eta1: float
-    eta2: float
-    gamma1: float
-    gamma2: float
-
-
 class Scratch(dict):
     """Flat float buffers by slot, grown on demand: one run's contrastive calls
     reuse them as n x n work arrays instead of faulting in fresh pages. Each is
@@ -243,7 +232,8 @@ def classification_objective(
     unl_logits_v1: np.ndarray,
     unl_logits_v2: np.ndarray,
     target_dist: np.ndarray,
-    weights: LossWeights,
+    eta1: float,
+    eta2: float,
     smoothing_p: float,
     conf_gate: float,
 ) -> ClassificationLoss:
@@ -295,18 +285,18 @@ def classification_objective(
     for src, dst in ((n_l, n_l + n_u), (n_l + n_u, n_l)):
         p_src = P[src : src + n_u]
         gated = np.flatnonzero(p_src.max(axis=1) >= conf_gate)
-        l_u += (-cross_entropy(dst + gated, p_src[gated].argmax(axis=1), weights.eta1, norm) / norm).sum()
+        l_u += (-cross_entropy(dst + gated, p_src[gated].argmax(axis=1), eta1, norm) / norm).sum()
         n_gated += gated.size
 
     mean_pred = P.mean(axis=0)
     l_reg, g_mean = kl_regularizer(mean_pred, target_dist, smoothing_p)
     # chain through softmax and the row mean
     g_rows = (P * (g_mean[None, :] - (P @ g_mean)[:, None])) / L.shape[0]
-    g_rows *= weights.eta2
+    g_rows *= eta2
     grad += g_rows
 
     l_u = float(l_u)
-    total = float(l_s + weights.eta1 * l_u + weights.eta2 * l_reg)
+    total = float(l_s + eta1 * l_u + eta2 * l_reg)
     return ClassificationLoss(total=total, l_s=l_s, l_u=l_u, l_reg=l_reg, grad=grad, n_gated=n_gated)
 
 
@@ -329,7 +319,8 @@ def contrastive_objective(
     labeled_classes: np.ndarray,
     soft_weights: np.ndarray | None,
     temperature: float,
-    weights: LossWeights,
+    gamma1: float,
+    gamma2: float,
     scratch: Scratch | None = None,
 ) -> ContrastiveLossParts:
     """Composite contrastive objective over one batch of projected views.
@@ -343,17 +334,17 @@ def contrastive_objective(
     zero gamma, or without weights (warm-up) is skipped and reads 0. All
     terms are one `_prefix_terms` call, in `scratch` (a new one when None).
     """
-    sup_on = len(labeled_classes) >= 2 and weights.gamma1 > 0
-    soft_on = soft_weights is not None and len(soft_weights) >= 2 and weights.gamma2 > 0
-    blocks = [(weights.gamma1, hard_indicator_weights(labeled_classes))] if sup_on else []
+    sup_on = len(labeled_classes) >= 2 and gamma1 > 0
+    soft_on = soft_weights is not None and len(soft_weights) >= 2 and gamma2 > 0
+    blocks = [(gamma1, hard_indicator_weights(labeled_classes))] if sup_on else []
     if soft_on:
-        blocks.append((weights.gamma2, soft_weights))
+        blocks.append((gamma2, soft_weights))
     grad, parts = _prefix_terms(features, temperature, blocks, np.asarray(other_view), scratch)
     l_unsup = parts.pop()[0]
     l_sup = parts.pop(0)[0] if sup_on else 0.0
     l_soft, n_soft_excluded = parts.pop(0) if soft_on else (0.0, 0)
     return ContrastiveLossParts(
-        total=float(l_unsup + weights.gamma1 * l_sup + weights.gamma2 * l_soft),
+        total=float(l_unsup + gamma1 * l_sup + gamma2 * l_soft),
         l_unsup=l_unsup,
         l_sup=l_sup,
         l_soft=l_soft,

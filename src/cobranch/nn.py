@@ -59,16 +59,6 @@ class ModelParams:
                 raise FloatingPointError(f"parameter {name} is not finite")
 
 
-@dataclass(frozen=True)
-class TrainSchedule:
-    """Learning-rate / epoch bookkeeping for one training run."""
-
-    base_lr: float
-    total_epochs: int
-    batch_size: int
-    warmup_epochs: int
-
-
 def init_params(
     d_in: int,
     d_hidden: int,
@@ -229,11 +219,11 @@ def contrastive_branch_backward(params: ModelParams, cache, dU: np.ndarray) -> d
 
 # --- optimization -------------------------------------------------------------
 
-def cosine_lr(epoch: int, schedule: TrainSchedule) -> float:
+def cosine_lr(epoch: int, base_lr: float, total_epochs: int) -> float:
     """base_lr * 0.5 * (1 + cos(pi * epoch / total_epochs))."""
-    if not 0 <= epoch < schedule.total_epochs:
-        raise ValueError(f"epoch {epoch} outside [0, {schedule.total_epochs})")
-    return schedule.base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / schedule.total_epochs))
+    if not 0 <= epoch < total_epochs:
+        raise ValueError(f"epoch {epoch} outside [0, {total_epochs})")
+    return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
 class SgdState:
@@ -249,7 +239,7 @@ def sgd_step(
     grads: dict[str, np.ndarray],
     lr: float,
     state: SgdState,
-) -> ModelParams:
+) -> None:
     """In-place SGD update of exactly the parameters named in `grads`; plain
     SGD when `state.momentum` is 0."""
     for name, g in grads.items():
@@ -267,5 +257,4 @@ def sgd_step(
             p -= lr * v
         else:
             p -= lr * np.asarray(g)
-    return params
 

@@ -38,13 +38,21 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """The `train` block and the run seed, built by `config.to_train_objects`;
-    its defaults live in `config.DEFAULTS` only."""
+    """The `train` block but `checkpoint_every` (the CLI's), and the run seed,
+    built by `config.to_train_objects`; its defaults live in `config.DEFAULTS`
+    only."""
 
-    schedule: nn.TrainSchedule
-    weights: losses.LossWeights
-    sampling: transfer.SamplingConfig
-    seed: int
+    base_lr: float
+    total_epochs: int
+    batch_size: int
+    warmup_epochs: int
+    eta1: float
+    eta2: float
+    gamma1: float
+    gamma2: float
+    alpha: float
+    beta: float
+    k: float
     temperature: float
     smoothing_p: float
     reestimate_interval: int
@@ -56,6 +64,7 @@ class TrainConfig:
     view_dropout: float
     kmeans_max_iter: int
     kmeans_n_init: int
+    seed: int
 
 
 @dataclass
@@ -159,8 +168,8 @@ def _soft_probs(
     """
     pi_floor = floor_distribution(pi_e, n_total)
     logits = nn.classify(params, nn.encode(params, X_unl))
-    batch = transfer.PseudoLabelBatch.from_probs(transfer.debias(logits, pi_floor, cfg.sampling.k), unl_ids)
-    rates = transfer.sampling_rates(pi_floor, batch_labels, cfg.sampling.alpha, cfg.sampling.beta)
+    batch = transfer.PseudoLabelBatch.from_probs(transfer.debias(logits, pi_floor, cfg.k), unl_ids)
+    rates = transfer.sampling_rates(pi_floor, batch_labels, cfg.alpha, cfg.beta)
     sel = np.flatnonzero(transfer.sample_pseudolabels(batch, rates).mask)
     P = np.concatenate([transfer.one_hot(batch_labels, pi_e.size), batch.probs[sel]], axis=0)
     if cfg.soft_mode == "hard":
@@ -175,7 +184,7 @@ def run(
     resume: TrainResult | None = None,
     on_epoch: Callable[[TrainResult], None] | None = None,
 ) -> TrainResult:
-    """Train both branches over the split up to `cfg.schedule.total_epochs`;
+    """Train both branches over the split up to `cfg.total_epochs`;
     deterministic given cfg.seed.
 
     `resume` is a result to continue (its parameters and optimizer states train
@@ -185,7 +194,6 @@ def run(
     appended and `pi_e`, `alignment` and `epochs_done` are current.
     """
     split.validate()
-    sched = cfg.schedule
     n_total, d_in = split.X.shape
     if n_total == 0:
         raise ValueError("empty split")
@@ -199,24 +207,24 @@ def run(
         result = TrainResult(params, opt_cls=nn.SgdState(cfg.momentum), opt_con=nn.SgdState(cfg.momentum))
     else:
         result = replace(resume, telemetry=[])
-    if result.epochs_done >= sched.total_epochs:
-        raise ValueError(f"start epoch {result.epochs_done} is not below total_epochs={sched.total_epochs}")
+    if result.epochs_done >= cfg.total_epochs:
+        raise ValueError(f"start epoch {result.epochs_done} is not below total_epochs={cfg.total_epochs}")
     params, opt_cls, opt_con = result.params, result.opt_cls, result.opt_con
     scratch = losses.Scratch()  # the contrastive kernel's n x n buffers, reused by every batch
 
-    for epoch in range(result.epochs_done, sched.total_epochs):
+    for epoch in range(result.epochs_done, cfg.total_epochs):
         km = None
         if epoch % cfg.reestimate_interval == 0 or result.pi_e is None:
             with _named_abort(f"estimation round, epoch {epoch}"):
                 km, result.alignment, result.pi_e = _estimate(split, params, cfg, epoch)
-        lr = nn.cosine_lr(epoch, sched)
-        soft_on = epoch >= sched.warmup_epochs and cfg.soft_mode != "off"
+        lr = nn.cosine_lr(epoch, cfg.base_lr, cfg.total_epochs)
+        soft_on = epoch >= cfg.warmup_epochs and cfg.soft_mode != "off"
         sums = {k: 0.0 for k in (
             "l_s", "l_u", "l_reg", "l_cls", "l_cl_u", "l_cl_s", "l_cl_soft", "l_con",
         )}
         counts = {k: 0 for k in ("n_gated", "soft_anchors", "soft_anchors_excluded")}
 
-        batches = make_batches(split, sched.batch_size, cfg.seed, epoch)
+        batches = make_batches(split, cfg.batch_size, cfg.seed, epoch)
         for batch_id, (lab_idx, unl_idx) in enumerate(batches):
             rng_views = rng_for(cfg.seed, VIEWS, epoch, batch_id)
             X_lab, y = split.X[lab_idx], split.y_lab[lab_idx]
@@ -235,7 +243,8 @@ def run(
                     logits[n_l : n_l + n_u],
                     logits[n_l + n_u :],
                     result.pi_e,
-                    cfg.weights,
+                    cfg.eta1,
+                    cfg.eta2,
                     cfg.smoothing_p,
                     cfg.conf_gate,
                 )
@@ -259,7 +268,7 @@ def run(
                 other = _other_view(n_l, n_s, n_u - n_s)
                 U, cache = nn.contrastive_branch_forward(params, views)
                 con = losses.contrastive_objective(
-                    U, other, np.concatenate([y, y]), W_views, cfg.temperature, cfg.weights, scratch
+                    U, other, np.concatenate([y, y]), W_views, cfg.temperature, cfg.gamma1, cfg.gamma2, scratch
                 )
                 if not np.isfinite(con.total):
                     raise FloatingPointError("non-finite loss")

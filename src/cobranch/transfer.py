@@ -19,15 +19,6 @@ SIMILARITY_METRICS = ("dot", "cosine", "l1", "l2")
 _SIMPLEX_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SamplingConfig:
-    """Debias strength k and the two sampling-rate exponents."""
-
-    alpha: float
-    beta: float
-    k: float
-
-
 @dataclass
 class PseudoLabelBatch:
     """Rectified probabilities with argmax class, confidence and a mask."""

@@ -344,7 +344,7 @@ def per_term_contrastive_loss(features: np.ndarray, weights: np.ndarray, tempera
     return loss, (G + G.T) @ F / temperature, n - n_inc
 
 
-def per_term_contrastive_objective(features, other_view, labeled_classes, soft_weights, temperature, weights):
+def per_term_contrastive_objective(features, other_view, labeled_classes, soft_weights, temperature, gamma1, gamma2):
     """The composite contrastive objective as three `per_term_contrastive_loss`
     calls on gathered rows, scattered back: the unsupervised term on every
     row, the supervised term on rows [0, L) and the soft term on rows [0, m).
@@ -357,13 +357,13 @@ def per_term_contrastive_objective(features, other_view, labeled_classes, soft_w
     l_sup = l_soft = 0.0
     n_excluded = 0
     c = np.asarray(labeled_classes)
-    if c.size >= 2 and weights.gamma1 > 0:
+    if c.size >= 2 and gamma1 > 0:
         l_sup, g, _ = per_term_contrastive_loss(F[: c.size], (c[:, None] == c[None, :]).astype(float), temperature)
-        grad[: c.size] += weights.gamma1 * g
-    if soft_weights is not None and len(soft_weights) >= 2 and weights.gamma2 > 0:
+        grad[: c.size] += gamma1 * g
+    if soft_weights is not None and len(soft_weights) >= 2 and gamma2 > 0:
         m = len(soft_weights)
         l_soft, g, n_excluded = per_term_contrastive_loss(F[:m], soft_weights, temperature)
-        grad[:m] += weights.gamma2 * g
+        grad[:m] += gamma2 * g
     return l_unsup, l_sup, l_soft, grad, n_excluded
 
 
@@ -378,7 +378,7 @@ def _ref_log_softmax(logits: np.ndarray) -> np.ndarray:
     return (logits - m) - np.log(np.exp(logits - m).sum(axis=-1, keepdims=True))
 
 
-def three_block_classification_objective(lab, labels, v1, v2, target, weights, smoothing_p, conf_gate):
+def three_block_classification_objective(lab, labels, v1, v2, target, eta1, eta2, smoothing_p, conf_gate):
     """The pseudo-labeling objective as the package computed it before its
     blocks shared one softmax: each block normalized on its own, each term
     normalizing again, three gradients concatenated at the end. The KL term
@@ -406,7 +406,7 @@ def three_block_classification_objective(lab, labels, v1, v2, target, weights, s
         l_u += (-_ref_log_softmax(logits_dst)[gated, y] / norm).sum()
         g = p_dst[gated]
         g[np.arange(gated.size), y] -= 1.0
-        grad_dst[gated] += weights.eta1 * g / norm
+        grad_dst[gated] += eta1 * g / norm
         n_gated += gated.size
 
     all_logits = np.concatenate([lab, v1, v2], axis=0)
@@ -419,13 +419,13 @@ def three_block_classification_objective(lab, labels, v1, v2, target, weights, s
     g_mean = np.zeros_like(m)
     g_mean[pos] = np.log(m[pos] / st[pos]) + 1.0
     g_rows = (P * (g_mean[None, :] - (P @ g_mean)[:, None])) / all_logits.shape[0]
-    g_rows *= weights.eta2
+    g_rows *= eta2
     grad_lab += g_rows[:n_l]
     grad_v1 += g_rows[n_l : n_l + n_u]
     grad_v2 += g_rows[n_l + n_u :]
 
     l_u = float(l_u)
-    total = float(l_s + weights.eta1 * l_u + weights.eta2 * l_reg)
+    total = float(l_s + eta1 * l_u + eta2 * l_reg)
     return total, l_s, l_u, l_reg, np.concatenate([grad_lab, grad_v1, grad_v2], axis=0), n_gated
 
 

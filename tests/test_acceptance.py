@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from conftest import ACCEPTANCE_LINES
 from oracles import (
     EVAL_ARGS,
     KMEANS_ARGS,
-    TRAIN,
     brute_force_assignment_batch,
     central_fd,
     contrastive_loss,
@@ -139,16 +138,16 @@ def _check_eq3(rng):
             break
     target = rng.dirichlet(np.ones(C)) + 0.02
     target /= target.sum()
-    w = replace(TRAIN.weights, eta1=float(rng.uniform(0.2, 1.5)), eta2=float(rng.uniform(0.2, 1.5)))
+    w = (float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.2, 1.5)))  # eta1, eta2
     p = float(rng.uniform(0, 1))
 
     def f(flat):
         a = flat[: n_l * C].reshape(n_l, C)
         b = flat[n_l * C : (n_l + n_u) * C].reshape(n_u, C)
         c = flat[(n_l + n_u) * C :].reshape(n_u, C)
-        return classification_objective(a, labels, b, c, target, w, p, gate).total
+        return classification_objective(a, labels, b, c, target, *w, p, gate).total
 
-    res = classification_objective(lab, labels, v1, v2, target, w, p, gate)
+    res = classification_objective(lab, labels, v1, v2, target, *w, p, gate)
     flat = np.concatenate([lab.ravel(), v1.ravel(), v2.ravel()])
     return max_rel_err(res.grad.ravel(), central_fd(f, flat))
 
@@ -173,13 +172,13 @@ def _check_eq7(rng):
     other = _other_view(n_l, n_u)  # nested order: labeled v1, v2, then the unlabeled v1s, v2s
     labeled_cls = np.zeros(2 * n_l, dtype=int)
     W = rng.uniform(0.05, 1.0, size=(2 * n_b, 2 * n_b))
-    w = replace(TRAIN.weights, gamma1=float(rng.uniform(0.2, 1.5)), gamma2=float(rng.uniform(0.2, 1.5)))
+    w = (float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.2, 1.5)))  # gamma1, gamma2
     tau = float(rng.uniform(0.4, 1.6))
 
     def f(flat):
-        return contrastive_objective(flat.reshape(F.shape), other, labeled_cls, W, tau, w).total
+        return contrastive_objective(flat.reshape(F.shape), other, labeled_cls, W, tau, *w).total
 
-    res = contrastive_objective(F, other, labeled_cls, W, tau, w)
+    res = contrastive_objective(F, other, labeled_cls, W, tau, *w)
     return max_rel_err(res.grad.ravel(), central_fd(f, F.ravel()))
 
 

@@ -220,12 +220,9 @@ class TestConfig:
             assert all(value != DEFAULTS[block][key] for key, value in kv.items())
         model_cfg, train_cfg = to_train_objects(effective_config(values), seed=3)
         assert dataclasses.asdict(model_cfg) == values["model"]
-        delivered = {
-            **vars(train_cfg), **vars(train_cfg.schedule), **vars(train_cfg.weights), **vars(train_cfg.sampling)
-        }
         for key, value in values["train"].items():
             if key != "checkpoint_every":  # the CLI's, not training's
-                assert delivered[key] == value, key
+                assert getattr(train_cfg, key) == value, key
         assert train_cfg.seed == 3
 
 
@@ -560,6 +557,19 @@ class TestTrainEval:
         meta_path = tmp_path / "data" / "meta.json"
         assert f"error: {meta_path}: true_counts[3] is 0" in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_true_counts_not_summing_to_the_pool_exit_2(self, tmp_path, capsys):
+        assert main(["gen-data", "--seed", "5", "--out", str(tmp_path / "data"), *SMALL]) == 0
+        train_path, meta_path = tmp_path / "data" / "train.csv", tmp_path / "data" / "meta.json"
+        rows = len(train_path.read_text().splitlines()) - 1
+
+        def one_more_in_class_0(meta):
+            meta["true_counts"][0] += 1
+
+        self.edit_meta(tmp_path, one_more_in_class_0)
+        assert self.train_on_files(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"error: {meta_path}: true_counts sum to {rows + 1}, but {train_path} has {rows} rows" in err
 
     def test_labeled_rows_beyond_true_count_exit_2(self, tmp_path):
         assert self.train_on_files(tmp_path) == 0

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from oracles import (
 )
 
 # the CLI's default loss weights and confidence gate
-WEIGHTS, GATE = TRAIN.weights, TRAIN.conf_gate
+ETAS, GAMMAS, GATE = (TRAIN.eta1, TRAIN.eta2), (TRAIN.gamma1, TRAIN.gamma2), TRAIN.conf_gate
 
 
 def unit_rows(rng, n, d):
@@ -232,7 +231,7 @@ class TestScratch:
             F, other, lab_cls = build_views_batch(rng, n_l, n_u, 16)
             m = F.shape[0] - 2
             W = rng.uniform(0.0, 1.0, size=(m, m))
-            args = (F, other, lab_cls, W, 0.5, WEIGHTS)
+            args = (F, other, lab_cls, W, 0.5, *GAMMAS)
             a, b = contrastive_objective(*args, scratch), contrastive_objective(*args)
             assert (a.l_unsup, a.l_sup, a.l_soft) == (b.l_unsup, b.l_sup, b.l_soft)
             assert np.array_equal(a.grad, b.grad)
@@ -275,8 +274,8 @@ class TestScratch:
             P = rng.dirichlet(np.ones(10), size=232)
             W = P @ P.T
             scratch = Scratch()
-            weights = to_train_objects(effective_config(None), 0)[1].weights
-            args = (F, other, lab_cls, W, 1.0, weights, scratch)
+            train_cfg = to_train_objects(effective_config(None), 0)[1]
+            args = (F, other, lab_cls, W, 1.0, train_cfg.gamma1, train_cfg.gamma2, scratch)
             contrastive_objective(*args)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             contrastive_objective(*args)
@@ -425,9 +424,7 @@ class TestClassificationObjective:
         rng = np.random.default_rng(8)
         lab, labels, v1, v2 = random_cls_instance(rng)
         target = np.full(4, 0.25)
-        res = classification_objective(
-            lab, labels, v1, v2, target, replace(WEIGHTS, eta1=0.0, eta2=0.0), 0.5, GATE
-        )
+        res = classification_objective(lab, labels, v1, v2, target, 0.0, 0.0, 0.5, GATE)
         log_p = lab - lab.max(axis=1, keepdims=True)
         log_p = log_p - np.log(np.exp(log_p).sum(axis=1, keepdims=True))
         ce = float(-log_p[np.arange(2), labels].mean())
@@ -437,7 +434,7 @@ class TestClassificationObjective:
         logits = np.array([[40.0, -40.0, -40.0]])
         res = classification_objective(
             logits, np.array([0]), np.zeros((0, 3)), np.zeros((0, 3)),
-            np.full(3, 1 / 3), replace(WEIGHTS, eta1=0.0, eta2=0.0), 0.5, GATE,
+            np.full(3, 1 / 3), 0.0, 0.0, 0.5, GATE,
         )
         assert res.l_s == pytest.approx(0.0, abs=1e-12)
 
@@ -446,7 +443,7 @@ class TestClassificationObjective:
         _, _, v1, v2 = random_cls_instance(rng)
         res = classification_objective(
             np.zeros((0, 4)), np.zeros(0, dtype=int), v1, v2,
-            np.full(4, 0.25), WEIGHTS, 0.5, GATE,
+            np.full(4, 0.25), *ETAS, 0.5, GATE,
         )
         assert "L_s omitted" in caplog.text
         assert res.l_s == 0.0
@@ -454,9 +451,9 @@ class TestClassificationObjective:
     def test_composite_equals_weighted_parts(self):
         rng = np.random.default_rng(10)
         lab, labels, v1, v2 = random_cls_instance(rng)
-        w = replace(WEIGHTS, eta1=0.7, eta2=1.3)
+        w = (0.7, 1.3)
         target = np.array([0.4, 0.3, 0.2, 0.1])
-        res = classification_objective(lab, labels, v1, v2, target, w, 0.5, GATE)
+        res = classification_objective(lab, labels, v1, v2, target, *w, 0.5, GATE)
         assert res.total == pytest.approx(res.l_s + 0.7 * res.l_u + 1.3 * res.l_reg, abs=1e-9)
 
     def test_gradients_match_finite_differences(self):
@@ -465,16 +462,16 @@ class TestClassificationObjective:
             lab, labels, v1, v2 = random_cls_instance(rng)
             target = rng.dirichlet(np.ones(4)) + 0.02
             target /= target.sum()
-            w = replace(WEIGHTS, eta1=0.8, eta2=1.1)
+            w = (0.8, 1.1)
             n_l, n_u = lab.shape[0], v1.shape[0]
 
             def f(flat):
                 a = flat[: n_l * 4].reshape(n_l, 4)
                 b = flat[n_l * 4 : (n_l + n_u) * 4].reshape(n_u, 4)
                 c = flat[(n_l + n_u) * 4 :].reshape(n_u, 4)
-                return classification_objective(a, labels, b, c, target, w, 0.5, GATE).total
+                return classification_objective(a, labels, b, c, target, *w, 0.5, GATE).total
 
-            res = classification_objective(lab, labels, v1, v2, target, w, 0.5, GATE)
+            res = classification_objective(lab, labels, v1, v2, target, *w, 0.5, GATE)
             flat = np.concatenate([lab.ravel(), v1.ravel(), v2.ravel()])
             assert max_rel_err(res.grad.ravel(), central_fd(f, flat)) < 1e-4
 
@@ -484,14 +481,14 @@ class TestClassificationObjective:
         lab, labels = rng.standard_normal((3, 4)), np.array([0, 2, 1])
         empty = np.zeros((0, 4))
         target = np.array([0.4, 0.3, 0.2, 0.1])
-        w = replace(WEIGHTS, eta1=0.8, eta2=1.1)
-        res = classification_objective(lab, labels, empty, empty, target, w, 0.5, GATE)
+        w = (0.8, 1.1)
+        res = classification_objective(lab, labels, empty, empty, target, *w, 0.5, GATE)
         assert res.l_u == 0.0 and res.n_gated == 0
         assert res.grad.shape == (3, 4)
         assert res.l_reg == kl_regularizer(softmax(lab).mean(axis=0), target, 0.5)[0]
 
         def f(flat):
-            return classification_objective(flat.reshape(3, 4), labels, empty, empty, target, w, 0.5, GATE).total
+            return classification_objective(flat.reshape(3, 4), labels, empty, empty, target, *w, 0.5, GATE).total
 
         assert max_rel_err(res.grad.ravel(), central_fd(f, lab.ravel())) < 1e-4
 
@@ -500,7 +497,7 @@ class TestClassificationObjective:
         v = np.zeros((2, 4))
         res = classification_objective(
             np.zeros((0, 4)), np.zeros(0, dtype=int), v, v,
-            np.full(4, 0.25), WEIGHTS, 1.0, conf_gate=0.9,
+            np.full(4, 0.25), *ETAS, 1.0, conf_gate=0.9,
         )
         assert res.n_gated == 0
         assert res.l_u == 0.0
@@ -525,10 +522,9 @@ class TestClassificationObjective:
         labels = rng.integers(0, C, size=n_l)
         target = rng.dirichlet(np.ones(C)) + 0.01
         target /= target.sum()
-        w = replace(WEIGHTS, eta1=etas[0], eta2=etas[1])
-        res = classification_objective(lab, labels, v1, v2, target, w, p, gate)
+        res = classification_objective(lab, labels, v1, v2, target, *etas, p, gate)
         total, l_s, l_u, l_reg, grad, n_gated = three_block_classification_objective(
-            lab, labels, v1, v2, target, w, p, gate
+            lab, labels, v1, v2, target, *etas, p, gate
         )
         assert (res.total, res.l_s, res.l_u, res.l_reg, res.n_gated) == (total, l_s, l_u, l_reg, n_gated)
         assert np.array_equal(res.grad, grad)
@@ -541,7 +537,7 @@ class TestClassificationObjective:
         with pytest.raises(ValueError, match=match):
             classification_objective(
                 np.zeros((n_l, 3)), np.zeros(n_l, dtype=int), np.zeros((n_u1, 3)), np.zeros((n_u2, 3)),
-                np.full(3, 1 / 3), WEIGHTS, 0.5, GATE,
+                np.full(3, 1 / 3), *ETAS, 0.5, GATE,
             )
 
 
@@ -557,8 +553,7 @@ class TestContrastiveObjective:
     def test_reduces_to_unsupervised_alone(self):
         rng = np.random.default_rng(12)
         F, other, lab_cls = build_views_batch(rng, 2, 3, 4)
-        w = replace(WEIGHTS, gamma1=0.0, gamma2=0.0)
-        res = contrastive_objective(F, other, lab_cls, None, 1.0, w)
+        res = contrastive_objective(F, other, lab_cls, None, 1.0, 0.0, 0.0)
         sets = [[other[i]] for i in range(F.shape[0])]
         ref, ref_grad = positive_set_contrastive_loss(F, sets, 1.0)
         assert res.total == pytest.approx(ref, abs=1e-12)
@@ -569,8 +564,8 @@ class TestContrastiveObjective:
         rng = np.random.default_rng(13)
         F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
         W = rng.uniform(0.1, 1.0, size=(4, 4))
-        a = contrastive_objective(F, other, lab_cls, None, 1.0, WEIGHTS)
-        b = contrastive_objective(F, other, lab_cls, W, 1.0, replace(WEIGHTS, gamma2=0.0))
+        a = contrastive_objective(F, other, lab_cls, None, 1.0, *GAMMAS)
+        b = contrastive_objective(F, other, lab_cls, W, 1.0, TRAIN.gamma1, 0.0)
         assert a.total == b.total
         assert np.array_equal(a.grad, b.grad)
         assert a.l_soft == 0.0
@@ -580,8 +575,8 @@ class TestContrastiveObjective:
         rng = np.random.default_rng(14)
         F, other, lab_cls = build_views_batch(rng, 2, 2, 4)
         W = rng.uniform(0.1, 1.0, size=(4, 4))
-        w = replace(WEIGHTS, gamma1=0.6, gamma2=1.4)
-        res = contrastive_objective(F, other, lab_cls, W, 0.8, w)
+        w = (0.6, 1.4)
+        res = contrastive_objective(F, other, lab_cls, W, 0.8, *w)
         assert res.total == pytest.approx(
             res.l_unsup + 0.6 * res.l_sup + 1.4 * res.l_soft, abs=1e-9
         )
@@ -593,12 +588,12 @@ class TestContrastiveObjective:
             n_l, n_u, d = 2, 2, 3
             F, other, lab_cls = build_views_batch(rng, n_l, n_u, d)
             W = rng.uniform(0.05, 1.0, size=(6, 6))
-            w = replace(WEIGHTS, gamma1=0.9, gamma2=1.2)
+            w = (0.9, 1.2)
 
             def f(flat):
-                return contrastive_objective(flat.reshape(F.shape), other, lab_cls, W, 1.0, w).total
+                return contrastive_objective(flat.reshape(F.shape), other, lab_cls, W, 1.0, *w).total
 
-            res = contrastive_objective(F, other, lab_cls, W, 1.0, w)
+            res = contrastive_objective(F, other, lab_cls, W, 1.0, *w)
             assert max_rel_err(res.grad.ravel(), central_fd(f, F.ravel())) < 1e-4
 
     def test_soft_weights_beyond_batch_rejected(self):
@@ -606,14 +601,14 @@ class TestContrastiveObjective:
         F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
         for W in (np.ones((9, 9)), np.ones((4, 3))):
             with pytest.raises(ValueError, match="weights must be square over 2 to 8 rows"):
-                contrastive_objective(F, other, lab_cls, W, 1.0, WEIGHTS)
+                contrastive_objective(F, other, lab_cls, W, 1.0, *GAMMAS)
 
     def test_self_paired_row_rejected(self):
         rng = np.random.default_rng(17)
         F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
         other[3] = 3
         with pytest.raises(ValueError, match="its own positive"):
-            contrastive_objective(F, other, lab_cls, None, 1.0, WEIGHTS)
+            contrastive_objective(F, other, lab_cls, None, 1.0, *GAMMAS)
 
 
 @st.composite
@@ -628,10 +623,9 @@ def nested_batches(draw):
     m = 2 * (n_l + n_s)
     W = rng.uniform(0.0, 1.0, size=(m, m)) * (rng.random((m, 1)) < 0.8)  # about 1 row in 5 has no mass
     assume(m < 2 or np.any(W[~np.eye(m, dtype=bool)] > 0))
-    gammas = [draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for _ in range(2)]
+    gammas = tuple(draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for _ in range(2))
     tau = draw(st.one_of(st.just(1e-3), st.floats(0.2, 2.0)))
-    w = replace(WEIGHTS, gamma1=gammas[0], gamma2=gammas[1])
-    return F, _other_view(n_l, n_s, n_r), np.concatenate([classes, classes]), W, tau, w
+    return F, _other_view(n_l, n_s, n_r), np.concatenate([classes, classes]), W, tau, gammas
 
 
 class TestSharedKernelProperties:
@@ -639,8 +633,8 @@ class TestSharedKernelProperties:
     @given(batch=nested_batches())
     def test_objective_matches_per_term_oracle(self, batch):
         F, other, lab_cls, W, tau, w = batch
-        res = contrastive_objective(F, other, lab_cls, W, tau, w)
-        l_unsup, l_sup, l_soft, grad, n_excluded = per_term_contrastive_objective(F, other, lab_cls, W, tau, w)
+        res = contrastive_objective(F, other, lab_cls, W, tau, *w)
+        l_unsup, l_sup, l_soft, grad, n_excluded = per_term_contrastive_objective(F, other, lab_cls, W, tau, *w)
         assert abs(res.l_unsup - l_unsup) < 1e-10
         assert abs(res.l_sup - l_sup) < 1e-10
         assert abs(res.l_soft - l_soft) < 1e-10
@@ -655,4 +649,4 @@ class TestSharedKernelProperties:
         F, other, lab_cls = build_views_batch(rng, 3, 5, 8)
         W = rng.uniform(0.0, 1.0, size=(10, 10))
         with np.errstate(under="raise"):
-            contrastive_objective(F, other, lab_cls, W, tau, WEIGHTS)
+            contrastive_objective(F, other, lab_cls, W, tau, *GAMMAS)

@@ -266,22 +266,19 @@ class TestBackwardMatchesWrittenOut:
 
 
 class TestCosineLr:
-    def sched(self, total=200, base=0.1):
-        return nn.TrainSchedule(base_lr=base, total_epochs=total, batch_size=8, warmup_epochs=0)
-
     def test_epoch_zero_is_base(self):
-        assert nn.cosine_lr(0, self.sched()) == pytest.approx(0.1)
+        assert nn.cosine_lr(0, 0.1, 200) == pytest.approx(0.1)
 
     def test_midpoint_is_half(self):
-        assert nn.cosine_lr(100, self.sched()) == pytest.approx(0.05)
+        assert nn.cosine_lr(100, 0.1, 200) == pytest.approx(0.05)
 
     def test_final_epoch_value(self):
         # direct formula evaluation: 0.1 * 0.5 * (1 + cos(199*pi/200))
-        assert nn.cosine_lr(199, self.sched()) == pytest.approx(6.168375916970615e-06, rel=1e-12)
+        assert nn.cosine_lr(199, 0.1, 200) == pytest.approx(6.168375916970615e-06, rel=1e-12)
 
     def test_epoch_out_of_range(self):
         with pytest.raises(ValueError):
-            nn.cosine_lr(200, self.sched())
+            nn.cosine_lr(200, 0.1, 200)
 
 
 class TestSgd:

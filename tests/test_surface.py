@@ -1,6 +1,7 @@
-"""The package's surface holds nothing only tests use, `config.DEFAULTS` is
-the only place a default value is written, README's Configuration table
-documents exactly its keys, and no JSON writer emits NaN."""
+"""The package's surface holds nothing only tests use and imports nothing
+it does not use, `config.DEFAULTS` is the only place a default value is
+written, `TrainConfig` and README's Configuration table follow its keys, and
+no JSON writer emits NaN."""
 
 import ast
 import dataclasses
@@ -14,6 +15,7 @@ import pytest
 
 import cobranch
 from cobranch.config import DEFAULTS
+from cobranch.train import TrainConfig
 
 SRC = pathlib.Path(cobranch.__file__).parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py"))
@@ -39,17 +41,43 @@ def test_every_public_definition_is_used_in_the_package():
     assert unused == []
 
 
+def test_every_import_is_used():
+    """Each name a package or test module imports is read somewhere in that module."""
+    unused = []
+    for path in [*(SRC / f"{name}.py" for name in MODULES), *sorted(pathlib.Path(__file__).parent.glob("*.py"))]:
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
+
+
+def test_train_config_mirrors_the_train_block():
+    """One flat field per `train` key but `checkpoint_every`, which the CLI
+    reads, and the run seed."""
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert fields == set(DEFAULTS["train"]) - {"checkpoint_every"} | {"seed"}
+
+
 # Fields and parameters that `config.to_train_objects`, `**cfg["model"]`,
 # `**cfg["eval"]` or the train block fill in from the config.
 CONFIG_BACKED = [
     ("train", "ModelConfig", None),
     ("train", "TrainConfig", None),
-    ("losses", "LossWeights", None),
-    ("transfer", "SamplingConfig", None),
     ("nn", "ModelParams", ["scale"]),
     ("nn", "init_params", ["scale"]),
     ("nn", "SgdState", ["momentum"]),
-    ("losses", "classification_objective", ["conf_gate"]),
+    ("losses", "classification_objective", ["eta1", "eta2", "smoothing_p", "conf_gate"]),
+    ("losses", "contrastive_objective", ["temperature", "gamma1", "gamma2"]),
+    ("nn", "cosine_lr", ["base_lr", "total_epochs"]),
+    ("transfer", "debias", ["k"]),
+    ("transfer", "sampling_rates", ["alpha", "beta"]),
     ("estimate", "kmeans", ["max_iter", "n_init"]),
     ("estimate", "estimate_round", ["max_iter", "n_init"]),
     ("evaluation", "evaluate", ["kmeans_max_iter", "kmeans_n_init"]),

@@ -17,9 +17,8 @@ def toy_split(seed=0, C=5, counts=(30, 20, 12, 8, 5), num_known=3, d=6):
 
 
 def toy_config(total_epochs=6, warmup=2, r=3, seed=0, **kw):
-    sched = nn.TrainSchedule(base_lr=0.05, total_epochs=total_epochs, batch_size=32,
-                             warmup_epochs=warmup)
-    return replace(TRAIN, schedule=sched, seed=seed, reestimate_interval=r, **kw)
+    return replace(TRAIN, base_lr=0.05, total_epochs=total_epochs, batch_size=32, warmup_epochs=warmup,
+                   seed=seed, reestimate_interval=r, **kw)
 
 
 def toy_model():
@@ -113,8 +112,7 @@ class TestRun:
 
     def test_telemetry_composites_match_parts(self, monkeypatch):
         split = toy_split()
-        weights = losses.LossWeights(eta1=0.7, eta2=1.2, gamma1=0.9, gamma2=1.1)
-        cfg = toy_config(total_epochs=4, warmup=1, r=2, weights=weights)
+        cfg = toy_config(total_epochs=4, warmup=1, r=2, eta1=0.7, eta2=1.2, gamma1=0.9, gamma2=1.1)
         seen = {"n_gated": 0, "soft_anchors": 0, "soft_anchors_excluded": 0}
         real_cls, real_con = losses.classification_objective, losses.contrastive_objective
 
@@ -162,9 +160,9 @@ class TestRun:
         X, y = gen_synthetic(4, 6, np.array([8, 6, 5, 4]), 7.0, 1.0, seed=1)
         split = split_known_novel(X, y, 4, 1.0, seed=1)
         assert split.y_lab.size == len(split.X)
-        sched = nn.TrainSchedule(base_lr=0.05, total_epochs=3, batch_size=2, warmup_epochs=1)
         soft, hard = (
-            run(split, toy_model(), replace(TRAIN, schedule=sched, seed=2, reestimate_interval=3, soft_mode=mode))
+            run(split, toy_model(), replace(TRAIN, base_lr=0.05, total_epochs=3, batch_size=2, warmup_epochs=1,
+                                            seed=2, reestimate_interval=3, soft_mode=mode))
             for mode in ("soft", "hard")
         )
         assert all(rec["l_u"] == 0.0 for rec in soft.telemetry)
@@ -292,7 +290,7 @@ class TestGradientIsolation:
         logits, cache = nn.classifier_branch_forward(params, X)
         res = losses.classification_objective(
             logits, y, np.zeros((0, split.num_classes)), np.zeros((0, split.num_classes)),
-            np.full(split.num_classes, 1 / split.num_classes), cfg.weights, 0.5, cfg.conf_gate,
+            np.full(split.num_classes, 1 / split.num_classes), cfg.eta1, cfg.eta2, 0.5, cfg.conf_gate,
         )
         nn.sgd_step(params, nn.classifier_branch_backward(params, cache, res.grad), 0.1, nn.SgdState(0.0))
         for name, before in zip(params.PROJECTOR_FIELDS, before_proj):
