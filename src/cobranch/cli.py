@@ -2,9 +2,10 @@
 estimation diagnostics, and ablation grids.
 
 Subcommands: gen-data, train, eval, estimate, ablate. Every command is a
-deterministic function of (config, input files, seed); reruns produce
-byte-identical outputs. Exit codes: 0 success, 1 numerical abort inside a
-named phase (`train._named_abort`), 2 I/O or config error.
+deterministic function of (config, input files, seed) at a given BLAS
+thread count, one unless the caller sets it (see `cobranch/__init__.py`);
+reruns produce byte-identical outputs. Exit codes: 0 success, 1 numerical
+abort inside a named phase (`train._named_abort`), 2 I/O or config error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .data import (
     UNLABELED_MARKER,
     DatasetSplit,
     EmbeddingFormatError,
-    ImbalanceProfile,
     atomic_file,
     load_embeddings,
     make_class_means,
@@ -99,12 +99,12 @@ def _labeled_counts_ranked(ds: dict) -> np.ndarray:
     n_max_l = max(int(math.ceil(ds["rho_l"])), int(round(ds["labeled_ratio"] * ds["n_max"])))
     if ds["num_known"] < 2:
         return np.array([n_max_l], dtype=int)
-    return make_longtail_counts(ds["num_known"], ImbalanceProfile(ds["profile"], ds["rho_l"], n_max_l))
+    return make_longtail_counts(ds["num_known"], ds["profile"], ds["rho_l"], n_max_l)
 
 
 def build_synthetic_dataset(ds: dict, seed: int) -> tuple[DatasetSplit, EvalSet]:
     C = ds["num_classes"]
-    counts = make_longtail_counts(C, ImbalanceProfile(ds["profile"], ds["rho_u"], ds["n_max"]))
+    counts = make_longtail_counts(C, ds["profile"], ds["rho_u"], ds["n_max"])
     means = make_class_means(C, ds["d_in"], ds["class_separation"], seed)
     if ds["rho_l"] == ds["rho_u"]:
         X, y = sample_from_means(means, counts, ds["noise_scale"], seed)
@@ -492,7 +492,7 @@ def cmd_estimate(args) -> int:
     record = {
         "config": cfg,
         "assignments": result.assignments.tolist(),
-        "cluster_sizes": np.bincount(result.assignments, minlength=split.num_classes).tolist(),
+        "cluster_sizes": result.sizes.tolist(),
         "inertia": result.inertia,
         "iterations": result.iterations,
         "restart": result.restart,

@@ -43,19 +43,6 @@ class EmbeddingFormatError(ValueError):
     """Raised when an embedding file does not conform to the format."""
 
 
-@dataclass(frozen=True)
-class ImbalanceProfile:
-    """Shape of a long-tailed class-count curve.
-
-    rho is the imbalance ratio (largest count / smallest count), n_max the
-    size of the largest class.
-    """
-
-    kind: str
-    rho: float
-    n_max: int
-
-
 @dataclass
 class DatasetSplit:
     """Labeled + unlabeled pools with known/novel bookkeeping.
@@ -92,19 +79,20 @@ class DatasetSplit:
             raise ValueError("true_counts do not sum to the pool size")
 
 
-def make_longtail_counts(num_classes: int, profile: ImbalanceProfile) -> np.ndarray:
-    """Per-class instance counts, largest class first.
+def make_longtail_counts(num_classes: int, kind: str, rho: float, n_max: int) -> np.ndarray:
+    """Per-class instance counts, largest class first, on a long-tailed
+    curve of imbalance ratio `rho` (largest count / smallest count).
 
     Exponential: counts[c] = round(n_max * rho^(-c/(C-1))).
     Pareto: power-law in rank, counts[c] = round(n_max * (c+1)^(-a)) with the
     exponent chosen so counts[C-1] = n_max / rho. Both floor at 1 sample.
     """
     c = np.arange(num_classes, dtype=float)
-    if profile.kind == "exponential":
-        raw = profile.n_max * profile.rho ** (-c / (num_classes - 1))
+    if kind == "exponential":
+        raw = n_max * rho ** (-c / (num_classes - 1))
     else:
-        a = math.log(profile.rho) / math.log(num_classes) if profile.rho > 1 else 0.0
-        raw = profile.n_max * (c + 1.0) ** (-a)
+        a = math.log(rho) / math.log(num_classes) if rho > 1 else 0.0
+        raw = n_max * (c + 1.0) ** (-a)
     return np.maximum(1, np.floor(raw + 0.5)).astype(int)  # raw >= 0: round half away from zero
 
 

@@ -20,7 +20,7 @@ from ._rng import KMEANS, rng_for
 @dataclass
 class KMeansResult:
     assignments: np.ndarray
-    centers: np.ndarray
+    sizes: np.ndarray  # rows per cluster
     inertia: float
     iterations: int
     restart: int = 0  # index of the winning initialization
@@ -75,49 +75,46 @@ def _kmeanspp_init(X: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Gener
 
 
 def _assign_with_repair(X: np.ndarray, x_sq: np.ndarray, centers: np.ndarray, k: int):
-    """Nearest-center assignment; empty clusters steal the point currently
-    farthest from its own center (which becomes the cluster's new center)."""
+    """Nearest-center assignment, its cluster sizes and its inertia; an
+    empty cluster steals the point currently farthest from its own center
+    (at zero cost: the point becomes the cluster's center)."""
     d2 = _sq_dists(X, centers, x_sq)
     assign = d2.argmin(axis=1)
     point_cost = d2[np.arange(X.shape[0]), assign]
-    counts = np.bincount(assign, minlength=k)
-    if np.all(counts > 0):
-        return assign, centers, float(point_cost.sum())
-    centers = centers.copy()
-    for c in np.flatnonzero(counts == 0):
-        donors = counts[assign] > 1
+    sizes = np.bincount(assign, minlength=k)
+    for c in np.flatnonzero(sizes == 0):
+        donors = sizes[assign] > 1
         if not donors.any():
             raise ValueError("cannot repair empty cluster: no donor cluster")
         masked = np.where(donors, point_cost, -np.inf)
         far = int(masked.argmax())
-        counts[assign[far]] -= 1
+        sizes[assign[far]] -= 1
         assign[far] = c
-        counts[c] = 1
-        centers[c] = X[far]
+        sizes[c] = 1
         point_cost[far] = 0.0
-    return assign, centers, float(point_cost.sum())
+    return assign, sizes, float(point_cost.sum())
 
 
-def _cluster_means(X: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
+def _cluster_means(X: np.ndarray, assign: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Per-cluster means; each (cluster, column) sum runs over the rows in
     order, as `X[assign == c].mean(axis=0)` does. Every cluster is non-empty."""
-    d = X.shape[1]
+    k, d = sizes.size, X.shape[1]
     flat = (assign[:, None] * d + np.arange(d)).ravel()
     sums = np.bincount(flat, weights=X.ravel(), minlength=k * d).reshape(k, d)
-    return sums / np.bincount(assign, minlength=k)[:, None]
+    return sums / sizes[:, None]
 
 
 def _lloyd(X: np.ndarray, x_sq: np.ndarray, n_clusters: int, rng, max_iter: int) -> KMeansResult:
     centers = _kmeanspp_init(X, x_sq, n_clusters, rng)
-    assign, centers, inertia = _assign_with_repair(X, x_sq, centers, n_clusters)
+    assign, sizes, inertia = _assign_with_repair(X, x_sq, centers, n_clusters)
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        means = _cluster_means(X, assign, n_clusters)
-        new_assign, centers, inertia = _assign_with_repair(X, x_sq, means, n_clusters)
+        means = _cluster_means(X, assign, sizes)
+        new_assign, sizes, inertia = _assign_with_repair(X, x_sq, means, n_clusters)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    return KMeansResult(assignments=assign, centers=centers, inertia=inertia, iterations=iterations)
+    return KMeansResult(assignments=assign, sizes=sizes, inertia=inertia, iterations=iterations)
 
 
 def kmeans(
@@ -131,13 +128,19 @@ def kmeans(
     given seed.
 
     Each run stops when its assignment is stable (Lloyd's rule) or after
-    max_iter steps; the run with the lowest inertia wins (ties: earliest
-    run), and `restart` is its index. Restarts matter under heavy class
-    imbalance, where a single k-means++ start regularly leaves a small blob
-    uncovered. Inertia is non-increasing over each run's iterations. The
-    runs see the features minus their column mean, which changes no
-    distance but keeps the GEMM distance form from cancelling; the returned
-    centers are in the original coordinates.
+    max_iter steps; the run with the lowest inertia wins, and `restart` is
+    its index. Restarts matter under heavy class imbalance, where a single
+    k-means++ start regularly leaves a small blob uncovered. Inertia is
+    non-increasing over each run's iterations. The runs see the features
+    minus their column mean, which changes no distance but keeps the GEMM
+    distance form from cancelling.
+
+    Ties go to the first minimum among a k-means++ step's candidates, to
+    the lowest cluster index at equal distance, and to the earliest restart
+    at equal inertia. These rules see the computed values, so a tie that
+    is exact in real arithmetic can be broken by rounding instead: on a
+    0.25 grid, two restarts that both reach inertia 0.1 read as
+    0.1000000000000002 and 0.09999999999999998, and the later one wins.
     """
     X = np.asarray(features, dtype=float)
     if X.ndim != 2:
@@ -152,8 +155,7 @@ def kmeans(
     if n_init < 1:
         raise ValueError("need at least one initialization")
 
-    mean = X.mean(axis=0)
-    X = X - mean
+    X = X - X.mean(axis=0)
     x_sq = np.einsum("ij,ij->i", X, X)
     best: KMeansResult | None = None
     for trial in range(n_init):
@@ -161,7 +163,6 @@ def kmeans(
         result = _lloyd(X, x_sq, n_clusters, rng, max_iter)
         if best is None or result.inertia < best.inertia:
             best = replace(result, restart=trial)
-    best.centers += mean
     return best
 
 
@@ -256,17 +257,6 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 # --- distribution + alignment ------------------------------------------------------
 
-def estimate_distribution(assignments: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Cluster-indexed frequency vector (pre-alignment)."""
-    a = np.asarray(assignments, dtype=int)
-    if a.size == 0:
-        raise ValueError("no assignments")
-    if a.min() < 0 or a.max() >= n_clusters:
-        raise ValueError("assignment outside [0, n_clusters)")
-    counts = np.bincount(a, minlength=n_clusters)
-    return counts / counts.sum()
-
-
 def align_clusters(result: KMeansResult, labeled_classes: np.ndarray, num_known: int) -> AlignmentMap:
     """Map clusters to classes using labeled agreement: the clustered rows
     start with the labeled ones, in the order of `labeled_classes`.
@@ -276,7 +266,7 @@ def align_clusters(result: KMeansResult, labeled_classes: np.ndarray, num_known:
     clusters than known classes is fine). Remaining clusters are sorted by
     size descending and assigned to novel classes in ascending index order.
     """
-    n_clusters = result.centers.shape[0]
+    n_clusters = result.sizes.size
     labeled_classes = np.asarray(labeled_classes, dtype=int)
     if num_known < 1 or num_known > n_clusters:
         raise ValueError("num_known must be in [1, n_clusters]")
@@ -299,17 +289,15 @@ def align_clusters(result: KMeansResult, labeled_classes: np.ndarray, num_known:
     cluster_to_class = np.full(n_clusters, -1, dtype=int)
     cluster_to_class[perm[:num_known]] = np.arange(num_known)
     leftovers = np.flatnonzero(cluster_to_class < 0)
-    sizes = np.bincount(result.assignments, minlength=n_clusters)[leftovers]
-    order = leftovers[np.lexsort((leftovers, -sizes))]
+    order = leftovers[np.lexsort((leftovers, -result.sizes[leftovers]))]
     cluster_to_class[order] = np.arange(num_known, n_clusters)
     return AlignmentMap(cluster_to_class=cluster_to_class)
 
 
 def aligned_distribution(result: KMeansResult, amap: AlignmentMap) -> np.ndarray:
-    """Cluster frequencies permuted into class order."""
-    freq = estimate_distribution(result.assignments, result.centers.shape[0])
-    out = np.empty_like(freq)
-    out[amap.cluster_to_class] = freq
+    """Cluster frequencies (sizes over their total) permuted into class order."""
+    out = np.empty(result.sizes.size)
+    out[amap.cluster_to_class] = result.sizes / result.sizes.sum()
     return out
 
 

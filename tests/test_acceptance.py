@@ -15,7 +15,7 @@ import numpy as np
 
 from cobranch.cli import dump_json, main, run_experiment
 from cobranch.config import effective_config
-from cobranch.data import ImbalanceProfile, make_longtail_counts, split_known_novel
+from cobranch.data import make_longtail_counts, split_known_novel
 from cobranch.estimate import AlignmentMap, aligned_distribution, estimate_round, hungarian
 from cobranch.evaluation import evaluate
 from cobranch.losses import (
@@ -263,7 +263,7 @@ def test_criterion_04_reduction_identities():
 def test_criterion_05_distribution_estimation_fidelity():
     """Aligned pi_e tracks the true distribution on well-separated data."""
     t0 = time.time()
-    counts = make_longtail_counts(10, ImbalanceProfile("exponential", 10, 490))
+    counts = make_longtail_counts(10, "exponential", 10, 490)
     assert 1900 <= counts.sum() <= 2100
     hits = 0
     errs = []
@@ -333,7 +333,7 @@ def test_criterion_06_directional_reproduction():
 
 def test_criterion_07_footnote1_invariance():
     """Permuting the novel portion of the alignment cannot change evaluation."""
-    counts = make_longtail_counts(8, ImbalanceProfile("exponential", 8, 80))
+    counts = make_longtail_counts(8, "exponential", 8, 80)
     split = split_known_novel(*gen_synthetic(8, 6, counts, 8.0, 1.0, seed=77), 5, 0.5, seed=77)
     result, amap, pi_e = estimate_round(split.X, 8, split.y_lab, 5, seed=0, **KMEANS_ARGS)
 

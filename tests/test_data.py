@@ -16,7 +16,6 @@ from cobranch import data
 from cobranch.data import (
     SIDECAR_SUFFIX,
     EmbeddingFormatError,
-    ImbalanceProfile,
     load_embeddings,
     make_class_means,
     make_longtail_counts,
@@ -28,27 +27,23 @@ from cobranch.data import (
 from oracles import gen_synthetic, loop_longtail_counts, nearest_mean_accuracy, reference_load_embeddings
 
 
-def exp_profile(rho, n_max):
-    return ImbalanceProfile("exponential", rho, n_max)
-
-
 class TestLongtailCounts:
     def test_exponential_closed_form(self):
-        counts = make_longtail_counts(5, exp_profile(16, 16))
+        counts = make_longtail_counts(5, "exponential", 16, 16)
         assert counts.tolist() == [16, 8, 4, 2, 1]
 
     def test_balanced_when_rho_one(self):
-        counts = make_longtail_counts(2, exp_profile(1, 50))
+        counts = make_longtail_counts(2, "exponential", 1, 50)
         assert counts.tolist() == [50, 50]
 
     def test_cifar100lt_scale_total(self):
         # C=100, rho=100, n_max=500 totals ~10.8K before the labeled split
-        counts = make_longtail_counts(100, exp_profile(100, 500))
+        counts = make_longtail_counts(100, "exponential", 100, 500)
         assert 10700 <= counts.sum() <= 11000
         assert counts[0] == 500 and counts[-1] == 5
 
     def test_pareto_endpoints(self):
-        counts = make_longtail_counts(10, ImbalanceProfile("pareto", 20, 100))
+        counts = make_longtail_counts(10, "pareto", 20, 100)
         assert counts[0] == 100
         assert counts[-1] == 5
 
@@ -59,7 +54,7 @@ class TestLongtailCounts:
             C = int(rng.integers(2, 40))
             rho = float(rng.uniform(1, 200))
             n_max = int(rng.integers(int(np.ceil(rho)), 2000))
-            counts = make_longtail_counts(C, ImbalanceProfile(kind, rho, n_max))
+            counts = make_longtail_counts(C, kind, rho, n_max)
             assert np.all(np.diff(counts) <= 0)
             assert counts[-1] >= 1
             tail = counts[-1]
@@ -74,7 +69,7 @@ class TestLongtailCounts:
             # integer ratios and small sizes put raw sizes on exact halves (5 / 2 = 2.5)
             rho = float(rng.integers(1, 9)) if i % 2 else float(np.exp(rng.uniform(0, 8)))
             n_max = int(rng.integers(int(np.ceil(rho)), 40 if i % 2 else 5000))
-            counts = make_longtail_counts(C, ImbalanceProfile(kind, rho, n_max))
+            counts = make_longtail_counts(C, kind, rho, n_max)
             expected = loop_longtail_counts(C, kind, rho, n_max)
             assert counts.dtype == expected.dtype and np.array_equal(counts, expected), (C, rho, n_max)
 
@@ -184,7 +179,7 @@ class TestSplitProperties:
         counts_u, num_known, seed = setup
         C = counts_u.size
         if num_known >= 2:
-            counts_l = make_longtail_counts(num_known, exp_profile(rho_l, n_max_l))
+            counts_l = make_longtail_counts(num_known, "exponential", rho_l, n_max_l)
         else:
             counts_l = np.array([n_max_l])
         means = make_class_means(C, 3, 5.0, seed)

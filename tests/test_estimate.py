@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobranch.data import ImbalanceProfile, make_longtail_counts, split_known_novel
+from cobranch.data import make_longtail_counts, split_known_novel
 from cobranch.estimate import (
     AlignmentMap,
     _sq_dists,
     align_clusters,
     aligned_distribution,
-    estimate_distribution,
     estimate_round,
     floor_distribution,
     hungarian,
@@ -39,10 +38,10 @@ def reference_km(X, k, seed, **settings):
 
 def assert_matches_reference(X, k, seed, n_init):
     res = km(X, k, seed=seed, n_init=n_init)
-    assign, centers, inertia, iterations, restart, _ = reference_km(X, k, seed, n_init=n_init)
+    assign, _, inertia, iterations, restart, _ = reference_km(X, k, seed, n_init=n_init)
     assert np.array_equal(res.assignments, assign)
+    assert np.array_equal(res.sizes, np.bincount(assign, minlength=k))
     assert (res.iterations, res.restart) == (iterations, restart)
-    assert np.allclose(res.centers, centers, rtol=0, atol=1e-9 * (1.0 + np.abs(X).max()))
     assert res.inertia == pytest.approx(inertia, rel=1e-9)
 
 
@@ -51,7 +50,7 @@ class TestKMeans:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((40, 3))
         res = km(X, 1, seed=0)
-        assert np.abs(res.centers[0] - X.mean(axis=0)).max() < 1e-12
+        assert res.assignments.tolist() == [0] * 40 and res.sizes.tolist() == [40]
         assert res.inertia == pytest.approx(((X - X.mean(axis=0)) ** 2).sum())
 
     def test_two_separated_clouds_recovered(self):
@@ -81,9 +80,10 @@ class TestKMeans:
         rng = np.random.default_rng(3)
         X = rng.standard_normal((80, 3))
         res = km(X, 4, seed=2)
+        means = np.array([X[res.assignments == c].mean(axis=0) for c in range(4)])
         scale = 0.05 * X.std()
         for t in range(10):
-            centers = res.centers + scale * rng.standard_normal(res.centers.shape)
+            centers = means + scale * rng.standard_normal(means.shape)
             d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             perturbed = float(d2.min(axis=1).sum())
             assert res.inertia <= perturbed + 1e-9
@@ -94,7 +94,8 @@ class TestKMeans:
         a = km(X, 4, seed=9)
         b = km(X, 4, seed=9)
         assert np.array_equal(a.assignments, b.assignments)
-        assert np.array_equal(a.centers, b.centers)
+        assert np.array_equal(a.sizes, b.sizes)
+        assert (a.inertia, a.iterations, a.restart) == (b.inertia, b.iterations, b.restart)
 
     def test_empty_cluster_repair_on_duplicates(self):
         X = np.zeros((6, 2))
@@ -165,7 +166,9 @@ class TestKMeans:
         base = km(X, 8, seed=3, n_init=2)
         far = km(X + 1e7, 8, seed=3, n_init=2)
         assert np.array_equal(far.assignments, base.assignments)
-        assert np.allclose(far.centers - 1e7, base.centers, rtol=0, atol=1e-6)
+        assert np.array_equal(far.sizes, base.sizes)
+        assert (far.iterations, far.restart) == (base.iterations, base.restart)
+        assert far.inertia == pytest.approx(base.inertia, rel=1e-6)
 
     def test_memory_is_n_by_k(self):
         X = np.random.default_rng(12).standard_normal((6000, 16))
@@ -236,25 +239,10 @@ class TestHungarian:
             hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))
 
 
-class TestEstimateDistribution:
-    def test_half_half(self):
-        freq = estimate_distribution(np.array([0, 0, 1, 1]), 2)
-        assert freq.tolist() == [0.5, 0.5]
-
-    def test_single_cluster_dominates(self):
-        freq = estimate_distribution(np.zeros(10, dtype=int), 2)
-        assert freq.tolist() == [1.0, 0.0]
-
-    def test_longtail_shape(self):
-        assign = np.repeat(np.arange(5), [16, 8, 4, 2, 1])
-        freq = estimate_distribution(assign, 5)
-        assert np.allclose(freq, np.array([16, 8, 4, 2, 1]) / 31)
-
-
 class _FakeResult:
-    def __init__(self, assignments, n_clusters, d=2):
+    def __init__(self, assignments, n_clusters):
         self.assignments = np.asarray(assignments, dtype=int)
-        self.centers = np.zeros((n_clusters, d))
+        self.sizes = np.bincount(self.assignments, minlength=n_clusters)
         self.inertia = 0.0
         self.iterations = 1
 
@@ -321,7 +309,21 @@ class TestAlignClusters:
             align_clusters(res, np.array([2]), 3)
 
 
+def identity_distribution(assignments, n_clusters):
+    return aligned_distribution(_FakeResult(assignments, n_clusters), AlignmentMap(np.arange(n_clusters)))
+
+
 class TestAlignedDistribution:
+    def test_half_half(self):
+        assert identity_distribution([0, 0, 1, 1], 2).tolist() == [0.5, 0.5]
+
+    def test_single_cluster_dominates(self):
+        assert identity_distribution(np.zeros(10, dtype=int), 2).tolist() == [1.0, 0.0]
+
+    def test_longtail_shape(self):
+        freq = identity_distribution(np.repeat(np.arange(5), [16, 8, 4, 2, 1]), 5)
+        assert np.allclose(freq, np.array([16, 8, 4, 2, 1]) / 31)
+
     def test_identity_map_unchanged(self):
         res = _FakeResult([0, 0, 0, 1], 2)
         amap = AlignmentMap(np.array([0, 1]))
@@ -353,7 +355,7 @@ def test_floor_distribution():
 
 
 def test_estimate_round_deterministic():
-    counts = make_longtail_counts(6, ImbalanceProfile("exponential", 10, 60))
+    counts = make_longtail_counts(6, "exponential", 10, 60)
     split = split_known_novel(*gen_synthetic(6, 5, counts, 10.0, 1.0, seed=10), 4, 0.5, seed=10)
     args = (split.X, 6, split.y_lab, 4)
     _, amap_a, pi_a = estimate_round(*args, seed=5, **KMEANS_ARGS)
