@@ -8,7 +8,9 @@ and a small one with unequal imbalance ratios and the l1 metric) it runs
 gen-data -> train (with checkpoint_every) -> eval --seeds 0,1 -> estimate
 --checkpoint -> estimate --config --seed 2 -> ablate --axis loss_mode
 --seeds 0, in-process through `cobranch.cli.main`, in a temporary directory
-and under relative paths, at one BLAS/OpenMP thread.
+and under relative paths, at one BLAS/OpenMP thread. The small config also
+runs ablate --axis similarity --seeds 0, which trains under every
+positiveness metric, and train --resume from its epoch-2 checkpoint.
 
 The manifest maps each file written to its sha256, lists each call with its
 exit code and the sha256 of its stdout and stderr, and records the NumPy
@@ -125,6 +127,10 @@ def run_pipeline(name: str, dataset: dict, train: dict, eval_: dict, calls: list
     call("estimate", "--checkpoint", checkpoint, "--out", f"{name}/estimate-checkpoint")
     call("estimate", "--config", config, "--seed", "2", "--out", f"{name}/estimate-raw")
     call("ablate", "--config", config, "--axis", "loss_mode", "--seeds", "0", "--out", f"{name}/ablate")
+    if name == "l1-unequal":
+        call("ablate", "--config", config, "--axis", "similarity", "--seeds", "0", "--out", f"{name}/ablate-similarity")
+        call("train", "--config", config, "--seed", "1", "--resume", f"{name}/train/checkpoint_epoch0002.json",
+             "--out", f"{name}/resume")
 
 
 def manifest() -> dict:
