@@ -144,10 +144,10 @@ def _load_meta(ds: dict) -> dict:
         and all(type(c) is int for c in counts)
     ):
         raise ConfigError(f"{path}: true_counts must be {ds['num_classes']} integers, got {counts!r}")
-    empty = [c for c, count in enumerate(counts) if count < 1]
-    if empty:
-        raise ConfigError(f"{path}: true_counts[{empty[0]}] is {counts[empty[0]]}: "
-                          f"every class needs at least one training sample")
+    for c, count in enumerate(counts):
+        if not 1 <= count <= np.iinfo(np.int64).max:
+            why = "every class needs at least one training sample" if count < 1 else "it does not fit in int64"
+            raise ConfigError(f"{path}: true_counts[{c}] is {count}: {why}")
     return meta
 
 
@@ -163,8 +163,8 @@ def _file_split(ds: dict, meta: dict) -> DatasetSplit:
     _check_width(ds["path"], X, ds["d_in"])
     if np.all(labels == UNLABELED_MARKER):
         raise EmbeddingFormatError(f"{ds['path']}: no labeled rows: every label is {UNLABELED_MARKER}")
+    total = sum(meta["true_counts"])  # Python ints: a sum past int64 is reported as it is
     true_counts = np.asarray(meta["true_counts"], dtype=int)
-    total = int(true_counts.sum())
     if total != len(X):
         raise EmbeddingFormatError(f"{ds['meta_path']}: true_counts sum to {total}, "
                                    f"but {ds['path']} has {len(X)} rows")

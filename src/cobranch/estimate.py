@@ -257,9 +257,9 @@ def hungarian(cost: np.ndarray) -> np.ndarray:
 
 # --- distribution + alignment ------------------------------------------------------
 
-def align_clusters(result: KMeansResult, labeled_classes: np.ndarray, num_known: int) -> AlignmentMap:
+def align_clusters(result: KMeansResult, y_lab: np.ndarray, num_known: int) -> AlignmentMap:
     """Map clusters to classes using labeled agreement: the clustered rows
-    start with the labeled ones, in the order of `labeled_classes`.
+    start with the labeled ones, in the order of `y_lab`.
 
     Known classes are matched to clusters by a minimum-cost assignment on
     negated agreement counts (zero-padded to square, so fewer label-bearing
@@ -267,18 +267,18 @@ def align_clusters(result: KMeansResult, labeled_classes: np.ndarray, num_known:
     size descending and assigned to novel classes in ascending index order.
     """
     n_clusters = result.sizes.size
-    labeled_classes = np.asarray(labeled_classes, dtype=int)
+    y_lab = np.asarray(y_lab, dtype=int)
     if num_known < 1 or num_known > n_clusters:
         raise ValueError("num_known must be in [1, n_clusters]")
-    if labeled_classes.size == 0:
+    if y_lab.size == 0:
         raise ValueError("no labeled samples to anchor the alignment")
-    if labeled_classes.size > result.assignments.size:
+    if y_lab.size > result.assignments.size:
         raise ValueError("more labeled classes than clustered samples")
-    if labeled_classes.min() < 0 or labeled_classes.max() >= num_known:
+    if y_lab.min() < 0 or y_lab.max() >= num_known:
         raise ValueError("labeled classes must lie in the known set")
 
     agreement = np.zeros((num_known, n_clusters))
-    np.add.at(agreement, (labeled_classes, result.assignments[: labeled_classes.size]), 1.0)
+    np.add.at(agreement, (y_lab, result.assignments[: y_lab.size]), 1.0)
     if agreement.sum() == 0:
         raise ValueError("labeled samples never hit any cluster")
 
@@ -311,17 +311,17 @@ def floor_distribution(freq: np.ndarray, n_samples: int) -> np.ndarray:
 def estimate_round(
     features: np.ndarray,
     n_classes: int,
-    labeled_classes: np.ndarray,
+    y_lab: np.ndarray,
     num_known: int,
     seed: int,
     max_iter: int,
     n_init: int,
 ):
     """One full estimation round: cluster, align, normalize. The labeled
-    rows of `features` come first, in the order of `labeled_classes`.
+    rows of `features` come first, in the order of `y_lab`.
 
     Returns (KMeansResult, AlignmentMap, class-indexed frequency vector).
     """
     result = kmeans(features, n_classes, seed=seed, max_iter=max_iter, n_init=n_init)
-    amap = align_clusters(result, labeled_classes, num_known)
+    amap = align_clusters(result, y_lab, num_known)
     return result, amap, aligned_distribution(result, amap)

@@ -1,15 +1,13 @@
 """Training objectives of both branches, with analytic gradients.
 
-Three building blocks and two composites:
+Two building blocks and two composites:
 
-* _prefix_terms          -- the contrastive kernel: weighted cross-entropy
-                            over the off-diagonal softmax of pairwise
-                            similarities, for every term at once (the pair
-                            index gives the unsupervised term, the same-class
-                            indicator the supervised one, positiveness weights
-                            the soft one)
-* hard_indicator_weights -- the same-class indicator weight matrix
-* kl_regularizer         -- KL(mean prediction || smoothed target distribution)
+* _prefix_terms  -- the contrastive kernel: weighted cross-entropy over the
+                    off-diagonal softmax of pairwise similarities, for every
+                    term at once (the pair index gives the unsupervised term;
+                    blocks of one positiveness matrix the supervised and soft
+                    ones)
+* kl_regularizer -- KL(mean prediction || smoothed target distribution)
 * classification_objective -- supervised CE + cross pseudo supervision + KL
 * contrastive_objective    -- unsupervised + supervised + soft contrastive
 
@@ -159,16 +157,6 @@ def _exp(S: np.ndarray, out: np.ndarray, clamp: bool) -> np.ndarray:
     return np.exp(np.maximum(S, _EXP_FLOOR, out=out) if clamp else S, out=out)
 
 
-def hard_indicator_weights(classes: np.ndarray) -> np.ndarray:
-    """Same-class indicator weights with a zero diagonal: the supervised
-    term's positives. soft_mode="hard" needs no call here: the positiveness
-    matrix of one-hot rows is this same indicator under every metric."""
-    c = np.asarray(classes, dtype=int)
-    W = (c[:, None] == c[None, :]).astype(float)
-    np.fill_diagonal(W, 0.0)
-    return W
-
-
 # --- distribution regularizer -------------------------------------------------
 
 def smooth_target(target: np.ndarray, smoothing_p: float) -> np.ndarray:
@@ -316,8 +304,8 @@ class ContrastiveLossParts:
 def contrastive_objective(
     features: np.ndarray,
     other_view: np.ndarray,
-    labeled_classes: np.ndarray,
-    soft_weights: np.ndarray | None,
+    weights: np.ndarray,
+    n_labeled: int,
     temperature: float,
     gamma1: float,
     gamma2: float,
@@ -327,18 +315,23 @@ def contrastive_objective(
 
     features holds every view in the batch (unit rows), ordered so that each
     term covers a prefix: the unsupervised term covers every row, with
-    other_view[i] (the same sample's second view) as row i's one positive;
-    the supervised term covers rows [0, L), L = len(labeled_classes), with
-    same-class positives; the soft term covers rows [0, m) with the m x m
-    pairwise weights `soft_weights`. A term over fewer than two rows, at a
-    zero gamma, or without weights (warm-up) is skipped and reads 0. All
-    terms are one `_prefix_terms` call, in `scratch` (a new one when None).
+    other_view[i] (the same sample's second view) as row i's one positive.
+    `weights` is the m x m positiveness matrix of rows [0, m), whose first
+    `n_labeled` rows are labeled views entered as their one-hot labels, so
+    that block is the same-class indicator. The supervised term is that
+    block and the soft term the whole matrix. A term over fewer than two
+    rows or at a zero gamma (warm-up passes gamma2 = 0) is skipped and reads
+    0. All terms are one `_prefix_terms` call, in `scratch` (a new one when
+    None).
     """
-    sup_on = len(labeled_classes) >= 2 and gamma1 > 0
-    soft_on = soft_weights is not None and len(soft_weights) >= 2 and gamma2 > 0
-    blocks = [(gamma1, hard_indicator_weights(labeled_classes))] if sup_on else []
+    m = len(weights)
+    if not 0 <= n_labeled <= m:
+        raise ValueError(f"{n_labeled} labeled rows do not fit the {m}-row weight matrix")
+    sup_on = n_labeled >= 2 and gamma1 > 0
+    soft_on = m >= 2 and gamma2 > 0
+    blocks = [(gamma1, weights[:n_labeled, :n_labeled])] if sup_on else []
     if soft_on:
-        blocks.append((gamma2, soft_weights))
+        blocks.append((gamma2, weights))
     grad, parts = _prefix_terms(features, temperature, blocks, np.asarray(other_view), scratch)
     l_unsup = parts.pop()[0]
     l_sup = parts.pop(0)[0] if sup_on else 0.0
@@ -349,6 +342,6 @@ def contrastive_objective(
         l_sup=l_sup,
         l_soft=l_soft,
         grad=grad,
-        n_soft_anchors=len(soft_weights) if soft_on else 0,
+        n_soft_anchors=m if soft_on else 0,
         n_soft_excluded=n_soft_excluded,
     )

@@ -163,15 +163,15 @@ def _soft_probs(
 ):
     """Debias and sample the batch's pseudo-labels.
 
-    Returns (selected unlabeled positions, probability rows for [labeled;
-    selected unlabeled]). In hard mode each row is the one-hot of its argmax.
+    Returns (selected unlabeled positions, their probability rows). In hard
+    mode each row is the one-hot of its argmax.
     """
     pi_floor = floor_distribution(pi_e, n_total)
     logits = nn.classify(params, nn.encode(params, X_unl))
     batch = transfer.PseudoLabelBatch.from_probs(transfer.debias(logits, pi_floor, cfg.k), unl_ids)
     rates = transfer.sampling_rates(pi_floor, batch_labels, cfg.alpha, cfg.beta)
     sel = np.flatnonzero(transfer.sample_pseudolabels(batch, rates).mask)
-    P = np.concatenate([transfer.one_hot(batch_labels, pi_e.size), batch.probs[sel]], axis=0)
+    P = batch.probs[sel]
     if cfg.soft_mode == "hard":
         P = transfer.one_hot(P.argmax(axis=1), pi_e.size)
     return sel, P
@@ -253,13 +253,15 @@ def run(
                 nn.sgd_step(params, nn.classifier_branch_backward(params, cache, cls.grad), lr, opt_cls)
 
             with _named_abort(f"contrastive step, {at}"):
-                sel, W_views = np.zeros(0, dtype=int), None
+                sel, P_sel = np.zeros(0, dtype=int), np.zeros((0, split.num_classes))
                 if soft_on:
-                    sel, P = _soft_probs(params, cfg, X_unl, unl_idx, y, result.pi_e, n_total)
-                    P_views = np.concatenate([P[:n_l], P[:n_l], P[n_l:], P[n_l:]], axis=0)
-                    W_views = transfer.build_positiveness_matrix(P_views, cfg.metric)
+                    sel, P_sel = _soft_probs(params, cfg, X_unl, unl_idx, y, result.pi_e, n_total)
                 # views in nested order, [labeled v1, labeled v2, selected v1, selected v2, the
-                # rest v1, the rest v2], so that the supervised and soft terms cover row prefixes
+                # rest v1, the rest v2]; one positiveness matrix scores the first four groups, the
+                # labeled views as their one-hot labels: its labeled block is the supervised term's
+                # same-class indicator, and the whole matrix weighs the soft term (off: gamma2 = 0)
+                P_lab = transfer.one_hot(y, split.num_classes)
+                W = transfer.build_positiveness_matrix(np.concatenate([P_lab, P_lab, P_sel, P_sel]), cfg.metric)
                 picked = np.zeros(n_u, dtype=bool)
                 picked[sel] = True
                 order = np.argsort(~picked, kind="stable")  # the selected, then the rest
@@ -268,7 +270,7 @@ def run(
                 other = _other_view(n_l, n_s, n_u - n_s)
                 U, cache = nn.contrastive_branch_forward(params, views)
                 con = losses.contrastive_objective(
-                    U, other, np.concatenate([y, y]), W_views, cfg.temperature, cfg.gamma1, cfg.gamma2, scratch
+                    U, other, W, 2 * n_l, cfg.temperature, cfg.gamma1, cfg.gamma2 if soft_on else 0.0, scratch
                 )
                 if not np.isfinite(con.total):
                     raise FloatingPointError("non-finite loss")

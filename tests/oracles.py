@@ -7,6 +7,8 @@ distances and per-cluster loops instead of the GEMM k-means, projected
 gradient descent instead of the closed-form optimum, nearest-mean
 classification instead of the encoder, a per-anchor loop over positive-set
 lists and one softmax per term instead of the shared contrastive kernel,
+an explicit same-class comparison instead of the labeled block of the
+positiveness matrix,
 one softmax per logit block instead of the stacked pseudo-labeling
 objective, one `float()` call per value instead of the one-pass CSV
 parser, one sort per predicted class instead of one batch-wide pseudo-label
@@ -344,6 +346,15 @@ def per_term_contrastive_loss(features: np.ndarray, weights: np.ndarray, tempera
     return loss, (G + G.T) @ F / temperature, n - n_inc
 
 
+def indicator_weights(classes: np.ndarray) -> np.ndarray:
+    """Same-class indicator weights with a zero diagonal: the supervised
+    term's positives, compared class by class."""
+    c = np.asarray(classes, dtype=int)
+    W = (c[:, None] == c[None, :]).astype(float)
+    np.fill_diagonal(W, 0.0)
+    return W
+
+
 def per_term_contrastive_objective(features, other_view, labeled_classes, soft_weights, temperature, gamma1, gamma2):
     """The composite contrastive objective as three `per_term_contrastive_loss`
     calls on gathered rows, scattered back: the unsupervised term on every
@@ -358,7 +369,7 @@ def per_term_contrastive_objective(features, other_view, labeled_classes, soft_w
     n_excluded = 0
     c = np.asarray(labeled_classes)
     if c.size >= 2 and gamma1 > 0:
-        l_sup, g, _ = per_term_contrastive_loss(F[: c.size], (c[:, None] == c[None, :]).astype(float), temperature)
+        l_sup, g, _ = per_term_contrastive_loss(F[: c.size], indicator_weights(c), temperature)
         grad[: c.size] += gamma1 * g
     if soft_weights is not None and len(soft_weights) >= 2 and gamma2 > 0:
         m = len(soft_weights)

@@ -21,12 +21,19 @@ from cobranch.evaluation import evaluate
 from cobranch.losses import (
     classification_objective,
     contrastive_objective,
-    hard_indicator_weights,
     kl_regularizer,
     softmax,
 )
 from cobranch.train import _other_view
-from cobranch.transfer import PseudoLabelBatch, debias, sample_pseudolabels, sampling_rates
+from cobranch.transfer import (
+    SIMILARITY_METRICS,
+    PseudoLabelBatch,
+    build_positiveness_matrix,
+    debias,
+    one_hot,
+    sample_pseudolabels,
+    sampling_rates,
+)
 from conftest import ACCEPTANCE_LINES
 from oracles import (
     EVAL_ARGS,
@@ -35,6 +42,7 @@ from oracles import (
     central_fd,
     contrastive_loss,
     gen_synthetic,
+    indicator_weights,
     max_rel_err,
     optimal_soft_logits,
     pgd_anchor_minimizer,
@@ -100,7 +108,7 @@ def _check_eq1(rng):
     def f(flat):
         return positive_set_contrastive_loss(flat.reshape(n, d), sets, tau)[0]
 
-    _, grad, _ = contrastive_loss(F, hard_indicator_weights(classes), tau)
+    _, grad, _ = contrastive_loss(F, indicator_weights(classes), tau)
     return max_rel_err(grad.ravel(), central_fd(f, F.ravel()))
 
 
@@ -170,15 +178,15 @@ def _check_eq7(rng):
     n_b = n_l + n_u
     F = unit_rows(rng, 2 * n_b, d)
     other = _other_view(n_l, n_u)  # nested order: labeled v1, v2, then the unlabeled v1s, v2s
-    labeled_cls = np.zeros(2 * n_l, dtype=int)
     W = rng.uniform(0.05, 1.0, size=(2 * n_b, 2 * n_b))
+    W[: 2 * n_l, : 2 * n_l] = indicator_weights(np.zeros(2 * n_l, dtype=int))  # the supervised term's block
     w = (float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.2, 1.5)))  # gamma1, gamma2
     tau = float(rng.uniform(0.4, 1.6))
 
     def f(flat):
-        return contrastive_objective(flat.reshape(F.shape), other, labeled_cls, W, tau, *w).total
+        return contrastive_objective(flat.reshape(F.shape), other, W, 2 * n_l, tau, *w).total
 
-    res = contrastive_objective(F, other, labeled_cls, W, tau, *w)
+    res = contrastive_objective(F, other, W, 2 * n_l, tau, *w)
     return max_rel_err(res.grad.ravel(), central_fd(f, F.ravel()))
 
 
@@ -224,7 +232,8 @@ def test_criterion_03_assignment_oracle():
 
 
 def test_criterion_04_reduction_identities():
-    """Soft loss reduces to its hard/uniform special cases; debias to softmax."""
+    """Soft loss reduces to its hard/uniform special cases, the hard one also
+    under the positiveness of one-hot rows; debias to softmax."""
     rng = np.random.default_rng(404)
     worst_binary = worst_const = worst_debias = 0.0
     for _ in range(100):
@@ -235,11 +244,13 @@ def test_criterion_04_reduction_identities():
             classes = rng.integers(0, 3, size=n)
         tau = float(rng.uniform(0.4, 1.6))
 
-        W = (classes[:, None] == classes[None, :]).astype(float)
-        np.fill_diagonal(W, 0.0)
-        soft, _, _ = contrastive_loss(F, W, tau)
+        soft, _, _ = contrastive_loss(F, indicator_weights(classes), tau)
         hard, _ = positive_set_contrastive_loss(F, class_positive_sets(classes), tau)
         worst_binary = max(worst_binary, abs(soft - hard))
+        # the supervised term's weights are the positiveness of one-hot rows, under any metric
+        for metric in SIMILARITY_METRICS:
+            soft_m, _, _ = contrastive_loss(F, build_positiveness_matrix(one_hot(classes, 3), metric), tau)
+            worst_binary = max(worst_binary, abs(soft_m - hard))
 
         const = float(rng.uniform(0.1, 5.0))
         soft_c, _, _ = contrastive_loss(F, np.full((n, n), const), tau)

@@ -558,6 +558,34 @@ class TestTrainEval:
         assert f"error: {meta_path}: true_counts[3] is 0" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_true_count_beyond_int64_exit_2(self, tmp_path, capsys):
+        assert self.train_on_files(tmp_path) == 0
+
+        def huge_class_2(meta):
+            meta["true_counts"][2] = 2**63
+
+        self.edit_meta(tmp_path, huge_class_2)
+        assert self.eval_run(tmp_path) == 2
+        assert self.train_on_files(tmp_path, out="again") == 2
+        meta_path = tmp_path / "data" / "meta.json"
+        err = capsys.readouterr().err
+        assert err.count(f"error: {meta_path}: true_counts[2] is {2**63}: it does not fit in int64") == 2
+
+    def test_true_counts_summing_past_int64_reported_exactly(self, tmp_path, capsys):
+        assert main(["gen-data", "--seed", "5", "--out", str(tmp_path / "data"), *SMALL]) == 0
+        train_path, meta_path = tmp_path / "data" / "train.csv", tmp_path / "data" / "meta.json"
+        rows = len(train_path.read_text().splitlines()) - 1
+        total = []
+
+        def two_near_the_int64_limit(meta):  # each entry fits in int64, their sum does not
+            meta["true_counts"][:2] = [2**63 - 1, 2**63 - 1]
+            total.append(sum(meta["true_counts"]))
+
+        self.edit_meta(tmp_path, two_near_the_int64_limit)
+        assert self.train_on_files(tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"error: {meta_path}: true_counts sum to {total[0]}, but {train_path} has {rows} rows" in err
+
     def test_true_counts_not_summing_to_the_pool_exit_2(self, tmp_path, capsys):
         assert main(["gen-data", "--seed", "5", "--out", str(tmp_path / "data"), *SMALL]) == 0
         train_path, meta_path = tmp_path / "data" / "train.csv", tmp_path / "data" / "meta.json"

@@ -5,9 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cobranch._rng import KMEANS, rng_for
 from cobranch.data import make_longtail_counts, split_known_novel
 from cobranch.estimate import (
     AlignmentMap,
+    _assign_with_repair,
+    _kmeanspp_init,
+    _lloyd,
     _sq_dists,
     align_clusters,
     aligned_distribution,
@@ -18,6 +22,7 @@ from cobranch.estimate import (
 )
 from oracles import (
     KMEANS_ARGS,
+    _reference_kmeanspp,
     broadcast_sq_dists,
     brute_force_assignment,
     class_to_cluster,
@@ -34,6 +39,32 @@ def km(X, k, seed, **settings):
 
 def reference_km(X, k, seed, **settings):
     return reference_kmeans(X, k, seed, **{**KMEANS_ARGS, **settings})
+
+
+def tied_rows(n, d, distinct, seed):
+    """n rows on a 0.25 grid with zero column sums: n - 1 drawn with repeats
+    from `distinct` originals, and one more that brings the sums to 0. Every
+    squared distance and k-means++ potential among grid points is exact in
+    both distance forms, and centring leaves the rows as they are."""
+    rng = np.random.default_rng(seed)
+    pool = np.round(4.0 * rng.standard_normal((distinct, d))) / 4.0
+    rows = pool[rng.integers(distinct, size=n - 1)]
+    return np.vstack([rows, -rows.sum(axis=0)])
+
+
+TIED = {
+    "n": st.integers(2, 40),
+    "d": st.integers(1, 4),
+    "distinct": st.integers(1, 20),
+    "k_frac": st.floats(0.0, 1.0),
+    "seed": st.integers(0, 10_000),
+}
+
+
+def partition(assign):
+    """The partition an assignment makes of the rows, whatever its cluster labels."""
+    first = {}
+    return tuple(first.setdefault(a, len(first)) for a in assign.tolist())
 
 
 def assert_matches_reference(X, k, seed, n_init):
@@ -137,27 +168,69 @@ class TestKMeans:
         assert_matches_reference(X, k, seed, n_init)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        n=st.integers(2, 40),
-        d=st.integers(1, 4),
-        distinct=st.integers(1, 20),
-        k_frac=st.floats(0.0, 1.0),
-        n_init=st.integers(1, 4),
-        seed=st.integers(0, 10_000),
-    )
+    @given(n_init=st.integers(1, 4), **TIED)
     def test_matches_reference_on_tied_rows(self, n, d, distinct, k_frac, n_init, seed):
-        """Tie-heavy rows: n - 1 rows drawn with repeats from `distinct`
-        originals on a 0.25 grid, and one more row that brings the column
-        sums to 0, clustered with k anywhere from 1 to n. Tied distances and
-        k-means++ potentials, duplicate rows, empty-cluster repairs and
-        one-step stops abound. The grid and the zero column mean make every
-        distance and potential of the start exact in both distance forms, so
-        its ties are decided by the tie rules and not by rounding."""
-        rng = np.random.default_rng(seed)
-        pool = np.round(4.0 * rng.standard_normal((distinct, d))) / 4.0
-        rows = pool[rng.integers(distinct, size=n - 1)]
-        X = np.vstack([rows, -rows.sum(axis=0)])
+        """Tie-heavy `tied_rows`, clustered with k anywhere from 1 to n. Tied
+        distances and k-means++ potentials, duplicate rows, empty-cluster
+        repairs and one-step stops abound. Every distance and potential of
+        the start is exact in both distance forms, so its ties are decided by
+        the tie rules and not by rounding."""
+        X = tied_rows(n, d, distinct, seed)
         assert_matches_reference(X, 1 + int(k_frac * (n - 1)), seed, n_init)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**TIED)
+    def test_equidistant_row_goes_to_lowest_cluster(self, n, d, distinct, k_frac, seed):
+        """Centres at k distinct rows, so that no cluster is empty and nothing
+        is repaired: each row goes to the first of its nearest centres."""
+        X = tied_rows(n, d, distinct, seed)
+        uniq = np.unique(X, axis=0)
+        k = 1 + int(k_frac * (len(uniq) - 1))
+        centers = uniq[np.random.default_rng(seed).permutation(len(uniq))[:k]]
+        d2 = broadcast_sq_dists(X, centers)
+        x_sq = np.einsum("ij,ij->i", X, X)
+        assert np.array_equal(_sq_dists(X, centers, x_sq), d2)  # the GEMM form is exact here
+        assign, sizes, inertia = _assign_with_repair(X, x_sq, centers, k)
+        first = [np.flatnonzero(row == row.min())[0] for row in d2]
+        assert assign.tolist() == first
+        assert np.array_equal(sizes, np.bincount(first, minlength=k))
+        assert inertia == d2.min(axis=1).sum()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(**TIED)
+    def test_kmeanspp_tied_candidates_go_to_the_first(self, n, d, distinct, k_frac, seed):
+        """Candidates of equal potential, duplicate rows among them: the
+        library's argmin and the oracle's loop over the candidates keep the
+        same rows, and both draw the same random numbers."""
+        X = tied_rows(n, d, distinct, seed)
+        k = 1 + int(k_frac * (n - 1))
+        rng, ref_rng = rng_for(seed, KMEANS, 0), rng_for(seed, KMEANS, 0)
+        centers = _kmeanspp_init(X, np.einsum("ij,ij->i", X, X), k, rng)
+        assert np.array_equal(centers, _reference_kmeanspp(X, k, ref_rng))
+        assert rng.random() == ref_rng.random()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n_init=st.integers(2, 4), **TIED)
+    def test_restarts_reaching_one_partition_tie_and_the_first_wins(self, n, d, distinct, k_frac, n_init, seed):
+        """Each Lloyd run that converges reports the inertia of its final
+        partition, bit for bit, whatever its cluster labels; `kmeans` keeps
+        the earliest restart at the lowest inertia, so restart 0 wins when
+        every restart reaches one partition."""
+        X = tied_rows(n, d, distinct, seed)
+        k = 1 + int(k_frac * (n - 1))
+        max_iter = KMEANS_ARGS["max_iter"]
+        x_sq = np.einsum("ij,ij->i", X, X)
+        runs = [_lloyd(X, x_sq, k, rng_for(seed, KMEANS, t), max_iter) for t in range(n_init)]
+        inertias = {}
+        for run in runs:
+            if run.iterations < max_iter:  # converged
+                inertias.setdefault(partition(run.assignments), set()).add(run.inertia)
+        assert all(len(values) == 1 for values in inertias.values())
+        res = km(X, k, seed, n_init=n_init)
+        lowest = min(run.inertia for run in runs)
+        assert res.restart == next(t for t, run in enumerate(runs) if run.inertia == lowest)
+        if len({partition(run.assignments) for run in runs}) == 1 and len(inertias) == 1:
+            assert res.restart == 0
 
     def test_translation_invariant_far_from_origin(self):
         rng = np.random.default_rng(11)

@@ -14,16 +14,17 @@ from cobranch.losses import (
     Scratch,
     classification_objective,
     contrastive_objective,
-    hard_indicator_weights,
     kl_regularizer,
     smooth_target,
     softmax,
 )
 from cobranch.train import _other_view
+from cobranch.transfer import SIMILARITY_METRICS, build_positiveness_matrix, one_hot
 from oracles import (
     TRAIN,
     central_fd,
     contrastive_loss,
+    indicator_weights,
     max_rel_err,
     optimal_soft_logits,
     per_term_contrastive_objective,
@@ -77,7 +78,7 @@ class TestContrastiveLoss:
             classes = rng.integers(0, 2, size=n)
             while np.any(np.bincount(classes, minlength=2) < 2):
                 classes = rng.integers(0, 2, size=n)
-            W = hard_indicator_weights(classes)
+            W = indicator_weights(classes)
             tau = float(rng.uniform(0.3, 2.0))
 
             def f(flat):
@@ -111,11 +112,11 @@ class TestContrastiveLoss:
         n, d = 6, 4
         F = unit_rows(rng, n, d)
         classes = np.array([0, 0, 1, 1, 2, 2])
-        loss, grad, _ = contrastive_loss(F, hard_indicator_weights(classes), 0.7)
+        loss, grad, _ = contrastive_loss(F, indicator_weights(classes), 0.7)
         perm = rng.permutation(n)
         inv = np.empty(n, dtype=int)
         inv[perm] = np.arange(n)
-        loss_p, grad_p, _ = contrastive_loss(F[perm], hard_indicator_weights(classes[perm]), 0.7)
+        loss_p, grad_p, _ = contrastive_loss(F[perm], indicator_weights(classes[perm]), 0.7)
         assert abs(loss - loss_p) < 1e-10
         assert np.abs(grad_p[inv] - grad).max() < 1e-10
 
@@ -208,7 +209,7 @@ class TestScratch:
     @staticmethod
     def batch(rng, n, d=16):
         classes = rng.integers(0, 5, size=n)
-        return unit_rows(rng, n, d), hard_indicator_weights(classes), classes
+        return unit_rows(rng, n, d), indicator_weights(classes), classes
 
     def test_reuse_across_sizes_matches_fresh_and_oracle(self):
         rng = np.random.default_rng(21)
@@ -229,9 +230,8 @@ class TestScratch:
         scratch = Scratch()
         for n_l, n_u in ((3, 5), (24, 104), (24, 92)):  # the scratch grows, then is reused
             F, other, lab_cls = build_views_batch(rng, n_l, n_u, 16)
-            m = F.shape[0] - 2
-            W = rng.uniform(0.0, 1.0, size=(m, m))
-            args = (F, other, lab_cls, W, 0.5, *GAMMAS)
+            W = positiveness_weights(rng, lab_cls, F.shape[0] - 2)
+            args = (F, other, W, lab_cls.size, 0.5, *GAMMAS)
             a, b = contrastive_objective(*args, scratch), contrastive_objective(*args)
             assert (a.l_unsup, a.l_sup, a.l_soft) == (b.l_unsup, b.l_sup, b.l_soft)
             assert np.array_equal(a.grad, b.grad)
@@ -266,16 +266,17 @@ class TestScratch:
             from cobranch.config import effective_config, to_train_objects
             from cobranch.losses import Scratch, contrastive_objective
             from cobranch.train import _other_view
+            from cobranch.transfer import one_hot
             rng = np.random.default_rng(0)
             F = rng.standard_normal((256, 16))
             F /= np.linalg.norm(F, axis=1, keepdims=True)
             other = _other_view(24, 92, 12)  # 24 labeled, 92 more soft and 12 other samples
-            lab_cls = np.tile(rng.integers(0, 6, size=24), 2)
-            P = rng.dirichlet(np.ones(10), size=232)
+            lab = one_hot(rng.integers(0, 6, size=24), 10)
+            P = np.concatenate([lab, lab, rng.dirichlet(np.ones(10), size=184)])
             W = P @ P.T
             scratch = Scratch()
             train_cfg = to_train_objects(effective_config(None), 0)[1]
-            args = (F, other, lab_cls, W, 1.0, train_cfg.gamma1, train_cfg.gamma2, scratch)
+            args = (F, other, W, 48, 1.0, train_cfg.gamma1, train_cfg.gamma2, scratch)
             contrastive_objective(*args)
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             contrastive_objective(*args)
@@ -549,23 +550,33 @@ def build_views_batch(rng, n_l, n_u, d):
     return F, _other_view(n_l, n_u), np.concatenate([classes, classes])
 
 
+def positiveness_weights(rng, lab_cls, m, metric="dot", C=3):
+    """The positiveness matrix of the first m views, as `train.run` builds
+    it: the labeled views as their one-hot labels, then m - len(lab_cls)
+    random probability rows."""
+    P = np.concatenate([one_hot(lab_cls, C), rng.dirichlet(np.ones(C), size=m - len(lab_cls))])
+    return build_positiveness_matrix(P, metric)
+
+
 class TestContrastiveObjective:
     def test_reduces_to_unsupervised_alone(self):
         rng = np.random.default_rng(12)
         F, other, lab_cls = build_views_batch(rng, 2, 3, 4)
-        res = contrastive_objective(F, other, lab_cls, None, 1.0, 0.0, 0.0)
+        res = contrastive_objective(F, other, indicator_weights(lab_cls), 4, 1.0, 0.0, 0.0)
         sets = [[other[i]] for i in range(F.shape[0])]
         ref, ref_grad = positive_set_contrastive_loss(F, sets, 1.0)
         assert res.total == pytest.approx(ref, abs=1e-12)
         assert np.abs(res.grad - ref_grad).max() < 1e-12
 
     def test_warmup_independent_of_weights(self):
-        # warm-up passes no soft weights: the same result as soft weights at gamma2 = 0
+        # warm-up passes the labeled views' matrix at gamma2 = 0: the same
+        # result as a matrix with soft rows at gamma2 = 0
         rng = np.random.default_rng(13)
         F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
-        W = rng.uniform(0.1, 1.0, size=(4, 4))
-        a = contrastive_objective(F, other, lab_cls, None, 1.0, *GAMMAS)
-        b = contrastive_objective(F, other, lab_cls, W, 1.0, TRAIN.gamma1, 0.0)
+        W = positiveness_weights(rng, lab_cls, 8)
+        a = contrastive_objective(F, other, indicator_weights(lab_cls), 4, 1.0, TRAIN.gamma1, 0.0)
+        b = contrastive_objective(F, other, W, 4, 1.0, TRAIN.gamma1, 0.0)
+        assert a.l_sup > 0.0
         assert a.total == b.total
         assert np.array_equal(a.grad, b.grad)
         assert a.l_soft == 0.0
@@ -574,26 +585,26 @@ class TestContrastiveObjective:
     def test_composite_equals_weighted_parts(self):
         rng = np.random.default_rng(14)
         F, other, lab_cls = build_views_batch(rng, 2, 2, 4)
-        W = rng.uniform(0.1, 1.0, size=(4, 4))
+        W = positiveness_weights(rng, lab_cls, 6)
         w = (0.6, 1.4)
-        res = contrastive_objective(F, other, lab_cls, W, 0.8, *w)
+        res = contrastive_objective(F, other, W, 4, 0.8, *w)
         assert res.total == pytest.approx(
             res.l_unsup + 0.6 * res.l_sup + 1.4 * res.l_soft, abs=1e-9
         )
-        assert res.n_soft_anchors == 4
+        assert res.n_soft_anchors == 6
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(15)
         for trial in range(3):
             n_l, n_u, d = 2, 2, 3
             F, other, lab_cls = build_views_batch(rng, n_l, n_u, d)
-            W = rng.uniform(0.05, 1.0, size=(6, 6))
+            W = positiveness_weights(rng, lab_cls, 6)
             w = (0.9, 1.2)
 
             def f(flat):
-                return contrastive_objective(flat.reshape(F.shape), other, lab_cls, W, 1.0, *w).total
+                return contrastive_objective(flat.reshape(F.shape), other, W, 4, 1.0, *w).total
 
-            res = contrastive_objective(F, other, lab_cls, W, 1.0, *w)
+            res = contrastive_objective(F, other, W, 4, 1.0, *w)
             assert max_rel_err(res.grad.ravel(), central_fd(f, F.ravel())) < 1e-4
 
     def test_soft_weights_beyond_batch_rejected(self):
@@ -601,28 +612,42 @@ class TestContrastiveObjective:
         F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
         for W in (np.ones((9, 9)), np.ones((4, 3))):
             with pytest.raises(ValueError, match="weights must be square over 2 to 8 rows"):
-                contrastive_objective(F, other, lab_cls, W, 1.0, *GAMMAS)
+                contrastive_objective(F, other, W, 4, 1.0, *GAMMAS)
+
+    @pytest.mark.parametrize("n_labeled", [5, -1])
+    def test_labeled_rows_beyond_weights_rejected(self, n_labeled):
+        rng = np.random.default_rng(19)
+        F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
+        with pytest.raises(ValueError, match=f"{n_labeled} labeled rows do not fit the 4-row weight matrix"):
+            contrastive_objective(F, other, indicator_weights(lab_cls), n_labeled, 1.0, *GAMMAS)
 
     def test_self_paired_row_rejected(self):
         rng = np.random.default_rng(17)
         F, other, lab_cls = build_views_batch(rng, 2, 2, 3)
         other[3] = 3
         with pytest.raises(ValueError, match="its own positive"):
-            contrastive_objective(F, other, lab_cls, None, 1.0, *GAMMAS)
+            contrastive_objective(F, other, indicator_weights(lab_cls), 4, 1.0, *GAMMAS)
 
 
 @st.composite
 def nested_batches(draw):
-    """A batch in nested order: L labeled and m soft rows of n, L <= m <= n,
-    soft weights with some zero-mass rows, gammas that may be 0."""
+    """A batch in nested order: L labeled and m soft rows of n, L <= m <= n;
+    the positiveness matrix of the labeled views' one-hot rows and m - L
+    probability rows, each on a random support, so that under some metrics
+    a row can have no mass; gammas that may be 0."""
     n_l, n_s, n_r = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
     assume(n_l + n_s + n_r >= 1)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     F = unit_rows(rng, 2 * (n_l + n_s + n_r), draw(st.integers(2, 5)))
     classes = rng.integers(0, 2, size=n_l)
-    m = 2 * (n_l + n_s)
-    W = rng.uniform(0.0, 1.0, size=(m, m)) * (rng.random((m, 1)) < 0.8)  # about 1 row in 5 has no mass
-    assume(m < 2 or np.any(W[~np.eye(m, dtype=bool)] > 0))
+    m, C = 2 * (n_l + n_s), 4
+    support = rng.random((m - 2 * n_l, C)) < 0.2  # often one class: hard-mode rows
+    support[np.arange(len(support)), rng.integers(0, C, size=len(support))] = True
+    probs = rng.dirichlet(np.ones(C), size=len(support)) * support
+    probs /= probs.sum(axis=1, keepdims=True)
+    lab = one_hot(classes, C)
+    W = build_positiveness_matrix(np.concatenate([lab, lab, probs]), draw(st.sampled_from(SIMILARITY_METRICS)))
+    assume(m < 2 or np.any(W > 0))
     gammas = tuple(draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for _ in range(2))
     tau = draw(st.one_of(st.just(1e-3), st.floats(0.2, 2.0)))
     return F, _other_view(n_l, n_s, n_r), np.concatenate([classes, classes]), W, tau, gammas
@@ -633,7 +658,7 @@ class TestSharedKernelProperties:
     @given(batch=nested_batches())
     def test_objective_matches_per_term_oracle(self, batch):
         F, other, lab_cls, W, tau, w = batch
-        res = contrastive_objective(F, other, lab_cls, W, tau, *w)
+        res = contrastive_objective(F, other, W, lab_cls.size, tau, *w)
         l_unsup, l_sup, l_soft, grad, n_excluded = per_term_contrastive_objective(F, other, lab_cls, W, tau, *w)
         assert abs(res.l_unsup - l_unsup) < 1e-10
         assert abs(res.l_sup - l_sup) < 1e-10
@@ -647,6 +672,6 @@ class TestSharedKernelProperties:
         # path on arguments past -708; the kernel clamps them first.
         rng = np.random.default_rng(18)
         F, other, lab_cls = build_views_batch(rng, 3, 5, 8)
-        W = rng.uniform(0.0, 1.0, size=(10, 10))
+        W = positiveness_weights(rng, lab_cls, 10)
         with np.errstate(under="raise"):
-            contrastive_objective(F, other, lab_cls, W, tau, *GAMMAS)
+            contrastive_objective(F, other, W, 6, tau, *GAMMAS)

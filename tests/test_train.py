@@ -8,7 +8,16 @@ from cobranch import losses, nn, train as train_mod
 from cobranch.data import split_known_novel
 from cobranch.estimate import kmeans
 from cobranch.train import TrainingAborted, make_batches, make_views, run
-from oracles import MODEL, TRAIN, contrastive_loss, gen_synthetic, params_to_vector, positive_set_contrastive_loss
+from cobranch.transfer import one_hot
+from oracles import (
+    MODEL,
+    TRAIN,
+    contrastive_loss,
+    gen_synthetic,
+    indicator_weights,
+    params_to_vector,
+    positive_set_contrastive_loss,
+)
 
 
 def toy_split(seed=0, C=5, counts=(30, 20, 12, 8, 5), num_known=3, d=6):
@@ -123,8 +132,8 @@ class TestRun:
 
         def con_objective(*args, **kw):
             res = real_con(*args, **kw)
-            soft_weights = args[3]
-            seen["soft_anchors"] += 0 if soft_weights is None else len(soft_weights)
+            W, gamma2 = args[2], args[6]
+            seen["soft_anchors"] += len(W) if gamma2 > 0 and len(W) >= 2 else 0
             seen["soft_anchors_excluded"] += res.n_soft_excluded
             return res
 
@@ -226,9 +235,9 @@ class TestRun:
             seen["views"].append(x.copy())
             return real_forward(params, x)
 
-        def objective(U, other, lab_cls, W, *rest):
-            seen["objective"].append((other, lab_cls, W))
-            return real_objective(U, other, lab_cls, W, *rest)
+        def objective(U, other, W, n_labeled, *rest):
+            seen["objective"].append((other, W, n_labeled))
+            return real_objective(U, other, W, n_labeled, *rest)
 
         monkeypatch.setattr(train_mod, "make_views", lambda X, rng, noise, dropout: (X.copy(), X.copy()))
         monkeypatch.setattr(train_mod, "make_batches", batches)
@@ -238,22 +247,22 @@ class TestRun:
         run(split, toy_model(), toy_config(total_epochs=2, warmup=1, r=2))
         soft_of = {b: (sel, P) for b, sel, P in seen["soft"]}
         assert len(soft_of) == len(seen["batches"]) // 2  # the second epoch's batches
-        for b, ((lab, unl), views, (other, lab_cls, W)) in enumerate(
+        for b, ((lab, unl), views, (other, W, n_labeled)) in enumerate(
                 zip(seen["batches"], seen["views"], seen["objective"])):
-            sel, P = soft_of.get(b, (np.zeros(0, dtype=int), None))
+            sel, P = soft_of.get(b, (np.zeros(0, dtype=int), np.zeros((0, split.num_classes))))
             n_l, n_s = lab.size, sel.size
             rest = np.setdiff1d(np.arange(unl.size), sel)
             samples = np.concatenate([lab, n_lab + unl[sel], n_lab + unl[rest]])
             expect = np.concatenate([split.X[g] for g in np.split(samples, [n_l, n_l + n_s]) for _ in (0, 1)])
             assert np.array_equal(views, expect)
             assert np.array_equal(views[other], views) and np.all(other != np.arange(len(other)))
-            assert np.array_equal(lab_cls, np.concatenate([split.y_lab[lab]] * 2))
-            if P is None:
-                assert W is None
-            else:  # W's rows follow the views: P's labeled rows twice, then its selected rows twice
-                rows = np.concatenate([np.arange(n_l)] * 2 + [n_l + np.arange(n_s)] * 2)
-                expect_W = P[rows] @ P[rows].T * (1 - np.eye(rows.size))  # the "dot" metric
-                assert np.allclose(W, expect_W, rtol=0, atol=1e-12)
+            # W's rows follow the views: the labeled ones' one-hot labels twice, then the selected
+            # ones' pseudo-label rows twice (none in the warm-up epoch)
+            assert n_labeled == 2 * n_l
+            assert np.array_equal(W[:n_labeled, :n_labeled], indicator_weights(np.tile(split.y_lab[lab], 2)))
+            lab_P = one_hot(split.y_lab[lab], split.num_classes)
+            Q = np.concatenate([lab_P, lab_P, P, P])
+            assert np.allclose(W, Q @ Q.T * (1 - np.eye(len(Q))), rtol=0, atol=1e-12)  # the "dot" metric
 
     def test_objective_value_error_names_phase(self, monkeypatch):
         real = losses.contrastive_objective

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobranch.losses import hard_indicator_weights, softmax
+from cobranch.losses import softmax
 from cobranch.transfer import (
     SIMILARITY_METRICS,
     PseudoLabelBatch,
@@ -15,7 +15,7 @@ from cobranch.transfer import (
     sample_pseudolabels,
     sampling_rates,
 )
-from oracles import loop_pseudolabel_mask, positiveness
+from oracles import indicator_weights, loop_pseudolabel_mask, positiveness
 
 
 def batch_of(probs):
@@ -245,12 +245,16 @@ class TestBuildMatrix:
         assert W[0, 1] == 0.0
 
     def test_hard_indicator(self):
-        W = hard_indicator_weights(np.array([0, 1, 0]))
+        W = indicator_weights(np.array([0, 1, 0]))
         assert W.tolist() == [[0, 0, 1], [0, 0, 0], [1, 0, 0]]
-        # hard soft-mode rests on this: on one-hot rows every metric is the indicator, exactly
+        # hard soft-mode and the supervised term rest on this: on one-hot rows every metric is the
+        # indicator, exactly, and so is the labeled block of a matrix that also scores soft rows
         c = np.array([2, 0, 2, 1, 0, 3, 2, 2])
+        soft = np.random.default_rng(0).dirichlet(np.ones(4), size=5)
         for metric in SIMILARITY_METRICS:
-            assert np.array_equal(build_positiveness_matrix(one_hot(c, 4), metric), hard_indicator_weights(c))
+            assert np.array_equal(build_positiveness_matrix(one_hot(c, 4), metric), indicator_weights(c))
+            mixed = build_positiveness_matrix(np.concatenate([one_hot(c, 4), soft]), metric)
+            assert np.array_equal(mixed[: c.size, : c.size], indicator_weights(c))
 
 
 def test_one_hot_shape():
