@@ -1,7 +1,7 @@
 """Benchmark record: run the benchmark harness and write BENCH_<pr>.json.
 
-    python tools/bench.py --pr 27                  # the full record, about 3 minutes
-    python tools/bench.py --pr 27 --seconds 5      # a shorter timed run
+    python tools/bench.py --pr N                   # the full record, about 3.5 minutes
+    python tools/bench.py --pr N --seconds 5       # a shorter timed run
 
 For each of the bench-soft and scale-c50 workloads it runs
 `perfbench/run.py` once with `--trace 0` for `--seconds` (default: the
