@@ -259,9 +259,11 @@ def run(
                 # views in nested order, [labeled v1, labeled v2, selected v1, selected v2, the
                 # rest v1, the rest v2]; one positiveness matrix scores the first four groups, the
                 # labeled views as their one-hot labels: its labeled block is the supervised term's
-                # same-class indicator, and the whole matrix weighs the soft term (off: gamma2 = 0)
+                # same-class indicator, and the whole matrix weighs the soft term (off: gamma2 = 0).
+                # With one-hot rows alone every metric gives that indicator, so dot builds it.
                 P_lab = transfer.one_hot(y, split.num_classes)
-                W = transfer.build_positiveness_matrix(np.concatenate([P_lab, P_lab, P_sel, P_sel]), cfg.metric)
+                rows = np.concatenate([P_lab, P_lab, P_sel, P_sel])
+                W = transfer.build_positiveness_matrix(rows, cfg.metric if soft_on else "dot")
                 picked = np.zeros(n_u, dtype=bool)
                 picked[sel] = True
                 order = np.argsort(~picked, kind="stable")  # the selected, then the rest

@@ -1,13 +1,12 @@
 """Benchmark record: run the benchmark harness and write BENCH_<pr>.json.
 
-    python tools/bench.py --pr N                   # the full record, about 3.5 minutes
-    python tools/bench.py --pr N --seconds 5       # a shorter timed run
+    python tools/bench.py --pr N        # the full record, about 3.5 minutes
 
 For each of the bench-soft and scale-c50 workloads it runs
-`perfbench/run.py` once with `--trace 0` for `--seconds` (default: the
-`run_seconds` of BENCHMARK.json) and once with `--trace 1` on each of three
-seeds, one process at a time. It reads the result files the harness leaves
-in `.perfbench/<workload>-seed<s>-trace<t>.json` and writes, at the repo
+`perfbench/run.py` once with `--trace 0` for the `run_seconds` of
+BENCHMARK.json and once with `--trace 1` on each of three seeds, one
+process at a time. It reads the result files the harness leaves in
+`.perfbench/<workload>-seed<s>-trace<t>.json` and writes, at the repo
 root, `BENCH_<pr>.json`: per workload the end-to-end metrics, the median of
 each per-layer metric over the traced seeds, the failure counts and the
 targets the harness could not wrap; and the `src/` line count, the sha256
@@ -81,13 +80,9 @@ def record(seconds: float) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="the change's number: the file is BENCH_<pr>.json")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="the timed run's length (default: run_seconds in BENCHMARK.json)")
     args = parser.parse_args(argv)
-    seconds = args.seconds
-    if seconds is None:
-        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-            seconds = json.load(fh)["run_seconds"]
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
     try:
         bench = {"pr": args.pr, **record(seconds)}
     except RuntimeError as exc:

@@ -54,19 +54,22 @@ MODEL = {"d_hidden": 32, "d_feat": 16, "d_proj_hidden": 32, "d_proj": 16}
 GEOMETRY = {"d_in": 64, "class_separation": 5.0, "noise_scale": 1.0, "rho_l": 20, "rho_u": 20}
 KMEANS_CAPPED = {"kmeans_n_init": 1, "kmeans_max_iter": 20}
 
-# name -> (dataset, train, eval) blocks
+# name -> (dataset, train, eval) blocks, and whether the pipeline also runs
+# ablate --axis similarity and train --resume on it
 CONFIGS = {
     "bench-soft": (
         {"num_classes": 10, "num_known": 6, "n_max": 150, "test_per_class": 50, **GEOMETRY},
         {"total_epochs": 10, "batch_size": 128, "base_lr": 0.1, "warmup_epochs": 1,
          "reestimate_interval": 10, "soft_mode": "soft", "checkpoint_every": 5},
         {},
+        False,
     ),
     "scale-c50": (
         {"num_classes": 50, "num_known": 30, "n_max": 400, "test_per_class": 50, **GEOMETRY},
         {"total_epochs": 1, "batch_size": 128, "base_lr": 0.1, "warmup_epochs": 0,
          "reestimate_interval": 10, "soft_mode": "soft", "checkpoint_every": 1, **KMEANS_CAPPED},
         KMEANS_CAPPED,
+        False,
     ),
     "l1-unequal": (
         {"num_classes": 8, "num_known": 5, "n_max": 60, "test_per_class": 20, "d_in": 16,
@@ -74,6 +77,7 @@ CONFIGS = {
         {"total_epochs": 4, "batch_size": 64, "warmup_epochs": 1, "reestimate_interval": 2,
          "metric": "l1", "checkpoint_every": 2},
         {},
+        True,
     ),
 }
 
@@ -95,7 +99,7 @@ def environment() -> dict:
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}", "cpu": cpu_model()}
 
 
-def run_pipeline(name: str, dataset: dict, train: dict, eval_: dict, calls: list) -> None:
+def run_pipeline(name: str, dataset: dict, train: dict, eval_: dict, extended: bool, calls: list) -> None:
     """Every call of one config, writing under `name/` in the working directory."""
 
     def call(*argv: str) -> None:
@@ -127,7 +131,7 @@ def run_pipeline(name: str, dataset: dict, train: dict, eval_: dict, calls: list
     call("estimate", "--checkpoint", checkpoint, "--out", f"{name}/estimate-checkpoint")
     call("estimate", "--config", config, "--seed", "2", "--out", f"{name}/estimate-raw")
     call("ablate", "--config", config, "--axis", "loss_mode", "--seeds", "0", "--out", f"{name}/ablate")
-    if name == "l1-unequal":
+    if extended:
         call("ablate", "--config", config, "--axis", "similarity", "--seeds", "0", "--out", f"{name}/ablate-similarity")
         call("train", "--config", config, "--seed", "1", "--resume", f"{name}/train/checkpoint_epoch0002.json",
              "--out", f"{name}/resume")
