@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import nn, train as train_mod
+from . import losses, nn, train as train_mod
 from ._rng import TEST
 from .config import ConfigError, effective_config, load_config, read_json, to_train_objects
 from .data import (
@@ -283,6 +283,14 @@ def _floats(values, shape: tuple, what: str) -> np.ndarray:
     return arr
 
 
+def _distribution(values, num_classes: int) -> np.ndarray:
+    """A class distribution with no entry <= 0 that `kl_regularizer` accepts as a target."""
+    arr = _floats(values, (num_classes,), "the class distribution")
+    if not (arr.min() > 0 and abs(arr.sum() - 1.0) <= losses._SIMPLEX_TOL):
+        raise ValueError(f"not a positive probability vector: min {arr.min():g}, sum {arr.sum():g}")
+    return arr
+
+
 def _count(value) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"expected a non-negative integer, got {value!r}")
@@ -358,7 +366,7 @@ def load_checkpoint(path: str) -> tuple[dict, int, train_mod.TrainResult]:
         params=field("params", lambda d: _params(d, template)),
         opt_cls=field("opt_cls", lambda d: _sgd_state(d, template, cfg["train"]["momentum"])),
         opt_con=field("opt_con", lambda d: _sgd_state(d, template, cfg["train"]["momentum"])),
-        pi_e=field("pi_e", lambda v: _floats(v, (C,), "the class distribution")),
+        pi_e=field("pi_e", lambda v: _distribution(v, C)),
         alignment=field("cluster_to_class", lambda v: _alignment(v, C)),
         epochs_done=field("epochs_done", _count),
     )

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from . import transfer
+from . import losses, transfer
 from .train import ModelConfig, TrainConfig
 
 
@@ -195,7 +195,7 @@ def _validate(cfg: dict) -> None:
         ("dataset", "noise_scale", lambda v: v >= 0, ">= 0"),
         ("model", "scale", lambda v: v > 0, "> 0"),
         ("train", "base_lr", lambda v: v > 0, "> 0"),
-        ("train", "temperature", lambda v: v > 0, "> 0"),
+        ("train", "temperature", lambda v: v >= losses.MIN_TEMPERATURE, f">= {losses.MIN_TEMPERATURE}"),
         ("train", "momentum", lambda v: 0 <= v < 1, "in [0, 1)"),
         ("train", "conf_gate", lambda v: 0 <= v <= 1, "in [0, 1]"),
         ("train", "view_noise", lambda v: v >= 0, ">= 0"),

@@ -27,8 +27,10 @@ logger = logging.getLogger(__name__)
 
 _UNIT_NORM_TOL = 1e-3
 _SIMPLEX_TOL = 1e-4
-_SHARED_SHIFT_RANGE = 600.0  # exp(-600) ~ 2.6e-261, a normal double
-_EXP_FLOOR = -700.0  # exp(-700) ~ 9.9e-305: still normal, where np.exp is fast
+# The smallest temperature: a row's logits span at most 2 (1 + tol)^2 / T,
+# which this bounds at 600. exp(-600) ~ 2.6e-261 is a normal double, with
+# e^100 to spare for gamma / n_inc, so every prefix shares its row's shift.
+MIN_TEMPERATURE = 2 * (1 + _UNIT_NORM_TOL) ** 2 / 600.0
 
 
 class Scratch(dict):
@@ -58,8 +60,8 @@ def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray 
     term's. The n x n work happens in `scratch` (a new one when None).
     """
     F = np.asarray(features, dtype=float)
-    if temperature <= 0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    if not temperature >= MIN_TEMPERATURE:  # NaN fails too
+        raise ValueError(f"temperature must be >= {MIN_TEMPERATURE}, got {temperature}")
     n = F.shape[0]
     if n < 2:
         raise ValueError("a contrastive batch needs at least 2 rows")
@@ -95,43 +97,20 @@ def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray 
     S = np.matmul(F_t, F.T, out=scratch.view("S", n))  # a GEMM: the operands are distinct buffers
     np.fill_diagonal(S, -np.inf)  # self is not a candidate
     S -= S.max(axis=1, keepdims=True)
-    # A row's range is at most 2 (1 + tol)^2 / T. Past the floor np.exp takes a
-    # slow path for results that are subnormal or 0; clamped, each such term,
-    # self included, stays below 1e-304 of its row's largest, which is 1.
-    row_range = 2 * (1 + _UNIT_NORM_TOL) ** 2 / temperature
-    clamp = row_range > -_EXP_FLOOR
-    E = _exp(S, scratch.view("E", n), clamp)
+    E = np.exp(S, out=scratch.view("E", n))
     ends = sorted({W.shape[0] for W, _, _ in normed} | {n})  # column bands [previous end, end)
     starts = [0] + ends[:-1]
     denom = np.cumsum(np.add.reduceat(E, starts, axis=1), axis=1)  # each row's sum over each prefix
-
-    # A prefix shares the full row's shift while exp(-(a row's range)) stays a
-    # normal number, with e^100 to spare for gamma / n_inc. At smaller
-    # temperatures its denominator could underflow, so it takes its own shift.
-    shared = row_range <= _SHARED_SHIFT_RANGE
-    softmax_of = []  # per block: its row shift and denominator, and its own exp when not shared
-    for t, (W, _, _) in enumerate(normed):
-        k = W.shape[0]
-        if shared:
-            softmax_of.append((0.0, denom[:k, ends.index(k)], None))
-            continue
-        shift = S[:k, :k].max(axis=1)
-        E_k = np.subtract(S[:k, :k], shift[:, None], out=scratch.view(f"E{t}", k))
-        _exp(E_k, E_k, clamp)
-        softmax_of.append((shift, E_k.sum(axis=1), E_k))
     np.fill_diagonal(S, 0.0)  # the diagonal's weight is zero; avoid 0 * inf
 
     parts = []
     coef = np.zeros((n, len(ends)))  # per row and column band: the weight of E in G
-    for (gamma, _), (W, included, n_inc), (shift, den, E_k) in zip(blocks, normed, softmax_of):
-        k = W.shape[0]
-        loss = (np.log(den) + shift)[included].sum() / n_inc - np.einsum("ij,ij->", W, S[:k, :k])
+    for (gamma, _), (W, included, n_inc) in zip(blocks, normed):
+        k, band = W.shape[0], ends.index(W.shape[0])
+        den = denom[:k, band]
+        loss = np.log(den)[included].sum() / n_inc - np.einsum("ij,ij->", W, S[:k, :k])
         parts.append((float(loss), k - n_inc))
-        a = np.where(included, gamma / (n_inc * den), 0.0)
-        if E_k is None:
-            coef[:k, : ends.index(k) + 1] += a[:, None]
-        else:
-            E_k *= a[:, None]
+        coef[:k, : band + 1] += np.where(included, gamma / (n_inc * den), 0.0)[:, None]
     if pairs is not None:
         rows = np.arange(n)
         parts.append((float(np.log(denom[:, -1]).mean() - S[rows, pairs].mean()), 0))
@@ -140,21 +119,14 @@ def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray 
     G = E
     for band, (start, end) in enumerate(zip(starts, ends)):
         G[:, start:end] *= coef[:, band : band + 1]
-    for (gamma, _), (W, _, _), (_, _, E_k) in zip(blocks, normed, softmax_of):
+    for (gamma, _), (W, _, _) in zip(blocks, normed):
         k = W.shape[0]
-        if E_k is not None:
-            G[:k, :k] += E_k
         G[:k, :k] -= W if gamma == 1.0 else np.multiply(W, gamma, out=W)
     if pairs is not None:
         G[rows, pairs] -= 1.0 / n
     grad = G @ F_t
     grad += G.T @ F_t  # BLAS reads G.T in place: cheaper than forming G + G.T
     return grad, parts
-
-
-def _exp(S: np.ndarray, out: np.ndarray, clamp: bool) -> np.ndarray:
-    """exp of the shifted logits `S` into `out`; with `clamp`, of max(S, _EXP_FLOOR)."""
-    return np.exp(np.maximum(S, _EXP_FLOOR, out=out) if clamp else S, out=out)
 
 
 # --- distribution regularizer -------------------------------------------------

@@ -13,6 +13,7 @@ import cobranch
 from cobranch import cli
 from cobranch.cli import config_hash, main, run_experiment
 from cobranch.config import DEFAULTS, ConfigError, effective_config, load_config, to_train_objects
+from cobranch.losses import MIN_TEMPERATURE
 
 SMALL = [
     "--set", "dataset.num_classes=5",
@@ -138,6 +139,8 @@ class TestConfig:
         "model.scale=0",
         "train.temperature=0",
         "train.temperature=-1",
+        pytest.param(f"train.temperature={float(np.nextafter(MIN_TEMPERATURE, 0))!r}",
+                     id="train.temperature=just-below-the-bound"),
         "train.eta1=-1",
         "train.eta2=-1",
         "train.gamma1=-1",
@@ -160,6 +163,10 @@ class TestConfig:
         assert rc == 2
         assert f"error: {override.partition('=')[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "telemetry.jsonl").exists()
+
+    def test_temperature_at_the_bound_trains(self, tmp_path):
+        assert main(["train", "--seed", "0", "--out", str(tmp_path), *SMALL,
+                     "--set", f"train.temperature={MIN_TEMPERATURE!r}"]) == 0
 
     def test_int_over_digit_limit_in_config_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -355,7 +362,7 @@ class TestTrainEval:
         return cli_in_child("train", "--seed", "0", "--out", str(tmp_path), *SMALL, "--set", override)
 
     def test_numerical_abort_names_phase_epoch_batch(self, tmp_path):
-        out = self.train_in_child(tmp_path, "train.temperature=1e-300")
+        out = self.train_in_child(tmp_path, "train.gamma1=1e300")
         assert out.returncode == 1
         # the first fault: batch 0's contrastive step leaves weights near 1e300,
         # and batch 1's classification step overflows on them
@@ -840,6 +847,17 @@ def _huge_pi_e(blob):
     blob["pi_e"][0] = 10**400  # beyond float range
 
 
+def _pi_e_entry(value):
+    def edit(blob):  # the sum stays 1: entry 1 takes up the difference
+        pi_e = blob["pi_e"]
+        pi_e[0], pi_e[1] = value, pi_e[1] + pi_e[0] - value
+    return edit
+
+
+def _pi_e_times_4(blob):
+    blob["pi_e"] = [4 * p for p in blob["pi_e"]]
+
+
 def _stale_hash(blob):
     blob["config"]["train"]["base_lr"] = 0.5
 
@@ -882,6 +900,10 @@ CHECKPOINT_FAULTS = [
     pytest.param("resume", _put("epochs_done", "1"), ["'epochs_done'"], id="resume-epochs_done-string"),
     pytest.param("resume", _bad_velocity, ["'opt_con'", "velocity proj_w1"], id="resume-velocity-shape"),
     pytest.param("resume", _other_momentum, ["'opt_cls'", "train.momentum"], id="resume-momentum"),
+    # pi_e must be a positive distribution that kl_regularizer accepts as its target
+    pytest.param("resume", _pi_e_entry(0.0), ["'pi_e'", "min 0, sum 1"], id="resume-pi_e-zero-entry"),
+    pytest.param("resume", _pi_e_entry(-0.1), ["'pi_e'", "min -0.1, sum 1"], id="resume-pi_e-negative-entry"),
+    pytest.param("resume", _pi_e_times_4, ["'pi_e'", "sum 4"], id="resume-pi_e-sum-4"),
 ]
 
 

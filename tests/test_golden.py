@@ -1,9 +1,11 @@
 """Whole-program checks, each in child processes: the golden digest manifest,
-the benchmark harness's contract with the package, and one result whatever
-the BLAS thread count."""
+the benchmark harness's contract with the package, the benchmark recorder's
+refusal of an uncommitted tree, and one result whatever the BLAS thread
+count."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -54,6 +56,39 @@ def test_perfbench_smoke_run_wraps_every_live_target(workload):
         if line.startswith("missing (not wrapped"):
             missing |= {name.removeprefix("cobranch.") for name in line.partition(": ")[2].split(", ")}
     assert missing <= DEAD_TARGETS
+
+
+def test_bench_record_refuses_an_uncommitted_tree(tmp_path):
+    """`tools/bench.py`, copied into a scratch git repository, exits 1 before
+    any harness run and lists the paths while `src/`, `perfbench/` or
+    BENCHMARK.json differ from HEAD; other edits and an untracked
+    BENCH_*.json let it go on to the harness."""
+    files = {"src/pkg.py": "x = 1\n", "perfbench/run.py": "raise SystemExit(3)\n",
+             "BENCHMARK.json": '{"run_seconds": 1}\n', "README.md": ""}
+    for path, text in files.items():
+        (tmp_path / path).parent.mkdir(exist_ok=True)
+        (tmp_path / path).write_text(text)
+    (tmp_path / "tools").mkdir()
+    shutil.copy(os.path.join(ROOT, "tools", "bench.py"), tmp_path / "tools")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost"]
+    for argv in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "seed"]):
+        subprocess.run([*git, *argv], cwd=tmp_path, check=True, capture_output=True)
+
+    def bench():
+        return subprocess.run([sys.executable, "tools/bench.py", "--pr", "0"], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+
+    (tmp_path / "README.md").write_text("edited\n")
+    (tmp_path / "BENCH_0.json").write_text("{}\n")
+    proc = bench()
+    assert proc.returncode == 1 and "perfbench/run.py --workload" in proc.stderr, proc.stderr
+
+    (tmp_path / "src" / "pkg.py").write_text("x = 2\n")
+    (tmp_path / "perfbench" / "new.py").write_text("")
+    (tmp_path / "BENCHMARK.json").write_text('{"run_seconds": 2}\n')
+    proc = bench()
+    assert proc.returncode == 1 and "perfbench/run.py --workload" not in proc.stderr, proc.stderr
+    assert sorted(proc.stderr.split("\n", 1)[1].split()) == ["BENCHMARK.json", "perfbench/new.py", "src/pkg.py"]
 
 
 def test_default_thread_count_gives_the_one_thread_checkpoint(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import cobranch
 from cobranch.losses import (
+    MIN_TEMPERATURE,
     Scratch,
     classification_objective,
     contrastive_objective,
@@ -649,7 +650,7 @@ def nested_batches(draw):
     W = build_positiveness_matrix(np.concatenate([lab, lab, probs]), draw(st.sampled_from(SIMILARITY_METRICS)))
     assume(m < 2 or np.any(W > 0))
     gammas = tuple(draw(st.sampled_from([0.0, 0.3, 1.0, 2.5])) for _ in range(2))
-    tau = draw(st.one_of(st.just(1e-3), st.floats(0.2, 2.0)))
+    tau = draw(st.one_of(st.just(MIN_TEMPERATURE), st.floats(0.2, 2.0)))  # the bound: the widest row range
     return F, _other_view(n_l, n_s, n_r), np.concatenate([classes, classes]), W, tau, gammas
 
 
@@ -666,12 +667,13 @@ class TestSharedKernelProperties:
         assert np.abs(res.grad - grad).max() < 1e-10
         assert res.n_soft_excluded == n_excluded
 
-    @pytest.mark.parametrize("tau", [1e-3, 2e-3])
-    def test_small_temperature_exp_never_underflows(self, tau):
-        # Below T ~ 0.00286 a row spans more than 700, and np.exp takes a slow
-        # path on arguments past -708; the kernel clamps them first.
+    def test_small_temperature_exp_never_underflows(self):
+        # At the bound a row spans up to 600, and exp(-600) is a normal double,
+        # so every prefix shares its row's shift; below it the kernel refuses.
         rng = np.random.default_rng(18)
         F, other, lab_cls = build_views_batch(rng, 3, 5, 8)
         W = positiveness_weights(rng, lab_cls, 10)
         with np.errstate(under="raise"):
-            contrastive_objective(F, other, W, 6, tau, *GAMMAS)
+            contrastive_objective(F, other, W, 6, MIN_TEMPERATURE, *GAMMAS)
+        with pytest.raises(ValueError, match="temperature must be >="):
+            contrastive_objective(F, other, W, 6, np.nextafter(MIN_TEMPERATURE, 0), *GAMMAS)

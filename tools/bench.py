@@ -11,7 +11,10 @@ root, `BENCH_<pr>.json`: per workload the end-to-end metrics, the median of
 each per-layer metric over the traced seeds, the failure counts and the
 targets the harness could not wrap; and the `src/` line count, the sha256
 of `tests/golden_manifest.json` and the harness's environment record, whose
-`git_sha` is the commit checked out (commit the change before recording it).
+`git_sha` is the commit checked out. So that this commit is what was
+measured, it exits 1 before the first run, listing the paths, while
+`git status` shows a change under `src/` or `perfbench/` or to
+BENCHMARK.json.
 
 The seeds are ones that no test passes to the harness: the harness names its
 result file by workload, seed and trace alone, so a smoke run in the test
@@ -33,6 +36,14 @@ WORKLOADS = ("bench-soft", "scale-c50")
 TIMED_SEED = 10
 TRACED_SEEDS = (11, 12, 13)
 MISSING_NOTE = "missing (not wrapped, metrics read 0): "
+MEASURED = ("src", "perfbench", "BENCHMARK.json")  # what a record's git_sha must name
+
+
+def dirty_paths(root: str) -> list[str]:
+    """The paths under MEASURED that differ from HEAD in the git tree at `root`, untracked ones included."""
+    proc = subprocess.run(["git", "status", "--porcelain", "--untracked-files=all", "--", *MEASURED],
+                          cwd=root, capture_output=True, text=True, check=True)
+    return [line[3:] for line in proc.stdout.splitlines()]
 
 
 def harness(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -81,6 +92,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="the change's number: the file is BENCH_<pr>.json")
     args = parser.parse_args(argv)
+    dirty = dirty_paths(ROOT)
+    if dirty:
+        print("error: commit these first; the record names HEAD:\n  " + "\n  ".join(dirty), file=sys.stderr)
+        return 1
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         seconds = json.load(fh)["run_seconds"]
     try:
