@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -274,10 +275,15 @@ def write_checkpoint(path: str, result: train_mod.TrainResult, cfg: dict, train_
 
 
 def _floats(values, shape: tuple, what: str) -> np.ndarray:
-    """`values` as a finite float array of `shape`; ValueError naming `what` if not."""
+    """`values` as a finite float array of `shape`; ValueError naming `what`
+    if not, or if an entry is not a number (NumPy reads "0.5" as 0.5 and true as 1.0)."""
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"expected shape {shape} for {what}, got {arr.shape}")
+    rows = values if arr.ndim == 2 else [values]
+    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+        bad = next(v for v in itertools.chain.from_iterable(rows) if type(v) not in (int, float))
+        raise ValueError(f"{what} holds {bad!r}, not a number")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} holds a non-finite value")
     return arr
@@ -413,12 +419,16 @@ def cmd_train(args) -> int:
     resume = None
     if args.resume:
         resume_cfg, resume_seed, resume = load_checkpoint(args.resume)
-        if resume_cfg != cfg:
-            raise ConfigError("resume checkpoint was trained under a different config")
+        if resume_cfg != cfg:  # both are effective configs: the same blocks and keys
+            block, key = next((block, key) for block in cfg for key in cfg[block]
+                              if cfg[block][key] != resume_cfg[block][key])
+            raise ConfigError(f"{args.resume}: trained under {block}.{key}={resume_cfg[block][key]!r}, "
+                              f"this run has {cfg[block][key]!r}")
         if resume_seed != args.seed:
-            raise ConfigError("resume checkpoint was trained under a different seed")
+            raise ConfigError(f"{args.resume}: train_seed {resume_seed}, not --seed {args.seed}")
         if resume.epochs_done >= cfg["train"]["total_epochs"]:
-            raise ConfigError("checkpoint already covers total_epochs")
+            raise ConfigError(f"{args.resume}: epochs_done {resume.epochs_done} reaches "
+                              f"train.total_epochs={cfg['train']['total_epochs']}: nothing left to train")
     os.makedirs(args.out, exist_ok=True)
     split = build_dataset(cfg, args.seed)
     model_cfg, train_cfg = to_train_objects(cfg, args.seed)

@@ -9,13 +9,13 @@ output artifact, and its hash ties checkpoints to the config that made them.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 
 import numpy as np
 
 from . import losses, transfer
-from .train import ModelConfig, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -78,6 +78,17 @@ DEFAULTS: dict = {
         "kmeans_n_init": 10,
     },
 }
+
+# The training objects that `to_train_objects` builds from a validated config:
+# ModelConfig holds the `model` block, and TrainConfig the `train` block but
+# `checkpoint_every` (the CLI's) plus the run seed. Each field is typed Any,
+# since DEFAULTS and `_check_types` hold the types; `namespace` sets the module
+# because make_dataclass's `module` argument needs Python 3.12.
+ModelConfig = dataclasses.make_dataclass("ModelConfig", list(DEFAULTS["model"]), frozen=True,
+                                         namespace={"__module__": __name__})
+TrainConfig = dataclasses.make_dataclass(
+    "TrainConfig", [key for key in DEFAULTS["train"] if key != "checkpoint_every"] + ["seed"],
+    frozen=True, namespace={"__module__": __name__})
 
 
 def _merge(defaults: dict, override: dict, path: str) -> dict:
@@ -160,11 +171,12 @@ def _validate(cfg: dict) -> None:
             if not ds[key]:
                 raise ConfigError(f"dataset.kind=embeddings requires dataset.{key}")
     if ds["profile"] not in ("exponential", "pareto"):
-        raise ConfigError(f"unknown dataset.profile {ds['profile']!r}")
+        raise ConfigError(f"dataset.profile must be exponential or pareto, got {ds['profile']!r}")
     if not 0 < ds["labeled_ratio"] <= 1:
-        raise ConfigError("dataset.labeled_ratio must be in (0, 1]")
+        raise ConfigError(f"dataset.labeled_ratio must be in (0, 1], got {ds['labeled_ratio']!r}")
     if not 1 <= ds["num_known"] <= ds["num_classes"]:
-        raise ConfigError("dataset.num_known must be in [1, num_classes]")
+        raise ConfigError(f"dataset.num_known must be in [1, dataset.num_classes={ds['num_classes']!r}], "
+                          f"got {ds['num_known']!r}")
     if ds["kind"] == "synthetic":  # the generator's domain: it assumes these hold
         lows = (("num_classes", 2), ("d_in", 2), ("test_per_class", 1), ("rho_u", 1), ("rho_l", 1))
         for key, low in lows:
@@ -209,7 +221,7 @@ def _validate(cfg: dict) -> None:
     if tr["soft_mode"] not in ("soft", "hard", "off"):
         raise ConfigError(f"train.soft_mode must be soft/hard/off, got {tr['soft_mode']!r}")
     if tr["metric"] not in transfer.SIMILARITY_METRICS:
-        raise ConfigError(f"train.metric must be one of {transfer.SIMILARITY_METRICS}")
+        raise ConfigError(f"train.metric must be one of {transfer.SIMILARITY_METRICS}, got {tr['metric']!r}")
 
 
 def read_json(path: str) -> dict:

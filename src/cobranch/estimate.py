@@ -279,8 +279,6 @@ def align_clusters(result: KMeansResult, y_lab: np.ndarray, num_known: int) -> A
 
     agreement = np.zeros((num_known, n_clusters))
     np.add.at(agreement, (y_lab, result.assignments[: y_lab.size]), 1.0)
-    if agreement.sum() == 0:
-        raise ValueError("labeled samples never hit any cluster")
 
     cost = np.zeros((n_clusters, n_clusters))
     cost[:num_known, :] = -agreement

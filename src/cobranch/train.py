@@ -22,49 +22,9 @@ import numpy as np
 
 from . import losses, nn, transfer
 from ._rng import BATCH, VIEWS, rng_for
+from .config import ModelConfig, TrainConfig
 from .data import DatasetSplit
 from .estimate import AlignmentMap, estimate_round, floor_distribution
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """The `model` block; its defaults live in `config.DEFAULTS` only."""
-
-    d_hidden: int
-    d_feat: int
-    d_proj_hidden: int
-    d_proj: int
-    scale: float
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """The `train` block but `checkpoint_every` (the CLI's), and the run seed,
-    built by `config.to_train_objects`; its defaults live in `config.DEFAULTS`
-    only."""
-
-    base_lr: float
-    total_epochs: int
-    batch_size: int
-    warmup_epochs: int
-    eta1: float
-    eta2: float
-    gamma1: float
-    gamma2: float
-    alpha: float
-    beta: float
-    k: float
-    temperature: float
-    smoothing_p: float
-    reestimate_interval: int
-    metric: str
-    conf_gate: float
-    momentum: float
-    soft_mode: str
-    view_noise: float
-    view_dropout: float
-    kmeans_max_iter: int
-    kmeans_n_init: int
-    seed: int
 
 
 @dataclass

@@ -33,10 +33,10 @@ import numpy as np
 
 from cobranch import config, losses
 from cobranch._rng import KMEANS, rng_for
+from cobranch.config import ModelConfig, TrainConfig
 from cobranch.data import EmbeddingFormatError, make_class_means, sample_from_means
 from cobranch.estimate import AlignmentMap
 from cobranch.nn import ModelParams
-from cobranch.train import ModelConfig, TrainConfig
 from cobranch.transfer import build_positiveness_matrix
 
 

@@ -179,13 +179,16 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("train.metric", "hamming"),
         ("train.soft_mode", "fuzzy"),
+        ("dataset.kind", "parquet"),
         ("dataset.profile", "zipf"),
         ("dataset.labeled_ratio", 0),
         ("dataset.labeled_ratio", 1.5),
+        ("dataset.num_known", 0),
+        ("dataset.num_known", 11),  # one more than the default num_classes
     ])
     def test_value_outside_its_domain_names_the_key(self, key, value):
         block, _, leaf = key.partition(".")
-        with pytest.raises(ConfigError, match=re.escape(key)):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be .*, got {re.escape(repr(value))}$"):
             effective_config({block: {leaf: value}})
 
     @pytest.mark.parametrize("key", ["dataset.n_max", "dataset.test_per_class", "dataset.num_classes",
@@ -247,9 +250,23 @@ class TestConfig:
     (["eval", "--checkpoint", "checkpoint.json", "--seed", "0"],
      "error: the following arguments are required: --seeds"),
     (["estimate", "--check", "checkpoint.json"], "error: unrecognized arguments: --check checkpoint.json"),
+    (["train", "--seed", "0", "--set", "trainbase_lr"], "error: override 'trainbase_lr' is not KEY=VALUE"),
+    (["train", "--seed", "0", "--set", "train=5"], "error: 'train' must be a table"),
+    (["train", "--seed", "0", "--config", "config.json", "--set", "train.base_lr.x=1"],
+     "error: override 'train.base_lr.x' crosses a non-table value"),
+    (["gen-data", "--seed", "0", "--config", "config.json"], "error: gen-data needs dataset.kind=synthetic"),
+    (["estimate"], "error: estimate needs --checkpoint or --config"),
+    (["estimate", "--config", "config.json"], "error: estimate needs --seed when no checkpoint is given"),
 ], ids=["eval-a", "eval-empty", "eval-gap", "eval-negative", "eval-repeat", "ablate-x", "train-negative",
-        "estimate-negative", "ablate-seed", "eval-seed", "estimate-check"])
-def test_bad_seed_argument_exit_2(tmp_path, capsys, argv, error):
+        "estimate-negative", "ablate-seed", "eval-seed", "estimate-check", "set-no-equals", "set-table-to-scalar",
+        "set-crosses-file-scalar", "gen-data-embeddings", "estimate-no-source", "estimate-config-no-seed"])
+def test_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, argv, error):
+    # config.json, an embeddings-kind config that sets train.base_lr, is the one file a row can name
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(json.dumps({
+        "dataset": {"kind": "embeddings", "path": "train.csv", "meta_path": "meta.json", "test_path": "test.csv"},
+        "train": {"base_lr": 0.1},
+    }))
     try:
         rc = main([*argv, "--out", str(tmp_path / "out")])
     except SystemExit as exc:  # an argparse usage error
@@ -858,6 +875,19 @@ def _pi_e_times_4(blob):
     blob["pi_e"] = [4 * p for p in blob["pi_e"]]
 
 
+def _as_strings(*keys):
+    def edit(blob):  # every entry written as a JSON string, which NumPy would parse as a number
+        node = blob
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = [repr(x) for x in node[keys[-1]]]
+    return edit
+
+
+def _true_in_velocity(blob):
+    blob["opt_con"]["velocity"]["proj_w1"][1][2] = True
+
+
 def _stale_hash(blob):
     blob["config"]["train"]["base_lr"] = 0.5
 
@@ -885,6 +915,10 @@ CHECKPOINT_FAULTS = [
     pytest.param("eval", _repeated_cluster, ["'cluster_to_class'", "permutation"], id="cluster_to_class-repeat"),
     pytest.param("eval", _float_clusters, ["'cluster_to_class'", "integers"], id="cluster_to_class-floats"),
     pytest.param("eval", _huge_pi_e, ["'pi_e'"], id="pi_e-huge-int"),
+    # every entry must be a JSON number: a string or a bool is refused, not converted
+    pytest.param("eval", _as_strings("params", "arrays", "enc_w1", "data"), ["'params'", "enc_w1 holds '"],
+                 id="enc_w1-strings"),
+    pytest.param("eval", _as_strings("pi_e"), ["'pi_e'", "holds '", "not a number"], id="pi_e-strings"),
     pytest.param("eval", _stale_hash, ["'config_hash'", "does not match"], id="stale-hash"),
     pytest.param("eval", _config_value("eval", "kmeans_n_init", 0), ["'config'", "eval.kmeans_n_init"],
                  id="config-kmeans_n_init-0"),
@@ -900,6 +934,14 @@ CHECKPOINT_FAULTS = [
     pytest.param("resume", _put("epochs_done", "1"), ["'epochs_done'"], id="resume-epochs_done-string"),
     pytest.param("resume", _bad_velocity, ["'opt_con'", "velocity proj_w1"], id="resume-velocity-shape"),
     pytest.param("resume", _other_momentum, ["'opt_cls'", "train.momentum"], id="resume-momentum"),
+    pytest.param("resume", _true_in_velocity, ["'opt_con'", "velocity proj_w1 holds True, not a number"],
+                 id="resume-velocity-true"),
+    # the checkpoint loads, but does not continue this run
+    pytest.param("resume", _config_value("train", "base_lr", 0.07),
+                 ["trained under train.base_lr=0.07, this run has 0.05"], id="resume-other-config"),
+    pytest.param("resume", _put("train_seed", 5), ["train_seed 5, not --seed 4"], id="resume-other-seed"),
+    pytest.param("resume", _put("epochs_done", 2), ["epochs_done 2 reaches train.total_epochs=2"],
+                 id="resume-nothing-left"),
     # pi_e must be a positive distribution that kl_regularizer accepts as its target
     pytest.param("resume", _pi_e_entry(0.0), ["'pi_e'", "min 0, sum 1"], id="resume-pi_e-zero-entry"),
     pytest.param("resume", _pi_e_entry(-0.1), ["'pi_e'", "min -0.1, sum 1"], id="resume-pi_e-negative-entry"),

@@ -22,22 +22,38 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py"))
 ENTRY_POINTS = {("cli", "main")}  # called from outside the package
 
 
+def _defined_names(node) -> list:
+    """The names a module-level statement binds: a def's or class's name, or
+    the names an assignment writes."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
 def test_every_public_definition_is_used_in_the_package():
+    """Each public def, class and module-level assignment is read elsewhere in the package."""
     trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
             own = {id(n) for n in ast.walk(node)}
-            used = any(
-                id(n) not in own
-                and (isinstance(n, ast.Name) and n.id == node.name or isinstance(n, ast.Attribute) and n.attr == node.name)
-                for other in trees.values()
-                for n in ast.walk(other)
-            )
-            if not used and (module, node.name) not in ENTRY_POINTS:
-                unused.append(f"{module}.{node.name}")
+            for name in _defined_names(node):
+                if name.startswith("_"):
+                    continue
+                used = any(
+                    id(n) not in own
+                    and (isinstance(n, ast.Name) and n.id == name or isinstance(n, ast.Attribute) and n.attr == name)
+                    for other in trees.values()
+                    for n in ast.walk(other)
+                )
+                if not used and (module, name) not in ENTRY_POINTS:
+                    unused.append(f"{module}.{name}")
     assert unused == []
 
 
@@ -68,8 +84,8 @@ def test_train_config_mirrors_the_train_block():
 # Fields and parameters that `config.to_train_objects`, `**cfg["model"]`,
 # `**cfg["eval"]` or the train block fill in from the config.
 CONFIG_BACKED = [
-    ("train", "ModelConfig", None),
-    ("train", "TrainConfig", None),
+    ("config", "ModelConfig", None),
+    ("config", "TrainConfig", None),
     ("nn", "ModelParams", ["scale"]),
     ("nn", "init_params", ["scale"]),
     ("nn", "SgdState", ["momentum"]),
