@@ -103,6 +103,7 @@ def _labeled_counts_ranked(ds: dict) -> np.ndarray:
     return make_longtail_counts(ds["num_known"], ds["profile"], ds["rho_l"], n_max_l)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sample is refused below
 def build_synthetic_dataset(ds: dict, seed: int) -> tuple[DatasetSplit, EvalSet]:
     C = ds["num_classes"]
     counts = make_longtail_counts(C, ds["profile"], ds["rho_u"], ds["n_max"])
@@ -122,6 +123,9 @@ def build_synthetic_dataset(ds: dict, seed: int) -> tuple[DatasetSplit, EvalSet]
     # balanced disjoint test set over the same means, in split-space labels
     test_counts = np.full(C, ds["test_per_class"], dtype=int)
     test_X, test_y = sample_from_means(means, test_counts, ds["noise_scale"], seed, stream=TEST)
+    if not (np.isfinite(split.X).all() and np.isfinite(test_X).all()):
+        raise ConfigError(f"dataset.noise_scale={ds['noise_scale']!r} with dataset.class_separation="
+                          f"{ds['class_separation']!r} overflows float64 in the generated samples")
     return split, EvalSet(test_X, split.class_remap[test_y], split.num_known, split.num_classes, split.true_counts)
 
 

@@ -11,10 +11,11 @@ an explicit same-class comparison instead of the labeled block of the
 positiveness matrix,
 one softmax per logit block instead of the stacked pseudo-labeling
 objective, one `float()` call per value instead of the one-pass CSV
-parser, one sort per predicted class instead of one batch-wide pseudo-label
-ranking, each backward pass of the network written out in full instead of
-the shared two-layer block and unit-row step, one rounding per class
-instead of the long-tail profile's array rounding. The
+parser, one `repr()` per value in one process instead of the forked
+CSV writer, one sort per predicted class instead of one batch-wide
+pseudo-label ranking, each backward pass of the network written out in
+full instead of the shared two-layer block and unit-row step, one
+rounding per class instead of the long-tail profile's array rounding. The
 parameter-vector and two-vector positiveness helpers only reshape what the
 library computes; the package itself has no use for them, nor for the
 synthetic pool and the inverse alignment kept here for tests. Two helpers
@@ -659,6 +660,15 @@ def reference_load_embeddings(path: str) -> tuple[np.ndarray, np.ndarray, np.nda
     if n == 0:
         raise EmbeddingFormatError(f"{path}: no data rows")
     return ids[:n], labels[:n], X[:n]
+
+
+def reference_save_embeddings(ids, labels, X, path: str) -> None:
+    """The embedding CSV writer in one process, one `repr()` per value and
+    one line at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("id,label," + ",".join(f"f{j}" for j in range(X.shape[1])) + "\n")
+        for i in range(len(X)):
+            fh.write(",".join([str(int(ids[i])), str(int(labels[i]))] + [repr(float(v)) for v in X[i]]) + "\n")
 
 
 def gen_synthetic(

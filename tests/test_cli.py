@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cobranch
-from cobranch import cli
+from cobranch import cli, data
 from cobranch.cli import config_hash, main, run_experiment
 from cobranch.config import DEFAULTS, ConfigError, effective_config, load_config, to_train_objects
 from cobranch.losses import MIN_TEMPERATURE
@@ -163,6 +163,20 @@ class TestConfig:
         assert rc == 2
         assert f"error: {override.partition('=')[0]} must be" in capsys.readouterr().err
         assert not (tmp_path / "telemetry.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["gen-data", "train", "ablate"])
+    @pytest.mark.parametrize("override, noise, separation", [
+        ("dataset.noise_scale=1e308", "1e+308", "6.0"),
+        ("dataset.class_separation=1.79e308", "1.0", "1.79e+308"),  # the class means overflow
+    ])
+    def test_overflowing_samples_exit_2(self, tmp_path, capsys, command, override, noise, separation):
+        # pytest turns NumPy's overflow warning into an error, so a run that warns fails here
+        argv = ["--axis", "loss_mode", "--seeds", "0"] if command == "ablate" else ["--seed", "0"]
+        rc = main([command, *argv, "--out", str(tmp_path / "out"), *SMALL, "--set", override])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: dataset.noise_scale={noise} with dataset.class_separation={separation} overflows" in err, err
+        assert command != "gen-data" or not (tmp_path / "out").exists()
 
     def test_temperature_at_the_bound_trains(self, tmp_path):
         assert main(["train", "--seed", "0", "--out", str(tmp_path), *SMALL,
@@ -337,6 +351,56 @@ class TestGenData:
         assert exc.value.code == 2
         assert "the following arguments are required: --seed" in capsys.readouterr().err
         assert not (tmp_path / "data").exists()
+
+
+# gen-data whose train.csv (1,363 rows) and test.csv (1,200 rows) are each
+# long enough to be written in two parts
+TWO_PART_POOL = ["--set", "dataset.n_max=400", "--set", "dataset.test_per_class=120"]
+
+
+class TestGenDataInParts:
+    def test_pinned_to_one_cpu_writes_the_same_files(self, tmp_path):
+        # On a machine with one CPU both runs write in one process and this passes trivially.
+        code = ("import os, sys; from cobranch.cli import main; "
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}) if sys.argv[1] == 'pinned' else None; "
+                "sys.exit(main(sys.argv[2:]))")
+        src = os.path.dirname(os.path.dirname(cobranch.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        for side in ("pinned", "free"):
+            subprocess.run([sys.executable, "-c", code, side, "gen-data", "--seed", "3", "--out", str(tmp_path / side),
+                            *TWO_PART_POOL], env=env, check=True, capture_output=True, timeout=120)
+        for name in ("train.csv", "test.csv", "meta.json"):
+            assert sha(tmp_path / "pinned" / name) == sha(tmp_path / "free" / name)
+
+    def test_failing_child_keeps_the_previous_file(self, tmp_path, monkeypatch, capsys):
+        argv = ["gen-data", "--seed", "3", "--out", str(tmp_path), *TWO_PART_POOL]
+        assert main(argv) == 0
+        before = {name: sha(tmp_path / name) for name in os.listdir(tmp_path)}
+        parent, csv_rows = os.getpid(), data._csv_rows
+
+        def failing_in_a_child(*rows):
+            if os.getpid() != parent:
+                raise MemoryError("formatting failed")
+            return csv_rows(*rows)
+
+        monkeypatch.setattr(data, "_csv_rows", failing_in_a_child)  # the fork inherits the patch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'train.csv'}: a process formatting rows exited with 1" in err, err
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
+        assert {name: sha(tmp_path / name) for name in os.listdir(tmp_path)} == before  # and no .tmp file
+
+    def test_directory_at_the_csv_path_exit_2(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "train.csv").mkdir()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert main(["gen-data", "--seed", "3", "--out", str(tmp_path), *TWO_PART_POOL]) == 2
+        assert str(tmp_path / "train.csv") in capsys.readouterr().err
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
+        assert os.listdir(tmp_path) == ["train.csv"]
 
 
 class TestTrainEval:

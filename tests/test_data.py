@@ -24,7 +24,13 @@ from cobranch.data import (
     split_independent_pools,
     split_known_novel,
 )
-from oracles import gen_synthetic, loop_longtail_counts, nearest_mean_accuracy, reference_load_embeddings
+from oracles import (
+    gen_synthetic,
+    loop_longtail_counts,
+    nearest_mean_accuracy,
+    reference_load_embeddings,
+    reference_save_embeddings,
+)
 
 
 class TestLongtailCounts:
@@ -651,6 +657,68 @@ def test_csv_io_peak_memory_is_bounded_by_a_block(tmp_path):
                              text=True, check=True)
         assert float(out.stdout) < bound_mb, step
     assert os.path.isfile(path + SIDECAR_SUFFIX)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# values whose repr is easy to get wrong: signed zero, exponent forms and subnormals
+AWKWARD = [-0.0, 0.0, 1e16, 1e-05, 5e-324, -2.225073858507201e-308, 0.1, 1 / 3, -1.7976931348623157e308, 123456789.0]
+
+
+class TestSaveEmbeddingsInParts:
+    """`save_embeddings` cut into one part per CPU writes the bytes of the
+    one-process reference writer, whatever the CPU count."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4])
+    def test_bytes_match_the_reference(self, tmp_path, monkeypatch, cpus, offset, parts):
+        n = max(1, parts * data._MIN_ROWS_PER_WORKER + offset)  # at and around the row count of `parts` parts
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-8, 9, (n, 3))
+        X.flat[rng.choice(X.size, len(AWKWARD), replace=False)] = AWKWARD
+        X[::97] = AWKWARD[:3]  # across the cut between parts too
+        ids, labels = rng.permutation(3 * n)[:n], rng.integers(-1, 7, n)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        save_embeddings(ids, labels, X, str(tmp_path / "got.csv"))
+        assert_no_child_left()
+        assert len(forks) == max(1, min(cpus, n // data._MIN_ROWS_PER_WORKER)) - 1
+        reference_save_embeddings(ids, labels, X, str(tmp_path / "want.csv"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["got.csv", "want.csv"]
+
+    def test_an_error_here_kills_and_reaps_every_child(self, tmp_path, monkeypatch):
+        parent, csv_rows = os.getpid(), data._csv_rows
+
+        def failing_here(*rows):
+            if os.getpid() == parent:
+                raise OSError("disk full")
+            return csv_rows(*rows)
+
+        monkeypatch.setattr(data, "_csv_rows", failing_here)  # the forks inherit the patch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        X = np.ones((4 * data._MIN_ROWS_PER_WORKER, 2))
+        with pytest.raises(OSError, match="disk full"):
+            save_embeddings(np.arange(len(X)), np.zeros(len(X), dtype=int), X, str(tmp_path / "got.csv"))
+        assert_no_child_left()
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("missing", ["sched_getaffinity", "fork"])
+    def test_one_process_where_the_platform_cannot_fork(self, tmp_path, monkeypatch, missing):
+        X = np.arange(4 * data._MIN_ROWS_PER_WORKER * 2.0).reshape(-1, 2) / 7
+        ids, labels = np.arange(len(X)), np.zeros(len(X), dtype=int)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        monkeypatch.delattr(os, missing)
+        save_embeddings(ids, labels, X, str(tmp_path / "got.csv"))
+        reference_save_embeddings(ids, labels, X, str(tmp_path / "want.csv"))
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_split_validate_catches_count_mismatch():
