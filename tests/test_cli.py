@@ -361,14 +361,12 @@ TWO_PART_POOL = ["--set", "dataset.n_max=400", "--set", "dataset.test_per_class=
 class TestGenDataInParts:
     def test_pinned_to_one_cpu_writes_the_same_files(self, tmp_path):
         # On a machine with one CPU both runs write in one process and this passes trivially.
-        code = ("import os, sys; from cobranch.cli import main; "
-                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}) if sys.argv[1] == 'pinned' else None; "
-                "sys.exit(main(sys.argv[2:]))")
+        cpu = min(os.sched_getaffinity(0))
         src = os.path.dirname(os.path.dirname(cobranch.__file__))
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        for side in ("pinned", "free"):
-            subprocess.run([sys.executable, "-c", code, side, "gen-data", "--seed", "3", "--out", str(tmp_path / side),
-                            *TWO_PART_POOL], env=env, check=True, capture_output=True, timeout=120)
+        for side, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("free", None)):
+            subprocess.run([sys.executable, "-m", "cobranch.cli", "gen-data", "--seed", "3", "--out", str(tmp_path / side),
+                            *TWO_PART_POOL], env=env, check=True, capture_output=True, timeout=120, preexec_fn=pin)
         for name in ("train.csv", "test.csv", "meta.json"):
             assert sha(tmp_path / "pinned" / name) == sha(tmp_path / "free" / name)
 
