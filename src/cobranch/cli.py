@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
-import itertools
 import json
 import math
 import os
@@ -21,9 +19,10 @@ import sys
 
 import numpy as np
 
-from . import losses, nn, train as train_mod
+from . import nn, train as train_mod
 from ._rng import TEST
-from .config import ConfigError, effective_config, load_config, read_json, to_train_objects
+from .checkpoint import checkpoint_dict, load_checkpoint
+from .config import ConfigError, load_config, read_json, to_train_objects
 from .data import (
     UNLABELED_MARKER,
     DatasetSplit,
@@ -38,7 +37,7 @@ from .data import (
     split_independent_pools,
     split_known_novel,
 )
-from .estimate import AlignmentMap, estimate_round
+from .estimate import estimate_round
 from .evaluation import EvalReport, aggregate, evaluate
 from .train import TrainingAborted
 
@@ -77,6 +76,13 @@ def write_json_atomic(path: str, obj) -> None:
 
 def write_csv_atomic(path: str, header: list, rows: list) -> None:
     write_text_atomic(path, "".join(",".join(map(str, row)) + "\n" for row in [header, *rows]))
+
+
+def write_checkpoint(path: str, result: train_mod.TrainResult, cfg: dict, train_seed: int) -> None:
+    """Compact JSON: `indent` would send a checkpoint through json's pure-Python
+    encoder. Every value is finite (`train.run` aborts on a non-finite one)."""
+    blob = checkpoint_dict(result, cfg, train_seed)
+    write_text_atomic(path, json.dumps(blob, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 # --- dataset construction --------------------------------------------------------
@@ -235,154 +241,6 @@ def evaluate_trained(cfg: dict, test: EvalSet, params: nn.ModelParams, eval_seed
                         seed=eval_seed, **cfg["eval"])
 
 
-# --- checkpoints --------------------------------------------------------------------
-
-CHECKPOINT_FORMAT = "cobranch-checkpoint-v1"
-
-
-def config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True, allow_nan=False).encode("utf-8")).hexdigest()
-
-
-def _params_dict(params: nn.ModelParams) -> dict:
-    arrays = {name: getattr(params, name) for name in params.array_fields()}
-    return {
-        "scale": params.scale,
-        "arrays": {name: {"shape": list(a.shape), "data": a.ravel().tolist()} for name, a in arrays.items()},
-    }
-
-
-def _sgd_dict(state: nn.SgdState) -> dict:
-    return {"momentum": state.momentum, "velocity": {k: v.tolist() for k, v in state.velocity.items()}}
-
-
-def checkpoint_dict(result: train_mod.TrainResult, cfg: dict, train_seed: int) -> dict:
-    return {
-        "format": CHECKPOINT_FORMAT,
-        "config": cfg,
-        "config_hash": config_hash(cfg),
-        "train_seed": train_seed,
-        "epochs_done": result.epochs_done,
-        "params": _params_dict(result.params),
-        "opt_cls": _sgd_dict(result.opt_cls),
-        "opt_con": _sgd_dict(result.opt_con),
-        "pi_e": result.pi_e.tolist(),
-        "cluster_to_class": result.alignment.cluster_to_class.tolist(),
-    }
-
-
-def write_checkpoint(path: str, result: train_mod.TrainResult, cfg: dict, train_seed: int) -> None:
-    """Compact JSON: `indent` would send a checkpoint through json's pure-Python
-    encoder. Every value is finite (`train.run` aborts on a non-finite one)."""
-    blob = checkpoint_dict(result, cfg, train_seed)
-    write_text_atomic(path, json.dumps(blob, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
-
-
-def _floats(values, shape: tuple, what: str) -> np.ndarray:
-    """`values` as a finite float array of `shape`; ValueError naming `what`
-    if not, or if an entry is not a number (NumPy reads "0.5" as 0.5 and true as 1.0)."""
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != shape:
-        raise ValueError(f"expected shape {shape} for {what}, got {arr.shape}")
-    rows = values if arr.ndim == 2 else [values]
-    if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
-        bad = next(v for v in itertools.chain.from_iterable(rows) if type(v) not in (int, float))
-        raise ValueError(f"{what} holds {bad!r}, not a number")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} holds a non-finite value")
-    return arr
-
-
-def _distribution(values, num_classes: int) -> np.ndarray:
-    """A class distribution with no entry <= 0 that `kl_regularizer` accepts as a target."""
-    arr = _floats(values, (num_classes,), "the class distribution")
-    if not (arr.min() > 0 and abs(arr.sum() - 1.0) <= losses._SIMPLEX_TOL):
-        raise ValueError(f"not a positive probability vector: min {arr.min():g}, sum {arr.sum():g}")
-    return arr
-
-
-def _count(value) -> int:
-    if type(value) is not int or value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value!r}")
-    return value
-
-
-def _checked_config(cfg: dict) -> dict:
-    if effective_config(cfg) != cfg:
-        raise ValueError("not a complete effective config")
-    return cfg
-
-
-def _params(d: dict, template: nn.ModelParams) -> nn.ModelParams:
-    """`_params_dict`'s output, each array checked against the same field of `template`."""
-    if d["scale"] != template.scale:
-        raise ValueError(f"scale {d['scale']!r} disagrees with model.scale={template.scale!r}")
-    arrays = {}
-    for name in template.array_fields():
-        shape, spec = getattr(template, name).shape, d["arrays"][name]
-        if spec["shape"] != list(shape):
-            raise ValueError(f"{name}: shape {spec['shape']!r}, the config gives {list(shape)}")
-        arrays[name] = _floats(spec["data"], (math.prod(shape),), name).reshape(shape)
-    return nn.ModelParams(**arrays, scale=template.scale)
-
-
-def _sgd_state(d: dict, template: nn.ModelParams, momentum: float) -> nn.SgdState:
-    """`_sgd_dict`'s output, each velocity shaped like its parameter in `template`."""
-    if d["momentum"] != momentum:
-        raise ValueError(f"momentum {d['momentum']!r} disagrees with train.momentum={momentum!r}")
-    state = nn.SgdState(momentum)
-    for name, v in d["velocity"].items():
-        state.velocity[name] = _floats(v, getattr(template, name).shape, f"velocity {name}")
-    return state
-
-
-def _alignment(values, num_classes: int) -> AlignmentMap:
-    arr = np.asarray(values)
-    if arr.shape != (num_classes,) or arr.dtype.kind != "i":
-        raise ValueError(f"expected {num_classes} integers, got shape {arr.shape} of {arr.dtype}")
-    return AlignmentMap(arr)
-
-
-def load_checkpoint(path: str) -> tuple[dict, int, train_mod.TrainResult]:
-    """The inverse of `checkpoint_dict`: (config, train seed, training state).
-
-    The embedded config must be one `effective_config` accepts unchanged and
-    match its hash. Every array is checked against the shapes that config
-    gives. A fault raises ConfigError naming the path and the key.
-    """
-    blob = read_json(path)
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"{path}: not a checkpoint file (key 'format' is not {CHECKPOINT_FORMAT!r})")
-
-    def field(key: str, decode):
-        if key not in blob:
-            raise ConfigError(f"{path}: missing checkpoint key {key!r}")
-        try:
-            return decode(blob[key])
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:  # OverflowError: a huge int
-            reason = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ConfigError(f"{path}: checkpoint key {key!r}: {reason}") from exc
-
-    def check_hash(value):
-        if value != config_hash(cfg):
-            raise ValueError("does not match the config (corrupt or edited)")
-
-    cfg = field("config", _checked_config)
-    field("config_hash", check_hash)
-    C = cfg["dataset"]["num_classes"]
-    # the model block's keys are init_params' parameter names; only the shapes of its arrays are read
-    template = nn.init_params(cfg["dataset"]["d_in"], num_classes=C, seed=0, **cfg["model"])
-    state = train_mod.TrainResult(
-        params=field("params", lambda d: _params(d, template)),
-        opt_cls=field("opt_cls", lambda d: _sgd_state(d, template, cfg["train"]["momentum"])),
-        opt_con=field("opt_con", lambda d: _sgd_state(d, template, cfg["train"]["momentum"])),
-        pi_e=field("pi_e", lambda v: _distribution(v, C)),
-        alignment=field("cluster_to_class", lambda v: _alignment(v, C)),
-        epochs_done=field("epochs_done", _count),
-    )
-    return cfg, field("train_seed", _count), state
-
-
 # --- subcommands ------------------------------------------------------------------
 
 def cmd_gen_data(args) -> int:
@@ -433,9 +291,9 @@ def cmd_train(args) -> int:
         if resume.epochs_done >= cfg["train"]["total_epochs"]:
             raise ConfigError(f"{args.resume}: epochs_done {resume.epochs_done} reaches "
                               f"train.total_epochs={cfg['train']['total_epochs']}: nothing left to train")
-    os.makedirs(args.out, exist_ok=True)
     split = build_dataset(cfg, args.seed)
     model_cfg, train_cfg = to_train_objects(cfg, args.seed)
+    os.makedirs(args.out, exist_ok=True)
 
     every = cfg["train"]["checkpoint_every"]
     total = cfg["train"]["total_epochs"]
@@ -552,7 +410,6 @@ def cmd_ablate(args) -> int:
     cfg = load_config(args.config, args.set)
     # every variant is validated like any --set, before the first run
     grid = [(label, load_config(args.config, [*args.set, *overrides])) for label, overrides in ABLATIONS[args.axis]]
-    os.makedirs(args.out, exist_ok=True)
 
     header = ["label", *ABLATE_COLUMNS]
     rows = []
@@ -561,6 +418,7 @@ def cmd_ablate(args) -> int:
         row = [label, *(metrics[name]["mean"] for name in ABLATE_COLUMNS.values())]
         rows.append(row)
         print(f"{label}: old={row[1]:.4f} new={row[2]:.4f} all={row[3]:.4f}")
+    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"ablate_{args.axis}.csv")
     write_csv_atomic(out_path, header, rows)
     write_json_atomic(

@@ -10,7 +10,7 @@ optimizer step can touch exactly one branch's parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -226,12 +226,12 @@ def cosine_lr(epoch: int, base_lr: float, total_epochs: int) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
+@dataclass
 class SgdState:
     """Momentum buffers, lazily created per parameter name."""
 
-    def __init__(self, momentum: float):
-        self.momentum = momentum
-        self.velocity: dict[str, np.ndarray] = {}
+    momentum: float
+    velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def sgd_step(

@@ -11,7 +11,8 @@ import pytest
 
 import cobranch
 from cobranch import cli, data
-from cobranch.cli import config_hash, main, run_experiment
+from cobranch.checkpoint import config_hash
+from cobranch.cli import main, run_experiment
 from cobranch.config import DEFAULTS, ConfigError, effective_config, load_config, to_train_objects
 from cobranch.losses import MIN_TEMPERATURE
 
@@ -271,9 +272,15 @@ class TestConfig:
     (["gen-data", "--seed", "0", "--config", "config.json"], "error: gen-data needs dataset.kind=synthetic"),
     (["estimate"], "error: estimate needs --checkpoint or --config"),
     (["estimate", "--config", "config.json"], "error: estimate needs --seed when no checkpoint is given"),
+    # found only while the synthetic pool is generated, before --out is made
+    (["train", "--seed", "0", "--set", "dataset.noise_scale=1e308", "--set", "train.total_epochs=1"],
+     "error: dataset.noise_scale=1e+308"),
+    (["ablate", "--axis", "loss_mode", "--seeds", "0", "--set", "dataset.noise_scale=1e308"],
+     "error: dataset.noise_scale=1e+308"),
 ], ids=["eval-a", "eval-empty", "eval-gap", "eval-negative", "eval-repeat", "ablate-x", "train-negative",
         "estimate-negative", "ablate-seed", "eval-seed", "estimate-check", "set-no-equals", "set-table-to-scalar",
-        "set-crosses-file-scalar", "gen-data-embeddings", "estimate-no-source", "estimate-config-no-seed"])
+        "set-crosses-file-scalar", "gen-data-embeddings", "estimate-no-source", "estimate-config-no-seed",
+        "train-overflowing-pool", "ablate-overflowing-pool"])
 def test_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, argv, error):
     # config.json, an embeddings-kind config that sets train.base_lr, is the one file a row can name
     monkeypatch.chdir(tmp_path)
@@ -891,7 +898,7 @@ def _put(key, value):
 
 
 def _short_enc_b1(blob):
-    blob["params"]["arrays"]["enc_b1"]["data"] = [0.0]
+    blob["params"]["enc_b1"] = [0.0]
 
 
 def _short_pi_e(blob):
@@ -899,19 +906,11 @@ def _short_pi_e(blob):
 
 
 def _bad_velocity(blob):
-    blob["opt_con"]["velocity"]["proj_w1"] = [[0.0]]
+    blob["opt_con"]["proj_w1"] = [[0.0]]
 
 
 def _nan_cls_w(blob):
-    blob["params"]["arrays"]["cls_w"]["data"][0] = float("nan")
-
-
-def _string_scale(blob):
-    blob["params"]["scale"] = "10"
-
-
-def _other_momentum(blob):
-    blob["opt_cls"]["momentum"] = 0.5
+    blob["params"]["cls_w"][0][0] = float("nan")
 
 
 def _repeated_cluster(blob):
@@ -942,12 +941,16 @@ def _as_strings(*keys):
         node = blob
         for key in keys[:-1]:
             node = node[key]
-        node[keys[-1]] = [repr(x) for x in node[keys[-1]]]
+        node[keys[-1]] = np.asarray(node[keys[-1]]).astype(str).tolist()
     return edit
 
 
 def _true_in_velocity(blob):
-    blob["opt_con"]["velocity"]["proj_w1"][1][2] = True
+    blob["opt_con"]["proj_w1"][1][2] = True
+
+
+def _bogus_velocity(blob):
+    blob["opt_con"]["bogus"] = [0.0]
 
 
 def _stale_hash(blob):
@@ -966,6 +969,9 @@ def _config_value(block, key, value):
 CHECKPOINT_FAULTS = [
     pytest.param("eval", _put("format", "cobranch-checkpoint-v0"), ["not a checkpoint file", "'format'"],
                  id="wrong-format"),
+    # v1 stored shapes, scale and momentum beside the config; it has no reader
+    pytest.param("eval", _put("format", "cobranch-checkpoint-v1"), ["not a checkpoint file", "'format'"],
+                 id="v1-format"),
     pytest.param("eval", _format_only, ["'config'"], id="format-only"),
     *[pytest.param("eval", _drop(key), [repr(key)], id=f"no-{key}")
       for key in ("params", "pi_e", "train_seed", "cluster_to_class")],
@@ -973,12 +979,11 @@ CHECKPOINT_FAULTS = [
     pytest.param("eval", _short_enc_b1, ["'params'", "enc_b1"], id="short-enc_b1"),
     pytest.param("eval", _short_pi_e, ["'pi_e'"], id="short-pi_e"),
     pytest.param("eval", _nan_cls_w, ["'params'", "cls_w holds a non-finite value"], id="nan-cls_w"),
-    pytest.param("eval", _string_scale, ["'params'", "model.scale"], id="scale-string"),
     pytest.param("eval", _repeated_cluster, ["'cluster_to_class'", "permutation"], id="cluster_to_class-repeat"),
     pytest.param("eval", _float_clusters, ["'cluster_to_class'", "integers"], id="cluster_to_class-floats"),
     pytest.param("eval", _huge_pi_e, ["'pi_e'"], id="pi_e-huge-int"),
     # every entry must be a JSON number: a string or a bool is refused, not converted
-    pytest.param("eval", _as_strings("params", "arrays", "enc_w1", "data"), ["'params'", "enc_w1 holds '"],
+    pytest.param("eval", _as_strings("params", "enc_w1"), ["'params'", "enc_w1 holds '"],
                  id="enc_w1-strings"),
     pytest.param("eval", _as_strings("pi_e"), ["'pi_e'", "holds '", "not a number"], id="pi_e-strings"),
     pytest.param("eval", _stale_hash, ["'config_hash'", "does not match"], id="stale-hash"),
@@ -995,7 +1000,7 @@ CHECKPOINT_FAULTS = [
     pytest.param("resume", _drop("train_seed"), ["'train_seed'"], id="resume-no-train_seed"),
     pytest.param("resume", _put("epochs_done", "1"), ["'epochs_done'"], id="resume-epochs_done-string"),
     pytest.param("resume", _bad_velocity, ["'opt_con'", "velocity proj_w1"], id="resume-velocity-shape"),
-    pytest.param("resume", _other_momentum, ["'opt_cls'", "train.momentum"], id="resume-momentum"),
+    pytest.param("resume", _bogus_velocity, ["'opt_con'", "'bogus' names no parameter"], id="resume-velocity-bogus"),
     pytest.param("resume", _true_in_velocity, ["'opt_con'", "velocity proj_w1 holds True, not a number"],
                  id="resume-velocity-true"),
     # the checkpoint loads, but does not continue this run
@@ -1058,9 +1063,8 @@ def test_overflowing_checkpoint_names_the_phase(two_epoch_run, tmp_path, command
         source, names = two_epoch_run[0] / "checkpoint.json", ("enc_w2", "enc_b2")
         argv = [command, "--checkpoint", str(path), *(["--seeds", "0"] if command == "eval" else [])]
     blob = json.loads(source.read_text())
-    for name in names:
-        array = blob["params"]["arrays"][name]
-        array["data"] = [1.7e308] * len(array["data"])  # finite, but the encoder's output overflows
+    for name in names:  # finite, but the encoder's output overflows
+        blob["params"][name] = np.full(np.shape(blob["params"][name]), 1.7e308).tolist()
     path.write_text(json.dumps(blob))
     out = cli_in_child(*argv, "--out", str(tmp_path / "out"))
     assert out.returncode == 1

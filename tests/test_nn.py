@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobranch import cli, nn
+from cobranch import checkpoint, cli, nn
 from cobranch.config import ConfigError, effective_config
 from cobranch.estimate import AlignmentMap
 from cobranch.train import TrainResult
@@ -337,8 +337,8 @@ class TestGradCheckUtility:
 
 
 class TestCheckpointRoundTrip:
-    """`cli.load_checkpoint` restores what `cli.checkpoint_dict` stores and
-    checks it against the shapes the embedded config gives."""
+    """`checkpoint.load_checkpoint` restores what `checkpoint.checkpoint_dict`
+    stores and checks it against the shapes the embedded config gives."""
 
     def write(self, tmp_path, params, edit=lambda blob: None):
         cfg = effective_config({"dataset": {"num_classes": 4, "num_known": 2, "d_in": 4},
@@ -347,7 +347,7 @@ class TestCheckpointRoundTrip:
         opt_cls.velocity["enc_b1"] = np.linspace(-1.0, 1.0, 5)
         result = TrainResult(params, opt_cls, nn.SgdState(cfg["train"]["momentum"]), pi_e=np.full(4, 0.25),
                              alignment=AlignmentMap(np.array([1, 0, 3, 2])), epochs_done=3)
-        blob = cli.checkpoint_dict(result, cfg, 5)
+        blob = checkpoint.checkpoint_dict(result, cfg, 5)
         edit(blob)
         path = str(tmp_path / "checkpoint.json")
         cli.write_json_atomic(path, blob)
@@ -356,7 +356,7 @@ class TestCheckpointRoundTrip:
     def test_round_trip_exact(self, tmp_path):
         p = small_params(seed=12)
         path, cfg, result = self.write(tmp_path, p)
-        cfg_back, seed, q = cli.load_checkpoint(path)
+        cfg_back, seed, q = checkpoint.load_checkpoint(path)
         assert cfg_back == cfg and seed == 5 and q.epochs_done == 3
         assert np.array_equal(params_to_vector(p), params_to_vector(q.params))
         assert q.params.scale == p.scale
@@ -367,16 +367,16 @@ class TestCheckpointRoundTrip:
 
     def test_shape_check_rejects_mismatch(self, tmp_path):
         path, _, _ = self.write(tmp_path, small_params(C=7))
-        with pytest.raises(ConfigError, match="cls_w: shape"):
-            cli.load_checkpoint(path)
+        with pytest.raises(ConfigError, match=r"expected shape \(4, 3\) for cls_w, got \(7, 3\)"):
+            checkpoint.load_checkpoint(path)
 
     def test_corrupt_array_length_rejected(self, tmp_path):
         def shorten(blob):
-            blob["params"]["arrays"]["enc_b1"]["data"] = [1.0]
+            blob["params"]["enc_b1"] = [1.0]
 
         path, _, _ = self.write(tmp_path, small_params(), shorten)
         with pytest.raises(ConfigError, match="expected shape .* for enc_b1"):
-            cli.load_checkpoint(path)
+            checkpoint.load_checkpoint(path)
 
 
 class TestBranchComposites:
