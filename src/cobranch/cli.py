@@ -115,8 +115,9 @@ def build_synthetic_dataset(ds: dict, seed: int) -> tuple[DatasetSplit, EvalSet]
     counts = make_longtail_counts(C, ds["profile"], ds["rho_u"], ds["n_max"])
     means = make_class_means(C, ds["d_in"], ds["class_separation"], seed)
     if ds["rho_l"] == ds["rho_u"]:
-        X, y = sample_from_means(means, counts, ds["noise_scale"], seed)
-        split = split_known_novel(X, y, ds["num_known"], ds["labeled_ratio"], seed)
+        # unbound, so the unsplit pool is freed once the split holds its rows
+        split = split_known_novel(*sample_from_means(means, counts, ds["noise_scale"], seed),
+                                  ds["num_known"], ds["labeled_ratio"], seed)
     else:
         split = split_independent_pools(
             means, counts, _labeled_counts_ranked(ds), ds["num_known"], ds["noise_scale"], seed

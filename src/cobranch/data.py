@@ -171,9 +171,12 @@ def split_from_mask(
 
     `y` holds every row's split-space class, UNLABELED_MARKER where it is
     unknown. When every unlabeled row's class is known (a synthetic pool),
-    those classes are kept as evaluation-only ground truth.
+    those classes are kept as evaluation-only ground truth. When the labeled
+    rows already come first (every `train.csv` gen-data writes), the split
+    holds views of `X` and `ids`, not copies.
     """
-    order = np.concatenate([np.flatnonzero(labeled), np.flatnonzero(~labeled)])
+    in_order = labeled[: np.count_nonzero(labeled)].all()
+    order = slice(None) if in_order else np.concatenate([np.flatnonzero(labeled), np.flatnonzero(~labeled)])
     hidden = y[~labeled]
     split = DatasetSplit(
         X=X[order],
@@ -462,6 +465,17 @@ def _read_sidecar(side: str, digest: str, raw: bytes, num_classes: int | None):
     return ids, labels, X
 
 
+def _write_npz(fh, **arrays: np.ndarray) -> None:
+    """The bytes `np.savez(fh, **arrays)` writes, with each array, which must
+    be C-contiguous, written into its zip member from its own memory: NumPy
+    copies it through `tobytes` first."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as npz:
+        for name, a in arrays.items():
+            with npz.open(f"{name}.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, np.lib.format.header_data_from_array_1_0(a))
+                member.write(memoryview(a.reshape(-1).view(np.uint8)))
+
+
 @contextlib.contextmanager
 def atomic_file(path: str):
     """A new binary file under a unique temporary name beside `path`, moved
@@ -508,5 +522,5 @@ def load_embeddings(path: str, num_classes: int | None = None) -> tuple[np.ndarr
         finally:  # decode the rest: a byte that is not UTF-8 outranks a parse fault
             collections.deque(lines, maxlen=0)
     with contextlib.suppress(OSError), atomic_file(side) as fh:  # no cache where the write is refused
-        np.savez(fh, sha256=np.array(parsed.hexdigest()), ids=ids, labels=labels, X=X)
+        _write_npz(fh, sha256=np.array(parsed.hexdigest()), ids=ids, labels=labels, X=X)
     return ids, labels, X

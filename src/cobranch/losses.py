@@ -92,28 +92,30 @@ def _prefix_terms(features, temperature: float, blocks: list, pairs: np.ndarray 
     if pairs is not None and np.any(pairs == np.arange(n)):
         raise ValueError("a row cannot be its own positive")
 
-    # two n x n buffers: S (logits - row max), E (exp, then G)
+    # one n x n buffer: S (logits - row max), then E = exp(S), then G
     F_t = F / temperature
     S = np.matmul(F_t, F.T, out=scratch.view("S", n))  # a GEMM: the operands are distinct buffers
     np.fill_diagonal(S, -np.inf)  # self is not a candidate
     S -= S.max(axis=1, keepdims=True)
-    E = np.exp(S, out=scratch.view("E", n))
+    np.fill_diagonal(S, 0.0)  # the diagonal's weight is zero; avoid 0 * inf
+    attraction = [np.einsum("ij,ij->", W, S[: W.shape[0], : W.shape[0]]) for W, _, _ in normed]
+    rows = np.arange(n)
+    positive = None if pairs is None else S[rows, pairs].mean()
+    np.fill_diagonal(S, -np.inf)  # so exp gives self a zero
+    E = np.exp(S, out=S)
     ends = sorted({W.shape[0] for W, _, _ in normed} | {n})  # column bands [previous end, end)
     starts = [0] + ends[:-1]
     denom = np.cumsum(np.add.reduceat(E, starts, axis=1), axis=1)  # each row's sum over each prefix
-    np.fill_diagonal(S, 0.0)  # the diagonal's weight is zero; avoid 0 * inf
 
     parts = []
     coef = np.zeros((n, len(ends)))  # per row and column band: the weight of E in G
-    for (gamma, _), (W, included, n_inc) in zip(blocks, normed):
+    for (gamma, _), (W, included, n_inc), attract in zip(blocks, normed, attraction):
         k, band = W.shape[0], ends.index(W.shape[0])
         den = denom[:k, band]
-        loss = np.log(den)[included].sum() / n_inc - np.einsum("ij,ij->", W, S[:k, :k])
-        parts.append((float(loss), k - n_inc))
+        parts.append((float(np.log(den)[included].sum() / n_inc - attract), k - n_inc))
         coef[:k, : band + 1] += np.where(included, gamma / (n_inc * den), 0.0)[:, None]
     if pairs is not None:
-        rows = np.arange(n)
-        parts.append((float(np.log(denom[:, -1]).mean() - S[rows, pairs].mean()), 0))
+        parts.append((float(np.log(denom[:, -1]).mean() - positive), 0))
         coef += 1.0 / (n * denom[:, -1:])
 
     G = E

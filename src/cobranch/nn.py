@@ -100,9 +100,14 @@ def _as_batch(x: np.ndarray, dim: int, what: str) -> np.ndarray:
 # --- shared pieces -------------------------------------------------------------
 
 def _mlp_forward(X: np.ndarray, w1, b1, w2, b2):
-    """`tanh(X w1 + b1) w2 + b2` and the hidden activations."""
-    H = np.tanh(X @ w1 + b1)
-    return H @ w2 + b2, H
+    """`tanh(X w1 + b1) w2 + b2` and the hidden activations, each built in
+    one buffer."""
+    H = X @ w1
+    H += b1
+    np.tanh(H, out=H)
+    Y = H @ w2
+    Y += b2
+    return Y, H
 
 
 def _mlp_backward(X: np.ndarray, H: np.ndarray, w1, w2, dY: np.ndarray):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -363,6 +364,23 @@ class TestGenData:
 # gen-data whose train.csv (1,363 rows) and test.csv (1,200 rows) are each
 # long enough to be written in two parts
 TWO_PART_POOL = ["--set", "dataset.n_max=400", "--set", "dataset.test_per_class=120"]
+
+
+def test_synthetic_pool_peaks_below_three_pools():
+    # The scale-c50 benchmark's dataset block. Its pool is drawn, copied once
+    # into split order and freed before the test set is drawn: about 2.7
+    # pools at the peak, and over 3 when the pool outlives the split.
+    block = {"num_classes": 50, "num_known": 30, "n_max": 400, "test_per_class": 50, "d_in": 64,
+             "class_separation": 5.0, "noise_scale": 1.0, "rho_l": 20, "rho_u": 20}
+    ds = effective_config({"dataset": block})["dataset"]
+    tracemalloc.start()
+    try:
+        split, _ = cli.build_synthetic_dataset(ds, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert split.X.shape == (6429, 64)
+    assert peak < 3 * split.X.nbytes
 
 
 class TestGenDataInParts:

@@ -21,6 +21,7 @@ from cobranch.data import (
     make_longtail_counts,
     sample_from_means,
     save_embeddings,
+    split_from_mask,
     split_independent_pools,
     split_known_novel,
 )
@@ -459,6 +460,16 @@ class TestSidecar:
         monkeypatch.setattr(data, "_parse", no_parse)
         self.assert_same(load_embeddings(path), reference_load_embeddings(path))
 
+    def test_sidecar_bytes_are_those_of_np_savez(self, tmp_path):
+        path = self.pool(tmp_path)
+        ids, labels, X = load_embeddings(path)
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        want = tmp_path / "want.npz"
+        np.savez(want, sha256=np.array(digest), ids=ids, labels=labels, X=X)
+        with open(path + SIDECAR_SUFFIX, "rb") as fh:
+            assert fh.read() == want.read_bytes()
+
     def test_edited_file_is_parsed_again(self, tmp_path):
         path = self.pool(tmp_path)
         load_embeddings(path)
@@ -554,7 +565,7 @@ class TestSidecar:
         # hand: a test run as root ignores directory permissions); a full disk
         # fails the write; another user's file can block the rename.
         path = self.pool(tmp_path)
-        real_open, real_savez = open, np.savez
+        real_open, real_write = open, data._write_npz
 
         def refuse(*args, **kwargs):
             raise PermissionError("refused")
@@ -563,11 +574,11 @@ class TestSidecar:
             monkeypatch.setattr(data, "open", lambda f, mode="r", *a, **k: (
                 refuse() if "x" in mode else real_open(f, mode, *a, **k)), raising=False)
         elif step == "write":
-            def savez(fh, **arrays):
-                real_savez(fh, **arrays)
+            def write_npz(fh, **arrays):
+                real_write(fh, **arrays)
                 raise OSError(28, "No space left on device")
 
-            monkeypatch.setattr(data.np, "savez", savez)
+            monkeypatch.setattr(data, "_write_npz", write_npz)
         else:
             monkeypatch.setattr(data.os, "replace", refuse)
         self.assert_same(load_embeddings(path), reference_load_embeddings(path))
@@ -626,9 +637,9 @@ class TestSidecarInSmallBlocks(TestSidecar):
 def test_csv_io_peak_memory_is_bounded_by_a_block(tmp_path):
     # Peak-RSS growth of one call, each in a new process, on a 7.6 MB file of
     # 6,000 x 64 values whose arrays take 3.1 MB. Block-wise I/O reads about
-    # +0.2 MB to write it, +7.0 MB to parse it (3 MB of that is the sidecar
-    # write) and +3.8 MB to load it from the sidecar; holding the whole file
-    # reads +21.9, +14.4 and +11.1 MB.
+    # +0.1 MB to write it, +4.2 MB to parse it and write the sidecar (+6.7 MB
+    # when the sidecar write copies each array) and +3.6 MB to load it from
+    # the sidecar; holding the whole file reads +21.9, +14.4 and +11.1 MB.
     # VmHWM, because ru_maxrss also counts the peak of the process that
     # started this one.
     code = textwrap.dedent("""
@@ -652,7 +663,7 @@ def test_csv_io_peak_memory_is_bounded_by_a_block(tmp_path):
     src = os.path.dirname(os.path.dirname(cobranch.__file__))
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     path = str(tmp_path / "pool.csv")
-    for step, bound_mb in [("save", 2.0), ("miss", 10.0), ("hit", 6.0)]:
+    for step, bound_mb in [("save", 2.0), ("miss", 6.0), ("hit", 6.0)]:
         out = subprocess.run([sys.executable, "-c", code, path, step], env=env, capture_output=True,
                              text=True, check=True)
         assert float(out.stdout) < bound_mb, step
@@ -719,6 +730,26 @@ class TestSaveEmbeddingsInParts:
         save_embeddings(ids, labels, X, str(tmp_path / "got.csv"))
         reference_save_embeddings(ids, labels, X, str(tmp_path / "want.csv"))
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+class TestSplitFromMask:
+    X, ids = np.random.default_rng(5).standard_normal((7, 3)), np.arange(7) * 2
+
+    def test_rows_in_split_order_are_not_copied(self):
+        y = np.array([0, 2, 1, -1, -1, -1, -1])
+        split = split_from_mask(self.X, y, self.ids, y != -1, 3, 4, None, None)
+        assert np.shares_memory(split.X, self.X) and np.shares_memory(split.ids, self.ids)
+        assert np.array_equal(split.X, self.X) and np.array_equal(split.ids, self.ids)
+        assert np.array_equal(split.y_lab, [0, 2, 1])
+
+    @pytest.mark.parametrize("y", [[-1, 0, -1, 1, 2, -1, 0], [0, 1, -1, 2, -1, -1, -1]])
+    def test_labeled_rows_out_of_order_move_first(self, y):
+        y = np.array(y)
+        labeled = y != -1
+        order = np.concatenate([np.flatnonzero(labeled), np.flatnonzero(~labeled)])
+        split = split_from_mask(self.X, y, self.ids, labeled, 3, 4, None, None)
+        assert np.array_equal(split.X, self.X[order]) and np.array_equal(split.ids, self.ids[order])
+        assert np.array_equal(split.y_lab, y[labeled])
 
 
 def test_split_validate_catches_count_mismatch():

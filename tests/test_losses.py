@@ -237,6 +237,17 @@ class TestScratch:
             assert (a.l_unsup, a.l_sup, a.l_soft) == (b.l_unsup, b.l_sup, b.l_soft)
             assert np.array_equal(a.grad, b.grad)
 
+    def test_objective_holds_one_n_by_n_slot(self):
+        # The shifted logits, their exponentials and the gradient weights
+        # take turns in one n x n buffer, beside one slot per weight block.
+        rng = np.random.default_rng(25)
+        F, other, lab_cls = build_views_batch(rng, 24, 104, 16)
+        W = positiveness_weights(rng, lab_cls, F.shape[0] - 2)
+        scratch = Scratch()
+        contrastive_objective(F, other, W, lab_cls.size, 0.5, *GAMMAS, scratch)
+        sizes = {slot: buf.size for slot, buf in scratch.items()}
+        assert sizes == {"W0": lab_cls.size**2, "W1": len(W) ** 2, "S": len(F) ** 2}
+
     def test_results_do_not_alias_scratch(self):
         rng = np.random.default_rng(22)
         scratch = Scratch()

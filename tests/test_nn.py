@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +57,20 @@ class TestEncode:
         )
         x = np.array([0.3, -1.2, 2.0, 0.7])
         assert np.abs(nn.encode(p, x[None])[0] - x).max() < 1e-6
+
+    def test_pool_encode_holds_one_hidden_buffer(self):
+        # The product, the bias and the tanh share one N x d_hidden buffer
+        # and the output one N x d_feat buffer; the slack is for NumPy's
+        # iteration buffers. A separate tanh output reads 2 N x d_hidden.
+        p = nn.init_params(64, 32, 16, 32, 16, 10, seed=0, scale=MODEL.scale)
+        X = np.random.default_rng(0).standard_normal((4096, 64))
+        tracemalloc.start()
+        try:
+            nn.encode(p, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(X) * (32 + 16) * 8 + (128 << 10)
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(1)
